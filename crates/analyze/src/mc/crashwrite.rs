@@ -4,8 +4,9 @@
 //! smoke test.
 //!
 //! The real `attempt()` does: create `<dest>.tmp.<id>` → write bytes →
-//! `fsync(tmp)` → if `dest` exists, `rename(dest, dest.bak)` → `rename
-//! (tmp, dest)` → best-effort `fsync(parent dir)`. The model walks that
+//! `fsync(tmp)` → if `dest` exists, `rename(dest, dest.bak)` (skipped if a
+//! rival writer rotated `dest` away since the check) → `rename(tmp, dest)`
+//! → best-effort `fsync(parent dir)`. The model walks that
 //! sequence one filesystem operation per step, for one or more writers
 //! (each with its own unique tmp, as `next_tmp_id()` guarantees), and a
 //! dedicated *crash agent* thread that may fire power loss at every
@@ -38,12 +39,18 @@
 //!    torn/absent).
 //! 3. **Completion** — with no crash, every writer's last generation is
 //!    durably (fsynced) in `dest` and no rename is left unflushed.
+//! 4. **No writer fails** — concurrent writers to one destination are a
+//!    race the *last publish rename wins*; losing it is not an error. A
+//!    writer whose rotate finds `dest` already rotated away by a rival
+//!    skips the rotate and publishes.
 //!
 //! The [`Mutation::SkipFsync`] variant deletes the tmp-fsync step; a
 //! *second* write then rotates a still-unsynced `dest` into `dest.bak`,
 //! and a crash before its publish flushes leaves both files torn —
 //! invariant 2 fires, which is exactly why `attempt()` fsyncs before
-//! renaming.
+//! renaming. The [`Mutation::FailOnRotateRace`] variant restores the
+//! original `attempt()`, which returned the rotate's `NotFound`; two
+//! concurrent writers then trip invariant 4.
 
 use super::engine::{Access, Protocol};
 use std::collections::BTreeSet;
@@ -108,8 +115,8 @@ pub enum Pc {
     FsyncTmp,
     /// `path.exists()` check that gates the rotate.
     CheckDest,
-    /// `rename(dest, dest.bak)`; fails (→ [`Pc::Failed`]) if `dest`
-    /// vanished since the check (the TOCTOU window `attempt()` has).
+    /// `rename(dest, dest.bak)`; a no-op if `dest` vanished since the
+    /// check (a rival rotated it in the TOCTOU window `attempt()` has).
     Rotate,
     /// `rename(tmp, dest)`.
     Publish,
@@ -117,7 +124,8 @@ pub enum Pc {
     DirFsync,
     /// All generations written.
     Done,
-    /// `attempt()` returned an error (lost a rotate race); terminal.
+    /// `attempt()` returned an error (lost a rotate race); terminal, and
+    /// reachable only under [`Mutation::FailOnRotateRace`].
     Failed,
 }
 
@@ -152,6 +160,9 @@ pub enum Mutation {
     /// second write rotates the still-unsynced `dest` into `dest.bak`
     /// and a crash leaves *nothing* loadable.
     SkipFsync,
+    /// Return the rotate's `NotFound` instead of skipping to the publish
+    /// when a rival rotated `dest` away after the existence check.
+    FailOnRotateRace,
 }
 
 /// The crash-write protocol instance.
@@ -324,9 +335,13 @@ impl Protocol for CrashWrite {
             Pc::Rotate => {
                 if Self::live(&next).dest == Content::Absent {
                     // A concurrent writer rotated dest away between our
-                    // exists() check and this rename: ENOENT, attempt()
-                    // errors out (not a transient error, no retry).
-                    next.writers[tid].pc = Pc::Failed;
+                    // exists() check and this rename: ENOENT. attempt()
+                    // treats it as a lost race and publishes anyway.
+                    next.writers[tid].pc = if self.mutation == Some(Mutation::FailOnRotateRace) {
+                        Pc::Failed // MUTATION: surface the ENOENT
+                    } else {
+                        Pc::Publish
+                    };
                 } else {
                     next.pending.push(MetaOp::Rotate);
                     next.writers[tid].pc = Pc::Publish;
@@ -360,6 +375,12 @@ impl Protocol for CrashWrite {
     }
 
     fn check_step(&self, _before: &State, after: &State, tid: usize) -> Result<(), String> {
+        // 4. No writer fails: losing a race to a rival is not an error.
+        if after.writers.get(tid).is_some_and(|w| w.pc == Pc::Failed) {
+            return Err(format!(
+                "writer {tid} failed: lost the rotate race to a concurrent writer"
+            ));
+        }
         let fs = if after.crashed {
             after.base.clone() // already resolved durable state
         } else {

@@ -20,7 +20,7 @@
 //! | [`topk`] | `hmmm_core::topk::SharedTopK` | threshold monotone + admissible, no lost offers |
 //! | [`snapshot`] | `hmmm_serve::snapshot::SnapshotCell` | epoch monotone, writers serialized, no torn/stale installs |
 //! | [`admission`] | `hmmm_serve::server::QueryServer` | exactly-once serviced-or-rejected, shed-before-work, close() drains |
-//! | [`crashwrite`] | `hmmm_storage::atomic::atomic_write` | a loadable generation survives every crash prefix |
+//! | [`crashwrite`] | `hmmm_storage::atomic::atomic_write` | a loadable generation survives every crash prefix; no concurrent writer fails |
 //! | [`connection`] | `hmmm_serve::net` per-connection loop | answered-exactly-once-or-dropped, drain leaves no half-written frame |
 //!
 //! Each model also ships deliberately broken variants (a dropped

@@ -181,7 +181,8 @@ fn real_snapshot_cell_upholds_model_invariants() {
 /// `.bak` the previous (the model's `cw_two_gens_sequential` terminal
 /// state), and concurrent writers never leave the destination unloadable
 /// (`cw_concurrent_writers` — here without crash injection; the crash
-/// half lives in hmmm-storage's own crash_consistency suite).
+/// half lives in hmmm-storage's own crash_consistency suite) and never
+/// fail each other (the model's invariant 4: last rename wins).
 #[test]
 fn real_atomic_write_matches_crashwrite_final_states() {
     let dir = TestDir::new("mc_models_atomic");

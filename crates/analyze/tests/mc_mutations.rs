@@ -10,6 +10,7 @@
 //! | `TornEpoch`       | snapshot   | epoch published as two half-word stores  |
 //! | `LostCasRetry`    | topk       | failed threshold CAS gives up, no retry  |
 //! | `SkipFsync`       | crashwrite | data rename without the preceding fsync  |
+//! | `FailOnRotateRace`| crashwrite | rotate's `NotFound` after a rival's rotate returned as an error |
 //! | `UnlockedDequeue` | admission  | queue slot read outside the lock, then removed blindly |
 //! | `DoubleRespond`   | connection | torn response write retried on the same connection |
 
@@ -116,6 +117,33 @@ fn missing_fsync_before_rename_is_caught() {
 
     let clean = crashwrite::CrashWrite::new(vec![vec![2, 3]]);
     explore(&clean, &ExploreConfig::exhaustive()).expect("unmutated writer is crash-safe");
+}
+
+#[test]
+fn failing_on_a_lost_rotate_race_is_caught() {
+    // Both writers pass the exists() check; writer A rotates dest away,
+    // then writer B's rotate finds nothing. The pre-fix attempt() returned
+    // that NotFound, so a perfectly good concurrent write failed.
+    let mut p = crashwrite::CrashWrite::new(vec![vec![2], vec![3]]);
+    p.mutation = Some(crashwrite::Mutation::FailOnRotateRace);
+    let cx = assert_caught(&p, "FailOnRotateRace");
+    assert!(
+        cx.message.contains("lost the rotate race"),
+        "unexpected violation: {}",
+        cx.message
+    );
+    // Four steps to each writer's check (create, write, fsync, check),
+    // then A's rotate and B's failing one: nothing shorter loses the race.
+    assert_eq!(
+        cx.schedule.len(),
+        10,
+        "minimal counterexample drifted: {:?}\n{}",
+        cx.schedule,
+        cx
+    );
+
+    let clean = crashwrite::CrashWrite::new(vec![vec![2], vec![3]]);
+    explore(&clean, &ExploreConfig::exhaustive()).expect("unmutated writers never fail");
 }
 
 #[test]

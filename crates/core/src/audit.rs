@@ -32,8 +32,9 @@
 //!
 //! The audit runs through [`crate::model::Hmmm::deep_audit`], is surfaced on
 //! the CLI as `hmmm check`, and in debug builds is wired into
-//! `validate_against` itself so every `Retriever::new` re-proves the
-//! invariants while tests run.
+//! `validate_against` itself so every validation proof minted while tests
+//! run (each `Retriever::new`, each served (worker, epoch)) re-proves the
+//! invariants.
 
 use crate::error::CoreError;
 use crate::model::Hmmm;
@@ -396,7 +397,7 @@ mod tests {
         m.refresh_coarse();
         assert!(m.deep_audit(&c).is_ok());
         // Postings drift, by contrast, is caught by every
-        // `validate_against` (and thus every `Retriever::new`).
+        // `validate_against` (and thus every validation proof).
         m.coarse.postings[EventKind::Goal.index()].clear();
         let err = m.validate_against(&c).unwrap_err();
         assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("coarse index")));

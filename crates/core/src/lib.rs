@@ -84,7 +84,7 @@ pub use error::CoreError;
 pub use fault::{FaultHandle, FaultPlan, FaultyStream, NetFaultStats};
 pub use feedback::{FeedbackConfig, FeedbackLog, PositivePattern, UpdateReport};
 pub use io::{load_model, load_model_with, save_model, save_model_with};
-pub use model::{Hmmm, LocalMmm, ModelSummary};
+pub use model::{Hmmm, LocalMmm, ModelSummary, Validated};
 pub use retrieve::{
     CoarseMode, DeadlineConfig, Degraded, DegradedReason, QueryScratch, RankedPattern,
     RetrievalConfig, RetrievalStats, Retriever,

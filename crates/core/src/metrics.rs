@@ -153,6 +153,9 @@ pub const CTR_SERVE_REJECTED_SHUTDOWN: &str = "serve.rejected_shutdown";
 pub const CTR_SERVE_SNAPSHOT_INSTALLS: &str = "serve.snapshot_installs";
 /// Candidate snapshots refused by the pre-install `deep_audit` gate.
 pub const CTR_SERVE_AUDIT_REJECTIONS: &str = "serve.snapshot_audit_rejections";
+/// `validate_against` runs on the serving path: one per (worker, epoch)
+/// pair that executed a job, not one per request.
+pub const CTR_SERVE_SNAPSHOT_VALIDATIONS: &str = "serve.snapshot_validations";
 /// Admission-queue depth after the most recent submit/dequeue.
 pub const GAUGE_SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
 /// Worker threads the server was started with.

@@ -318,12 +318,23 @@ impl Hmmm {
     }
 
     /// Validates the model against the catalog it was built from: per-video
-    /// state counts, global feature rows, matrix dimensions, link ranges.
+    /// state counts, global feature rows, matrix dimensions, link ranges,
+    /// and the freshness of every derived cache the retrieval hot path
+    /// trusts (bound factors, sparse `A_1` views, the `B_1` slab, packed
+    /// event terms, coarse postings).
+    ///
+    /// On success it returns a [`Validated`] proof borrowing both values.
+    /// The proof is what [`crate::Retriever::from_validated`] takes, so a
+    /// caller that answers many queries against one unchanging model pays
+    /// for this check once, not once per query.
     ///
     /// # Errors
     ///
     /// [`CoreError::Inconsistent`] naming the first mismatch.
-    pub fn validate_against(&self, catalog: &Catalog) -> Result<(), CoreError> {
+    pub fn validate_against<'a>(
+        &'a self,
+        catalog: &'a Catalog,
+    ) -> Result<Validated<'a>, CoreError> {
         if self.locals.len() != catalog.video_count() {
             return Err(CoreError::Inconsistent(format!(
                 "{} local MMMs vs {} videos",
@@ -449,12 +460,95 @@ impl Hmmm {
         }
         // Debug builds escalate every shape validation into the full
         // numeric λ-audit (row-stochastic A_n, unit-mass Π/P_{1,2}, B_1'
-        // ranges) — `Retriever::new` calls through here, so the invariants
-        // get re-proven constantly while tests run. Release builds keep
-        // validation O(shapes); run `hmmm check` / `deep_audit` explicitly.
+        // ranges), so every proof minted while tests run also re-proves the
+        // invariants: once per `Retriever::new`, and once per (worker,
+        // epoch) inside the server. Release builds keep validation
+        // O(shapes); run `hmmm check` / `deep_audit` explicitly.
         #[cfg(debug_assertions)]
         crate::audit::audit_numeric(self)?;
-        Ok(())
+        Ok(Validated {
+            model: self,
+            catalog,
+        })
+    }
+}
+
+/// Proof that a model passed [`Hmmm::validate_against`] for a catalog.
+///
+/// Only `validate_against` creates one, and it holds shared borrows of
+/// both values. `Hmmm` and `Catalog` have no interior mutability, so for as
+/// long as the proof lives neither can change: the borrow checker, not a
+/// convention, keeps the checked model and the served model the same.
+///
+/// ```
+/// # use hmmm_core::{build_hmmm, BuildConfig, RetrievalConfig, Retriever};
+/// # use hmmm_features::FeatureVector;
+/// # use hmmm_media::EventKind;
+/// # use hmmm_storage::Catalog;
+/// let mut catalog = Catalog::new();
+/// catalog.add_video("v", vec![(vec![EventKind::Goal], FeatureVector::zeros())]);
+/// let model = build_hmmm(&catalog, &BuildConfig::default()).unwrap();
+/// let proof = model.validate_against(&catalog).unwrap();
+/// // Any number of retrievers from one proof; none re-validates.
+/// let _a = Retriever::from_validated(proof, RetrievalConfig::default());
+/// let _b = Retriever::from_validated(proof, RetrievalConfig::content_only());
+/// ```
+///
+/// The model cannot be mutated while a proof of it is alive:
+///
+/// ```compile_fail
+/// # use hmmm_core::{build_hmmm, BuildConfig, RetrievalConfig, Retriever};
+/// # use hmmm_features::FeatureVector;
+/// # use hmmm_media::EventKind;
+/// # use hmmm_storage::Catalog;
+/// let mut catalog = Catalog::new();
+/// catalog.add_video("v", vec![(vec![EventKind::Goal], FeatureVector::zeros())]);
+/// let mut model = build_hmmm(&catalog, &BuildConfig::default()).unwrap();
+/// let proof = model.validate_against(&catalog).unwrap();
+/// model.locals[0].a1_row_max[0] = 2.0; // stale bound factor: refused
+/// let _r = Retriever::from_validated(proof, RetrievalConfig::default());
+/// ```
+///
+/// Nor can a proof outlive the model it vouches for:
+///
+/// ```compile_fail
+/// # use hmmm_core::{build_hmmm, BuildConfig, Validated};
+/// # use hmmm_features::FeatureVector;
+/// # use hmmm_media::EventKind;
+/// # use hmmm_storage::Catalog;
+/// let mut catalog = Catalog::new();
+/// catalog.add_video("v", vec![(vec![EventKind::Goal], FeatureVector::zeros())]);
+/// let proof: Validated<'_> = {
+///     let model = build_hmmm(&catalog, &BuildConfig::default()).unwrap();
+///     model.validate_against(&catalog).unwrap()
+/// }; // `model` dropped here while still borrowed
+/// let _ = proof;
+/// ```
+#[derive(Clone, Copy)]
+pub struct Validated<'a> {
+    model: &'a Hmmm,
+    catalog: &'a Catalog,
+}
+
+impl<'a> Validated<'a> {
+    /// The validated model.
+    pub(crate) fn model(self) -> &'a Hmmm {
+        self.model
+    }
+
+    /// The catalog the model was validated against.
+    pub(crate) fn catalog(self) -> &'a Catalog {
+        self.catalog
+    }
+}
+
+impl std::fmt::Debug for Validated<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Dimensions only: the model and catalog can be megabytes.
+        f.debug_struct("Validated")
+            .field("videos", &self.model.video_count())
+            .field("shots", &self.model.shot_count())
+            .finish()
     }
 }
 

@@ -67,7 +67,7 @@ use crate::bounds::{QueryBounds, VideoBounds};
 use crate::error::CoreError;
 use crate::fault::FaultHandle;
 use crate::metrics as m;
-use crate::model::Hmmm;
+use crate::model::{Hmmm, Validated};
 use crate::sim::{best_alternative, max_calibrated_similarity};
 use crate::simcache::SimCache;
 use crate::topk::SharedTopK;
@@ -887,23 +887,35 @@ pub struct Retriever<'a> {
 }
 
 impl<'a> Retriever<'a> {
-    /// Creates a retriever after validating model/catalog consistency.
+    /// Validates model/catalog consistency ([`Hmmm::validate_against`]),
+    /// then builds the retriever from the proof
+    /// ([`Retriever::from_validated`]). This pays for the full check on
+    /// every call; code that answers many queries against one model
+    /// should validate once and keep the proof, as the server's workers do.
     ///
     /// # Errors
     ///
     /// [`CoreError::Inconsistent`] if the model was not built from (an
-    /// equal-shape) catalog.
+    /// equal-shape) catalog, or a derived cache is stale.
     pub fn new(
         model: &'a Hmmm,
         catalog: &'a Catalog,
         config: RetrievalConfig,
     ) -> Result<Self, CoreError> {
-        model.validate_against(catalog)?;
-        Ok(Retriever {
-            model,
-            catalog,
+        let proof = model.validate_against(catalog)?;
+        Ok(Self::from_validated(proof, config))
+    }
+
+    /// Builds a retriever from a [`Validated`] proof, with no further
+    /// checking. The proof borrows the model and catalog, so they cannot
+    /// have changed since [`Hmmm::validate_against`] checked them; this
+    /// costs a config move, nothing more.
+    pub fn from_validated(proof: Validated<'a>, config: RetrievalConfig) -> Self {
+        Retriever {
+            model: proof.model(),
+            catalog: proof.catalog(),
             config,
-        })
+        }
     }
 
     /// Runs the nine-step retrieval for `pattern`, returning the top

@@ -22,9 +22,12 @@
 //! is wasted on it.
 //!
 //! Workers are plain threads in a pool. Each owns a cached
-//! `Arc<ModelSnapshot>` (refreshed by one atomic epoch check per request —
-//! see [`SnapshotCell`]) and a reusable [`hmmm_core::QueryScratch`], so the
-//! per-query steady state allocates nothing for beams and scoring rows.
+//! `Arc<ModelSnapshot>` (checked by one atomic epoch load per request —
+//! see [`SnapshotCell`]), the [`hmmm_core::Validated`] proof for it, and a
+//! reusable [`hmmm_core::QueryScratch`]. A worker validates a snapshot once,
+//! on the first job it executes there, and builds every later request's
+//! `Retriever` from that proof; the per-query steady state neither
+//! re-validates the model nor allocates beams and scoring rows.
 //! Queries execute with `threads = 1`: under concurrent traffic the
 //! parallelism that used to fan one query across cores is spent across
 //! queries instead, which is the right trade once the queue is non-empty.
@@ -33,7 +36,7 @@ use crate::snapshot::{ModelSnapshot, SnapshotCell};
 use hmmm_core::metrics as m;
 use hmmm_core::{
     CoreError, FeedbackConfig, FeedbackLog, Hmmm, QueryScratch, RankedPattern, RetrievalConfig,
-    RetrievalStats, Retriever, UpdateReport,
+    RetrievalStats, Retriever, UpdateReport, Validated,
 };
 use hmmm_obs::RecorderHandle;
 use hmmm_query::CompiledPattern;
@@ -446,23 +449,27 @@ impl QueryServer {
     /// counted (`serve.snapshot_audit_rejections`).
     pub fn install(&self, candidate: ModelSnapshot) -> Result<u64, CoreError> {
         match self.shared.cell.install(candidate) {
-            Ok(epoch) => {
-                self.shared.obs.counter(m::CTR_SERVE_SNAPSHOT_INSTALLS, 1);
-                if self.shared.config.retain_snapshot_history {
-                    let current = self.shared.cell.load();
-                    self.shared
-                        .history
-                        .lock()
-                        .expect("snapshot history poisoned")
-                        .push(current);
-                }
-                Ok(epoch)
-            }
+            Ok(epoch) => Ok(self.installed(epoch)),
             Err(e) => {
                 self.shared.obs.counter(m::CTR_SERVE_AUDIT_REJECTIONS, 1);
                 Err(e)
             }
         }
+    }
+
+    /// Bookkeeping after a publish: the install counter and, when
+    /// retained, the history entry. Returns `epoch`.
+    fn installed(&self, epoch: u64) -> u64 {
+        self.shared.obs.counter(m::CTR_SERVE_SNAPSHOT_INSTALLS, 1);
+        if self.shared.config.retain_snapshot_history {
+            let current = self.shared.cell.load();
+            self.shared
+                .history
+                .lock()
+                .expect("snapshot history poisoned")
+                .push(current);
+        }
+        epoch
     }
 
     /// Wraps a bare model into a candidate snapshot against the live
@@ -484,12 +491,17 @@ impl QueryServer {
 
     /// The full feedback round against the live generation: clone the
     /// model off to the side, apply the Eqs. 1–10 offline updates from
-    /// `log`, audit the candidate, and install it. Readers never block;
+    /// `log`, audit the candidate, and publish it. Readers never block;
     /// a failed audit leaves the live snapshot serving.
+    ///
+    /// The candidate is audited once, inside
+    /// [`ModelSnapshot::apply_feedback`], and never leaves this function,
+    /// so it is published without the second audit [`QueryServer::install`]
+    /// would run.
     ///
     /// # Errors
     ///
-    /// Same as [`ModelSnapshot::apply_feedback`] plus the install gate.
+    /// Same as [`ModelSnapshot::apply_feedback`].
     pub fn apply_feedback(
         &self,
         log: &mut FeedbackLog,
@@ -503,7 +515,7 @@ impl QueryServer {
                 return Err(e);
             }
         };
-        let epoch = self.install(candidate)?;
+        let epoch = self.installed(self.shared.cell.publish(candidate));
         Ok((epoch, report))
     }
 
@@ -539,40 +551,61 @@ impl Drop for QueryServer {
     }
 }
 
-/// One worker: dequeue → refresh snapshot (atomic epoch check) → admission
-/// deadline check → execute with the remaining budget → fulfill.
+/// A worker's validation of its current snapshot: `None` until the first
+/// job on that snapshot executes, then the proof or the rendered error.
+type EpochProof<'s> = Option<Result<Validated<'s>, String>>;
+
+/// One worker: dequeue → epoch check (one atomic load; on a new epoch,
+/// forget the old proof and refresh the snapshot) → admission deadline
+/// check → validate if this is the epoch's first executed job → execute
+/// with the remaining budget → fulfill.
 fn worker_loop(shared: &ServerShared) {
     let mut snapshot = shared.cell.load();
     let mut scratch = QueryScratch::new();
-    loop {
-        let job = {
-            let mut queue = shared.queue.lock().expect("admission queue poisoned");
-            loop {
-                if let Some(job) = queue.jobs.pop_front() {
-                    let depth = queue.jobs.len();
-                    drop(queue);
-                    shared.obs.gauge(m::GAUGE_SERVE_QUEUE_DEPTH, depth as f64);
-                    break Some(job);
-                }
-                if !queue.open {
-                    break None;
-                }
-                queue = shared
-                    .not_empty
-                    .wait(queue)
-                    .expect("admission queue poisoned");
-            }
-        };
-        let Some(job) = job else {
-            return; // drained and closed
-        };
+    let mut pending = dequeue(shared);
+    while pending.is_some() {
         shared.cell.refresh(&mut snapshot);
-        serve_one(shared, &snapshot, &mut scratch, job);
+        let mut proof: EpochProof<'_> = None;
+        while let Some(job) = pending.take() {
+            if shared.cell.epoch() != snapshot.epoch {
+                pending = Some(job); // carried over to the new generation
+                break;
+            }
+            serve_one(shared, &snapshot, &mut proof, &mut scratch, job);
+            pending = dequeue(shared);
+        }
     }
 }
 
-/// Executes one dequeued job against the worker's snapshot.
-fn serve_one(shared: &ServerShared, snapshot: &ModelSnapshot, scratch: &mut QueryScratch, job: Job) {
+/// Blocks for the next job; `None` once admission is closed and drained.
+fn dequeue(shared: &ServerShared) -> Option<Job> {
+    let mut queue = shared.queue.lock().expect("admission queue poisoned");
+    loop {
+        if let Some(job) = queue.jobs.pop_front() {
+            let depth = queue.jobs.len();
+            drop(queue);
+            shared.obs.gauge(m::GAUGE_SERVE_QUEUE_DEPTH, depth as f64);
+            return Some(job);
+        }
+        if !queue.open {
+            return None;
+        }
+        queue = shared
+            .not_empty
+            .wait(queue)
+            .expect("admission queue poisoned");
+    }
+}
+
+/// Executes one dequeued job against the worker's snapshot, validating the
+/// snapshot first if no earlier job on it has.
+fn serve_one<'s>(
+    shared: &ServerShared,
+    snapshot: &'s ModelSnapshot,
+    proof: &mut EpochProof<'s>,
+    scratch: &mut QueryScratch,
+    job: Job,
+) {
     let obs = &shared.obs;
     let _request_span = obs.span_labeled(m::SPAN_SERVE_REQUEST, job.id);
     let queue_ns = job.submitted.elapsed().as_nanos() as u64;
@@ -603,8 +636,19 @@ fn serve_one(shared: &ServerShared, snapshot: &ModelSnapshot, scratch: &mut Quer
 
     let execute_span = obs.span_labeled(m::SPAN_SERVE_EXECUTE, job.id);
     let execute_started = Instant::now();
-    let executed = Retriever::new(&snapshot.model, &snapshot.catalog, config)
-        .and_then(|r| r.retrieve_with_scratch(&job.request.pattern, job.request.limit, scratch));
+    let proof = proof.get_or_insert_with(|| {
+        obs.counter(m::CTR_SERVE_SNAPSHOT_VALIDATIONS, 1);
+        snapshot
+            .model
+            .validate_against(&snapshot.catalog)
+            .map_err(|e| e.to_string())
+    });
+    let executed = match proof {
+        Ok(proof) => Retriever::from_validated(*proof, config)
+            .retrieve_with_scratch(&job.request.pattern, job.request.limit, scratch)
+            .map_err(|e| e.to_string()),
+        Err(e) => Err(e.clone()),
+    };
     let service_ns = execute_started.elapsed().as_nanos() as u64;
     drop(execute_span);
 
@@ -625,7 +669,7 @@ fn serve_one(shared: &ServerShared, snapshot: &ModelSnapshot, scratch: &mut Quer
         }
         Err(e) => {
             job.slot
-                .fulfill(ServeOutcome::Rejected(RejectReason::Invalid(e.to_string())));
+                .fulfill(ServeOutcome::Rejected(RejectReason::Invalid(e)));
         }
     }
 }

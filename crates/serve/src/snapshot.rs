@@ -131,7 +131,8 @@ impl ModelSnapshot {
 /// * **Writers** ([`SnapshotCell::install`]) serialize on the slot mutex,
 ///   run the `deep_audit` gate *outside* the critical section, and swap
 ///   the pointer only on a clean audit. A failed install leaves the
-///   published snapshot untouched.
+///   published snapshot untouched. The server's feedback path audits its
+///   candidate while building it, so it skips straight to the swap.
 /// * **Drain** is implicit in `Arc`: a superseded snapshot stays alive
 ///   until the last in-flight query drops its clone, so installs never
 ///   tear or block running queries.
@@ -170,8 +171,10 @@ impl SnapshotCell {
 
     /// Refreshes a worker's cached handle only if a newer generation was
     /// published; returns `true` when `cached` was replaced. The
-    /// steady-state cost is one atomic load — the serving hot path calls
-    /// this once per dequeued request.
+    /// steady-state cost is one atomic load. The server's workers check
+    /// [`SnapshotCell::epoch`] per dequeued request and call this only
+    /// when it moved, after dropping the validation proof that borrows
+    /// `cached`.
     pub fn refresh(&self, cached: &mut Arc<ModelSnapshot>) -> bool {
         if self.epoch() == cached.epoch {
             return false;
@@ -196,6 +199,15 @@ impl SnapshotCell {
     /// previously published snapshot keeps serving, untouched.
     pub fn install(&self, mut candidate: ModelSnapshot) -> Result<u64, CoreError> {
         candidate.audit = candidate.model.deep_audit(&candidate.catalog)?;
+        Ok(self.publish(candidate))
+    }
+
+    /// The pointer-swap half of [`SnapshotCell::install`], with no audit:
+    /// re-stamps the candidate to `published + 1` under the writer lock
+    /// and publishes it. Only for candidates this crate audited itself and
+    /// never let out of its hands (the feedback path, whose
+    /// [`ModelSnapshot::apply_feedback`] already ran `deep_audit`).
+    pub(crate) fn publish(&self, mut candidate: ModelSnapshot) -> u64 {
         let mut slot = self.slot.lock().expect("snapshot slot poisoned");
         let epoch = slot.epoch + 1;
         candidate.epoch = epoch;
@@ -205,7 +217,7 @@ impl SnapshotCell {
         // above (both happen inside the mutex, but `epoch()` readers skip
         // the mutex, so the pair carries the happens-before edge for them).
         self.epoch.store(epoch, Ordering::Release);
-        Ok(epoch)
+        epoch
     }
 }
 

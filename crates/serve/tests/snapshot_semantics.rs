@@ -1,6 +1,7 @@
 //! Deterministic semantics of the serving layer: admission states, QoS
-//! rejections, audit-gated installs, drain-on-shutdown, and the serve
-//! metric counters.
+//! rejections, audit-gated installs, drain-on-shutdown, validation once per
+//! (worker, epoch) with fail-closed stale snapshots, and the serve metric
+//! counters.
 
 use hmmm_core::{build_hmmm, metrics as m, BuildConfig, FaultPlan, InMemoryRecorder, RetrievalConfig};
 use hmmm_features::FeatureVector;
@@ -11,6 +12,7 @@ use hmmm_serve::{
     SnapshotCell,
 };
 use hmmm_storage::Catalog;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// A small catalog with enough annotated events for every query to match.
@@ -184,6 +186,83 @@ fn audit_gate_refuses_mismatched_model_and_keeps_serving() {
     assert_eq!(report.counter(m::CTR_SERVE_AUDIT_REJECTIONS), 1);
     // Only the initial publication counts as an install.
     assert_eq!(report.counter(m::CTR_SERVE_SNAPSHOT_INSTALLS), 1);
+}
+
+#[test]
+fn snapshot_is_validated_once_per_worker_epoch_not_per_request() {
+    const N: usize = 12;
+    let recorder = InMemoryRecorder::shared();
+    let snapshot = ModelSnapshot::build(fixture_catalog(4), &BuildConfig::default()).unwrap();
+    let server = QueryServer::start(
+        snapshot,
+        ServerConfig {
+            workers: 2,
+            recorder: recorder.handle(),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    // Sequential round trips, so request ids (the execute-span labels)
+    // are submission indices into `epochs`.
+    let mut epochs = Vec::new();
+    let mut run = |server: &QueryServer| {
+        for _ in 0..N {
+            let outcome = server.query(QueryRequest::new(fixture_pattern(), 5));
+            epochs.push(outcome.response().expect("completed").epoch);
+        }
+    };
+    run(&server);
+    let model = server.snapshot().model.clone();
+    assert_eq!(server.install_model(model).unwrap(), 1);
+    run(&server);
+    server.join();
+
+    let report = recorder.report();
+    let served: BTreeSet<(u64, u64)> = report
+        .spans
+        .iter()
+        .filter(|s| s.path == m::SPAN_SERVE_EXECUTE)
+        .map(|s| (s.thread, epochs[s.label.expect("labeled") as usize]))
+        .collect();
+    let epochs_served: BTreeSet<u64> = served.iter().map(|&(_, e)| e).collect();
+    assert_eq!(epochs_served.len(), 2);
+    assert_eq!(
+        report.counter(m::CTR_SERVE_SNAPSHOT_VALIDATIONS),
+        served.len() as u64,
+        "one validation per (worker, epoch) actually served, not per request"
+    );
+    assert!(served.len() <= 4 && served.len() < 2 * N);
+}
+
+#[test]
+fn snapshot_with_stale_bound_factors_rejects_every_request() {
+    let recorder = InMemoryRecorder::shared();
+    let mut snapshot = ModelSnapshot::build(fixture_catalog(3), &BuildConfig::default()).unwrap();
+    // Poke a derived cache after build and audit: the bound factor no
+    // longer matches A_1, so rankings pruned against it could be wrong.
+    snapshot.model.locals[0].a1_row_max[0] += 0.25;
+    let server = QueryServer::start(
+        snapshot,
+        ServerConfig {
+            recorder: recorder.handle(),
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    for _ in 0..6 {
+        match server.query(QueryRequest::new(fixture_pattern(), 5)) {
+            ServeOutcome::Rejected(RejectReason::Invalid(msg)) => {
+                assert!(msg.contains("stale A1/Π1 bound factors"), "{msg}")
+            }
+            other => panic!("a stale snapshot must fail closed, got {other:?}"),
+        }
+    }
+    server.join();
+    let report = recorder.report();
+    assert_eq!(report.counter(m::CTR_SERVE_COMPLETED), 0);
+    // The failed proof is kept, like a good one: at most one validation
+    // per worker, however many requests it refused.
+    assert!(report.counter(m::CTR_SERVE_SNAPSHOT_VALIDATIONS) <= 2);
 }
 
 #[test]

@@ -19,6 +19,10 @@
 //! but a valid `.bak` — never a torn destination file. Torn state is
 //! confined to temp files, which later writes ignore.
 //!
+//! Concurrent writers to one path never fail each other: the last publish
+//! rename wins, and a writer whose rotate finds the destination already
+//! rotated away by a rival skips the rotate and publishes.
+//!
 //! Transient I/O errors (`Interrupted`, `WouldBlock`, `TimedOut`) are
 //! retried with bounded exponential backoff; everything else fails fast.
 //! Deterministic fault injection threads through the [`IoFault`] hook so
@@ -129,8 +133,15 @@ fn attempt(
     let mut bak_rotated = false;
     if path.exists() {
         check(fault, "rotate_bak")?;
-        fs::rename(path, bak_path(path))?;
-        bak_rotated = true;
+        bak_rotated = match fs::rename(path, bak_path(path)) {
+            Ok(()) => true,
+            // A concurrent writer rotated `path` away between our check
+            // and this rename. The generation we would have rotated is in
+            // `.bak` already, so skip the rotate and publish: last rename
+            // wins, and neither writer fails.
+            Err(err) if err.kind() == io::ErrorKind::NotFound => false,
+            Err(err) => return Err(err),
+        };
     }
     check(fault, "publish")?;
     fs::rename(tmp, path)?;
@@ -360,6 +371,67 @@ mod tests {
         // The destination is gone but the previous generation survives.
         assert!(!dest.exists());
         assert_eq!(fs::read(bak_path(&dest)).unwrap(), b"gen1");
+    }
+
+    /// Two-writer rendezvous: both pass the `path.exists()` check before
+    /// either rotates, and both finish their rotate before either
+    /// publishes, so the renames race in one deterministic shape. A writer
+    /// that errors out never reaches its publish; the other then gives up
+    /// waiting after a timeout rather than hang, and the error fails the
+    /// test.
+    #[derive(Default)]
+    struct Rendezvous {
+        arrived: Mutex<[usize; 2]>,
+        moved: std::sync::Condvar,
+    }
+
+    impl Rendezvous {
+        fn meet(&self, stage: usize) {
+            let mut arrived = self.arrived.lock().unwrap();
+            arrived[stage] += 1;
+            self.moved.notify_all();
+            let timeout = Duration::from_secs(5);
+            drop(self.moved.wait_timeout_while(arrived, timeout, |a| a[stage] < 2));
+        }
+    }
+
+    impl IoFault for Rendezvous {
+        fn inject(&self, op: &'static str) -> Option<io::Error> {
+            match op {
+                "rotate_bak" => self.meet(0),
+                "publish" => self.meet(1),
+                _ => {}
+            }
+            None
+        }
+    }
+
+    #[test]
+    fn concurrent_writers_racing_the_rotate_both_succeed() {
+        let dir = TestDir::new("hmmm_atomic");
+        let dest = dir.file("data.bin");
+        atomic_write(&dest, b"seed", &AtomicWriteOptions::default()).unwrap();
+        let fault = Rendezvous::default();
+        let opts = AtomicWriteOptions {
+            fault: Some(&fault),
+            ..AtomicWriteOptions::default()
+        };
+        let (dest_ref, opts_ref) = (&dest, &opts);
+        let reports: Vec<AtomicWriteReport> = std::thread::scope(|s| {
+            let writers: Vec<_> = [&b"gen-a"[..], &b"gen-b"[..]]
+                .into_iter()
+                .map(|bytes| s.spawn(move || atomic_write(dest_ref, bytes, opts_ref)))
+                .collect();
+            writers
+                .into_iter()
+                .map(|w| w.join().unwrap().expect("neither writer may fail"))
+                .collect()
+        });
+        // Exactly one writer rotated the seed; the other found it gone.
+        assert_eq!(reports.iter().filter(|r| r.bak_rotated).count(), 1);
+        assert_eq!(fs::read(bak_path(&dest)).unwrap(), b"seed");
+        let last = fs::read(&dest).unwrap();
+        assert!(last == b"gen-a" || last == b"gen-b", "torn: {last:?}");
     }
 
     #[test]
