@@ -2,7 +2,7 @@
 //! `interleave-check [--exhaustive] [--format json]`.
 //!
 //! Runs all five model suites from `hmmm_analyze::mc` — the `SharedTopK`
-//! CAS register (the PR-4 scenarios, exact schedule counts pinned), the
+//! CAS register (exact schedule counts pinned), the
 //! `SnapshotCell` RCU install, the admission queue + worker-pool
 //! lifecycle, the crash-state enumeration of the atomic writer, and the
 //! TCP front-end's per-connection request/response lifecycle — asserting
@@ -28,7 +28,7 @@
 use std::process::ExitCode;
 
 use hmmm_analyze::mc::engine::{explore, Counterexample, ExploreConfig, Protocol};
-use hmmm_analyze::mc::{admission, connection, crashwrite, snapshot};
+use hmmm_analyze::mc::{admission, connection, crashwrite, snapshot, topk};
 
 /// Per-scenario state budget for quick mode (see module docs).
 const QUICK_STATE_BUDGET: usize = 100_000;
@@ -225,44 +225,22 @@ fn main() -> ExitCode {
 
     let mut rows = Vec::new();
 
-    // SharedTopK: always the full PR-4 suite, always exhaustive — the
-    // pinned schedule counts double as the engine-port regression gate.
-    let topk = match hmmm_analyze::interleave::run_standard_suite() {
-        Ok(reports) => reports,
-        Err(e) => {
-            let f = Failure {
-                suite: "topk",
-                name: "standard_suite".to_string(),
-                cx: None,
-                message: e.clone(),
-            };
-            if json {
-                print_json(mode, &rows, Some(&f));
-            } else {
-                eprintln!("interleave-check: INVARIANT VIOLATION [topk]: {e}");
-            }
-            return ExitCode::FAILURE;
-        }
-    };
-    for (name, r) in topk {
-        rows.push(Row {
-            suite: "topk",
-            name,
-            states: r.states,
-            transitions: r.transitions,
-            memo_hits: r.memo_hits,
-            finals: r.finals,
-            schedules: r.schedules,
-            truncated: false,
-        });
-    }
-
+    // SharedTopK: always the full suite, always exhaustive — the pinned
+    // schedule counts in tests/interleave.rs are its regression gate.
     let result = run_suite(
-        "snapshot",
-        snapshot::standard_scenarios(exhaustive),
-        &config,
+        "topk",
+        topk::standard_scenarios(),
+        &ExploreConfig::exhaustive(),
         &mut rows,
     )
+    .and_then(|()| {
+        run_suite(
+            "snapshot",
+            snapshot::standard_scenarios(exhaustive),
+            &config,
+            &mut rows,
+        )
+    })
     .and_then(|()| {
         run_suite(
             "admission",

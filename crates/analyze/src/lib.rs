@@ -27,11 +27,9 @@
 //!   the repo — the `SharedTopK` CAS register, the `SnapshotCell` RCU
 //!   install, the admission queue + worker-pool lifecycle, and a
 //!   crash-state enumeration of the atomic writer.
-//! * [`interleave`] — the PR-4 `SharedTopK` explorer API, now a shim
-//!   over [`mc`] (same scenarios, same counts, bespoke DFS deleted).
 //!
 //! Binaries: `hmmm-lint` (workspace lint pass; violations exit non-zero)
-//! and `interleave-check` (all four model suites). Both run in CI's
+//! and `interleave-check` (all five model suites). Both run in CI's
 //! `analyze` job and speak `--format json`; `cargo test -p hmmm-analyze`
 //! additionally proves every lint fires on seeded violations, that every
 //! seeded protocol mutation is caught with a replayable counterexample,
@@ -40,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod interleave;
 pub mod lexer;
 pub mod lints;
 pub mod mc;

@@ -183,7 +183,6 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
             "self_similarity",
             "calibrated_similarity",
             "calibrated_block",
-            "max_calibrated_similarity",
             "best_alternative",
         ],
     ),
@@ -206,8 +205,6 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
         "crates/core/src/simcache.rs",
         &[
             "build",
-            "max_calibrated",
-            "max_calibrated_in",
             "self_similarity",
             "calibrated",
             "calibrated_range",
@@ -227,6 +224,7 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
             "sim_max",
             "video_bounds",
             "bound_lookups",
+            "candidates",
             "matches",
             "audit",
             "postings_len",

@@ -1,5 +1,4 @@
-//! The `SharedTopK` CAS protocol, ported from the PR-4 bespoke explorer
-//! onto the [`engine`](super::engine).
+//! The `SharedTopK` CAS protocol as an [`engine`](super::engine) model.
 //!
 //! `crates/core/src/topk.rs` keeps the k-th-best-score prune threshold in
 //! a lock-free register: `offer()` scans the slot array for its minimum,
@@ -8,12 +7,11 @@
 //! and **no successful offer is lost** — are statements about *all*
 //! interleavings. The state machine here performs one shared access per
 //! step (each slot load of the min-scan, the slot CAS, the threshold
-//! load, the threshold CAS), exactly as the original module did; the
-//! `crates/analyze/tests/interleave.rs` regression pins that the port
-//! reproduces PR 4's per-scenario state, transition, final and schedule
-//! counts bit-for-bit.
+//! load, the threshold CAS). `crates/analyze/tests/interleave.rs` pins
+//! every [`standard_scenarios`] entry's state, transition, final and
+//! schedule counts, so any change to the step structure shows up there.
 //!
-//! Invariants (unchanged from PR 4):
+//! Invariants:
 //!
 //! 1. **Monotonicity** — the threshold never decreases.
 //! 2. **Admissibility** — the threshold never exceeds the k-th best score
@@ -126,6 +124,23 @@ impl TopK {
         }
     }
 
+    /// A faithful model over `f64` offer queues (the scenario-table form).
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offer that is not finite and
+    /// non-negative — the only scores `SharedTopK` is ever offered.
+    pub fn from_scores(k: usize, offers: [&[f64]; 2]) -> Result<Self, String> {
+        if let Some(bad) = offers.iter().flat_map(|q| q.iter()).find(|s| !s.is_finite() || **s < 0.0)
+        {
+            return Err(format!("offers must be finite and non-negative, got {bad}"));
+        }
+        Ok(TopK::new(
+            k,
+            offers.map(|q| q.iter().map(|s| s.to_bits()).collect()),
+        ))
+    }
+
     /// Multiset of all offer bits whose `offer()` call has started.
     fn started(&self, threads: &[Thread; 2]) -> Vec<u64> {
         let mut v = Vec::new();
@@ -138,6 +153,28 @@ impl TopK {
         }
         v
     }
+}
+
+/// The scenario suite `interleave-check` runs for this model — capacities,
+/// duplicates, partial fills, displacement races and zero-score fast paths
+/// — always explored exhaustively.
+pub fn standard_scenarios() -> Vec<(String, TopK)> {
+    let sc = |name: &str, k: usize, a: &[f64], b: &[f64]| {
+        let model = TopK::from_scores(k, [a, b]).expect("scenario scores are valid");
+        (name.to_string(), model)
+    };
+    vec![
+        sc("k1_distinct", 1, &[0.9], &[0.5]),
+        sc("k1_duplicate", 1, &[0.5], &[0.5]),
+        sc("k1_two_each", 1, &[0.3, 0.9], &[0.7, 0.1]),
+        sc("k2_basic_race", 2, &[0.5, 0.9], &[0.7]),
+        sc("k2_duplicates", 2, &[0.5, 0.5], &[0.5]),
+        sc("k2_descending", 2, &[0.9, 0.1], &[0.4, 0.7]),
+        sc("k2_with_zero", 2, &[0.0, 0.8], &[0.6, 0.0]),
+        sc("k3_partial_fill", 3, &[0.5], &[0.7]),
+        sc("k3_overflow", 3, &[0.2, 0.9], &[0.4, 0.6]),
+        sc("k0_ignores_all", 0, &[0.5], &[0.9]),
+    ]
 }
 
 /// The k-th largest value of `values` (counting multiplicity), `0` when

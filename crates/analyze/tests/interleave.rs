@@ -3,27 +3,46 @@
 //! agrees with the real `hmmm_core::SharedTopK` on serial executions
 //! (model faithfulness — a checker of a divergent model proves nothing).
 
-use hmmm_analyze::interleave::{explore, run_standard_suite, Scenario};
+use hmmm_analyze::mc::engine::{explore as explore_protocol, ExploreConfig, McReport};
+use hmmm_analyze::mc::topk::{standard_scenarios, TopK};
 use hmmm_core::SharedTopK;
+
+/// Exhaustively explores every 2-thread schedule of one `SharedTopK`
+/// scenario, rendering a violation as its message.
+fn explore(k: usize, a: &[f64], b: &[f64]) -> Result<McReport, String> {
+    let protocol = TopK::from_scores(k, [a, b])?;
+    explore_protocol(&protocol, &ExploreConfig::exhaustive()).map_err(|cx| cx.to_string())
+}
+
+fn run_standard_suite() -> Vec<(String, McReport)> {
+    standard_scenarios()
+        .into_iter()
+        .map(|(name, protocol)| {
+            let report = explore_protocol(&protocol, &ExploreConfig::exhaustive())
+                .unwrap_or_else(|cx| panic!("scenario {name}: {cx}"));
+            (name, report)
+        })
+        .collect()
+}
 
 #[test]
 fn standard_suite_upholds_all_invariants() {
-    let reports = run_standard_suite().expect("no interleaving violates the invariants");
+    let reports = run_standard_suite();
     assert_eq!(reports.len(), 10);
     for (name, r) in &reports {
         assert!(r.states > 0, "{name}: no states explored");
         assert!(r.schedules >= 1, "{name}: no schedules counted");
+        assert!(!r.truncated, "{name}: exhaustive run truncated");
     }
 }
 
-/// Port regression gate: the PR-4 bespoke DFS was replaced by the generic
-/// `mc` engine, and this table pins every scenario's state, transition,
-/// final-state, and exact schedule count to the values the original
-/// checker produced. Identical verdicts are necessary but not sufficient
-/// — identical *path counts* prove the explored graph is the same graph,
-/// i.e. the port neither dropped interleavings nor invented states.
+/// Regression gate on the model's step structure: every scenario's
+/// state, transition, final-state and exact schedule count is pinned.
+/// Identical verdicts are necessary but not sufficient — identical *path
+/// counts* prove the explored graph is the same graph, i.e. a change
+/// neither dropped interleavings nor invented states.
 #[test]
-fn engine_port_reproduces_pr4_counts_exactly() {
+fn scenario_counts_are_pinned() {
     const PINNED: &[(&str, usize, usize, usize, u128)] = &[
         ("k1_distinct", 65, 109, 1, 1061),
         ("k1_duplicate", 48, 82, 1, 610),
@@ -36,22 +55,16 @@ fn engine_port_reproduces_pr4_counts_exactly() {
         ("k3_overflow", 1583, 2938, 5, 3_381_075_517_743),
         ("k0_ignores_all", 4, 4, 1, 2),
     ];
-    let reports = run_standard_suite().expect("suite verifies");
+    let reports = run_standard_suite();
     assert_eq!(reports.len(), PINNED.len());
     for ((name, r), &(pname, states, transitions, finals, schedules)) in
         reports.iter().zip(PINNED)
     {
         assert_eq!(name, pname, "scenario order changed");
-        assert_eq!(r.states, states, "{name}: state count drifted from PR 4");
-        assert_eq!(
-            r.transitions, transitions,
-            "{name}: transition count drifted from PR 4"
-        );
-        assert_eq!(r.finals, finals, "{name}: final-state count drifted from PR 4");
-        assert_eq!(
-            r.schedules, schedules,
-            "{name}: schedule count drifted from PR 4"
-        );
+        assert_eq!(r.states, states, "{name}: state count drifted");
+        assert_eq!(r.transitions, transitions, "{name}: transition count drifted");
+        assert_eq!(r.finals, finals, "{name}: final-state count drifted");
+        assert_eq!(r.schedules, schedules, "{name}: schedule count drifted");
     }
     let total: u128 = reports.iter().map(|(_, r)| r.schedules).sum();
     assert_eq!(total, 3_381_302_243_216, "suite-wide schedule total drifted");
@@ -63,11 +76,7 @@ fn schedule_count_matches_closed_form_for_tiny_case() {
     // raise), rescan, raise-load [, raise-CAS] — the DAG's path count is
     // fixed by the model, and a regression here means the step structure
     // changed (which would silently weaken the exhaustiveness claim).
-    let r = explore(&Scenario {
-        k: 1,
-        offers: [vec![0.9], vec![0.5]],
-    })
-    .unwrap();
+    let r = explore(1, &[0.9], &[0.5]).unwrap();
     // Both threads together take a bounded number of steps; every
     // interleaving of two fixed sequences of lengths m and n is C(m+n, m).
     // The exact value is pinned as a golden number (verified once by
@@ -78,11 +87,7 @@ fn schedule_count_matches_closed_form_for_tiny_case() {
 
 #[test]
 fn zero_capacity_register_never_moves() {
-    let r = explore(&Scenario {
-        k: 0,
-        offers: [vec![0.4], vec![0.6]],
-    })
-    .unwrap();
+    let r = explore(0, &[0.4], &[0.6]).unwrap();
     // Both offers hit the empty-slots fast path: two scheduling steps,
     // one final state, threshold pinned at +inf (checked inside explore).
     assert_eq!(r.finals, 1);
@@ -91,16 +96,8 @@ fn zero_capacity_register_never_moves() {
 
 #[test]
 fn rejects_invalid_scores() {
-    assert!(explore(&Scenario {
-        k: 1,
-        offers: [vec![f64::NAN], vec![]],
-    })
-    .is_err());
-    assert!(explore(&Scenario {
-        k: 1,
-        offers: [vec![-1.0], vec![]],
-    })
-    .is_err());
+    assert!(explore(1, &[f64::NAN], &[]).is_err());
+    assert!(explore(1, &[-1.0], &[]).is_err());
 }
 
 /// Serial replays: the model must agree with the real register when one
@@ -135,7 +132,6 @@ fn model_matches_real_register_serially() {
             expected,
             "real SharedTopK diverges from exact k-th best for k={k}"
         );
-        explore(&Scenario { k, offers: [a, b] })
-            .expect("model upholds invariants on the same scenario");
+        explore(k, &a, &b).expect("model upholds invariants on the same scenario");
     }
 }

@@ -6,11 +6,10 @@ use hmmm_core::{
 };
 use hmmm_query::CompiledPattern;
 use hmmm_storage::{Catalog, ShotId};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Limits for the exhaustive scan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExhaustiveConfig {
     /// Hard cap on scored combinations per video (the scan aborts the
     /// video's enumeration beyond it — brute force must stay finite).

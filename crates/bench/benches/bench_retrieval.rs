@@ -96,40 +96,10 @@ fn bench_threads(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sim_cache(c: &mut Criterion) {
-    let (_, catalog) = standard_catalog(DataConfig {
-        videos: 20,
-        shots_per_video: 200,
-        event_rate: 0.08,
-        seed: 0xB4,
-    });
-    let model = build_hmmm(&catalog, &BuildConfig::default()).expect("non-empty");
-    let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
-    let pattern = translator.compile("goal -> free_kick").expect("valid");
-
-    // Serial on both sides so the cache's effect is isolated from the
-    // thread fan-out; content-driven traversal is the similarity-bound
-    // regime where the cache is built at all.
-    let mut group = c.benchmark_group("retrieval_sim_cache");
-    for (label, cached) in [("cached", true), ("uncached", false)] {
-        let cfg = RetrievalConfig {
-            threads: Some(1),
-            use_sim_cache: cached,
-            ..RetrievalConfig::content_only()
-        };
-        let r = Retriever::new(&model, &catalog, cfg).unwrap();
-        group.bench_function(label, |b| {
-            b.iter(|| black_box(r.retrieve(black_box(&pattern), 10).unwrap()))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_engines,
     bench_pattern_length,
-    bench_threads,
-    bench_sim_cache
+    bench_threads
 );
 criterion_main!(benches);

@@ -1,6 +1,7 @@
 //! Emits `BENCH_retrieval.json` — the machine-readable retrieval perf
 //! snapshot tracked across PRs: shots/sec per thread count, speedup vs one
-//! thread, and the similarity cache's serial win.
+//! thread, the exact top-k prune's serial win, and the coarse candidate
+//! cut's latency.
 //!
 //! Timings come from the same observability layer a live `hmmm query
 //! --metrics-json` run uses: each measured configuration attaches an
@@ -13,7 +14,7 @@
 //! ```
 //!
 //! `--check` additionally runs the exactness smoke for CI: pruned rankings
-//! must match unpruned rankings across threads × cache configurations, and
+//! must match unpruned rankings across threads × regime configurations, and
 //! the pruned serial run on the skewed fixture must actually prune
 //! (nonzero `entries_pruned + videos_skipped_by_bound`) — a silent no-op
 //! prune is as much a regression as a wrong one. Exits nonzero on failure.
@@ -21,8 +22,7 @@
 use hmmm_bench::{skewed_catalog, DataConfig};
 use hmmm_core::metrics as m;
 use hmmm_core::{
-    build_hmmm, BuildConfig, CoarseMode, InMemoryRecorder, MetricsReport, RetrievalConfig,
-    Retriever,
+    build_hmmm, BuildConfig, InMemoryRecorder, MetricsReport, RetrievalConfig, Retriever,
 };
 use hmmm_media::EventKind;
 use hmmm_query::QueryTranslator;
@@ -32,14 +32,13 @@ use serde::Serialize;
 #[derive(Debug, Serialize)]
 struct Sample {
     threads: usize,
-    sim_cache: bool,
     /// Exact top-k threshold pruning on (`RetrievalConfig::prune`).
     prune: bool,
     /// Best-of-N wall clock, seconds (min of the latency histogram).
     seconds: f64,
     /// Archive shots scanned per second at that wall clock.
     shots_per_sec: f64,
-    /// Wall-clock speedup vs the serial cached run.
+    /// Wall-clock speedup vs the serial pruned run.
     speedup_vs_serial: f64,
     /// Worker busy-time / (fan-out wall × workers) from the last repeat
     /// (1.0 for serial runs).
@@ -134,29 +133,23 @@ struct NetSample {
     give_ups: u64,
 }
 
-/// One cold-path (cache-off, serial) measurement of a coarse retrieval
-/// mode (`--coarse`): how the two-stage candidate index changes the query
-/// whose bound derivation used to be an archive-wide Eq.-14 scan.
+/// One serial measurement of the coarse stage at a candidate cut: how many
+/// videos reach the fine stage, what the stage costs, and what the cut buys.
 #[derive(Debug, Serialize)]
 struct CoarseSample {
-    /// `off`, `exact`, or `approx` (`RetrievalConfig::coarse`).
-    mode: &'static str,
-    /// Approx candidate cut `C` (0 for `off`/`exact` — no cut).
-    candidate_cut: usize,
+    /// `RetrievalConfig::candidate_cut` (`None` = exact, no cut).
+    candidate_cut: Option<usize>,
     /// Candidate videos the coarse stage admitted, per query.
     candidates_per_query: u64,
     /// Wall time inside the coarse stage (`retrieve/coarse` span), total
-    /// nanoseconds across the repeats (0 for `off` — no stage runs).
+    /// nanoseconds across the repeats.
     coarse_stage_ns: u64,
     /// Summary-table reads spent deriving coarse bounds, per query.
     bound_lookups_per_query: u64,
-    /// Archive-wide Eq.-14 bound-scan evaluations, per query — the work
-    /// the index replaces (0 whenever a coarse mode is on).
-    bound_evaluations_per_query: u64,
     /// Best-of-N wall clock, seconds.
     seconds: f64,
-    /// Cold-query speedup vs the `off` row (archive-wide scan baseline).
-    speedup_vs_off: f64,
+    /// Speedup vs the exact (uncut) row.
+    speedup_vs_exact: f64,
 }
 
 /// Crash-safe persistence counters from one save+load round trip of the
@@ -185,10 +178,8 @@ struct Report {
     host_cpus: usize,
     repeats: u32,
     samples: Vec<Sample>,
-    /// Serial speedup from the sim cache alone (uncached / cached seconds).
-    cache_speedup_serial: f64,
     /// Serial speedup from the exact top-k prune alone
-    /// (unpruned / pruned seconds, both cached).
+    /// (unpruned / pruned seconds).
     prune_speedup_serial: f64,
     /// Crash-safe persistence round trip of the bench catalog.
     persistence: PersistenceSample,
@@ -198,11 +189,8 @@ struct Report {
     serve: Vec<ServeSample>,
     /// The same sweep through the TCP front-end over loopback.
     net: Vec<NetSample>,
-    /// Cold-path coarse-mode measurements (`--coarse`; empty otherwise).
+    /// Serial coarse-stage measurements: exact, then a 16-video cut.
     coarse: Vec<CoarseSample>,
-    /// Serial cold-query speedup from the coarse index alone (`off`
-    /// seconds / `exact` seconds; absent without `--coarse`).
-    coarse_cold_speedup_serial: Option<f64>,
 }
 
 fn arg(name: &str) -> Option<String> {
@@ -230,7 +218,7 @@ fn main() {
     // similarity-bound regime: every video is traversed and every reachable
     // shot is scored by the model, so Eq.-(14) work dominates. That is the
     // path the cache and the fan-out optimize (annotation-first queries are
-    // annotation-bound and skip the cache entirely, see DESIGN.md §4). The
+    // annotation-bound and score directly, see DESIGN.md §4). The
     // query is a goal followed by its replay — steps that reuse an event
     // share one cache row, which is where the dense build pays best.
     const QUERY: &str = "goal -> goal";
@@ -271,14 +259,12 @@ fn main() {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     let sample = |threads: usize,
-                  sim_cache: bool,
                   prune: bool,
                   metrics: &MetricsReport,
                   serial_secs: f64| {
         let secs = best_seconds(metrics);
         Sample {
             threads,
-            sim_cache,
             prune,
             seconds: secs,
             shots_per_sec: total_shots as f64 / secs,
@@ -303,38 +289,26 @@ fn main() {
         }
     };
 
-    let run_coarse = std::env::args().any(|a| a == "--coarse");
     if std::env::args().any(|a| a == "--check") {
         check_pruning_exactness(&model, &catalog, &pattern);
-        if run_coarse {
-            check_coarse_exactness(&model, &catalog, &pattern);
-        }
     }
 
-    // Serial cached runs, pruned (the default) and unpruned, anchor the two
-    // single-knob speedups; the thread sweep runs with pruning on because
-    // that is the production configuration.
+    // Serial runs, pruned (the default) and unpruned, anchor the prune
+    // speedup; the thread sweep runs with pruning on because that is the
+    // production configuration.
     let serial_cfg = RetrievalConfig {
         threads: Some(1),
         ..RetrievalConfig::content_only()
     };
     let serial_metrics = time(serial_cfg.clone());
     let serial_secs = best_seconds(&serial_metrics);
-    let uncached_metrics = time(RetrievalConfig {
-        use_sim_cache: false,
-        ..serial_cfg.clone()
-    });
-    let uncached_secs = best_seconds(&uncached_metrics);
     let unpruned_metrics = time(RetrievalConfig {
         prune: false,
-        ..serial_cfg
+        ..serial_cfg.clone()
     });
     let unpruned_secs = best_seconds(&unpruned_metrics);
 
-    let mut samples = vec![
-        sample(1, false, true, &uncached_metrics, serial_secs),
-        sample(1, true, false, &unpruned_metrics, serial_secs),
-    ];
+    let mut samples = vec![sample(1, false, &unpruned_metrics, serial_secs)];
     for threads in [1usize, 2, 4, 8] {
         let metrics = if threads == 1 {
             serial_metrics.clone()
@@ -344,7 +318,7 @@ fn main() {
                 ..RetrievalConfig::content_only()
             })
         };
-        samples.push(sample(threads, true, true, &metrics, serial_secs));
+        samples.push(sample(threads, true, &metrics, serial_secs));
     }
 
     // One observed save+load round trip through the crash-safe path: the
@@ -371,55 +345,32 @@ fn main() {
         }
     };
 
-    // Coarse-mode cold-path rows (`--coarse`): the uncached serial query
-    // is where the archive-wide bound scan lives, so it is the row the
-    // ingest-time index must beat. `off` reuses the uncached measurement
-    // above; `exact` and `approx` re-run it with the two-stage path on.
-    let mut coarse_cold_speedup_serial = None;
-    let coarse = if run_coarse {
-        let cold_cfg = RetrievalConfig {
-            use_sim_cache: false,
-            threads: Some(1),
-            ..RetrievalConfig::content_only()
-        };
-        let coarse_row = |mode: CoarseMode, cut: usize, metrics: &MetricsReport| {
-            let secs = best_seconds(metrics);
-            CoarseSample {
-                mode: mode.as_str(),
-                candidate_cut: cut,
-                candidates_per_query: metrics.counter(m::CTR_COARSE_CANDIDATES)
-                    / u64::from(REPEATS),
-                coarse_stage_ns: metrics
-                    .stages
-                    .iter()
-                    .find(|s| s.path == m::SPAN_COARSE)
-                    .map(|s| s.total_ns)
-                    .unwrap_or(0),
-                bound_lookups_per_query: metrics.counter(m::CTR_COARSE_LOOKUPS)
-                    / u64::from(REPEATS),
-                bound_evaluations_per_query: metrics.counter(m::CTR_BOUND_EVALS)
-                    / u64::from(REPEATS),
-                seconds: secs,
-                speedup_vs_off: uncached_secs / secs,
-            }
-        };
-        eprintln!("coarse cold-path rows…");
-        let exact_metrics = time(cold_cfg.clone().with_coarse(CoarseMode::Exact));
-        let approx_metrics = time(RetrievalConfig {
-            coarse: CoarseMode::Approx,
-            coarse_candidates: 16,
-            ..cold_cfg
-        });
-        let exact_row = coarse_row(CoarseMode::Exact, 0, &exact_metrics);
-        coarse_cold_speedup_serial = Some(exact_row.speedup_vs_off);
-        vec![
-            coarse_row(CoarseMode::Off, 0, &uncached_metrics),
-            exact_row,
-            coarse_row(CoarseMode::Approx, 16, &approx_metrics),
-        ]
-    } else {
-        Vec::new()
+    // Coarse-stage rows: the exact serial run above, and the same query
+    // with the fine stage cut to the 16 highest-bound candidates.
+    let coarse_row = |cut: Option<usize>, metrics: &MetricsReport| {
+        let secs = best_seconds(metrics);
+        CoarseSample {
+            candidate_cut: cut,
+            candidates_per_query: metrics.counter(m::CTR_COARSE_CANDIDATES) / u64::from(REPEATS),
+            coarse_stage_ns: metrics
+                .stages
+                .iter()
+                .find(|s| s.path == m::SPAN_COARSE)
+                .map(|s| s.total_ns)
+                .unwrap_or(0),
+            bound_lookups_per_query: metrics.counter(m::CTR_COARSE_LOOKUPS) / u64::from(REPEATS),
+            seconds: secs,
+            speedup_vs_exact: serial_secs / secs,
+        }
     };
+    let cut_metrics = time(RetrievalConfig {
+        candidate_cut: Some(16),
+        ..serial_cfg
+    });
+    let coarse = vec![
+        coarse_row(None, &serial_metrics),
+        coarse_row(Some(16), &cut_metrics),
+    ];
 
     let kernel = kernel_microbench(&model);
     let serve = serve_sweep(&model, &catalog);
@@ -431,7 +382,6 @@ fn main() {
         regime: "content_only",
         host_cpus,
         repeats: REPEATS,
-        cache_speedup_serial: uncached_secs / serial_secs,
         prune_speedup_serial: unpruned_secs / serial_secs,
         persistence,
         kernel,
@@ -439,15 +389,13 @@ fn main() {
         net,
         samples,
         coarse,
-        coarse_cold_speedup_serial,
     };
 
     for s in &report.samples {
         println!(
-            "threads {} cache {:<3} prune {:<3}: {:>8.2} ms, {:>12.0} shots/s, {:.2}x vs serial, \
+            "threads {} prune {:<3}: {:>8.2} ms, {:>12.0} shots/s, {:.2}x vs serial, \
              util {:.2}, {} bound-skips, {} pruned",
             s.threads,
-            if s.sim_cache { "on" } else { "off" },
             if s.prune { "on" } else { "off" },
             s.seconds * 1e3,
             s.shots_per_sec,
@@ -481,28 +429,20 @@ fn main() {
         );
     }
     println!(
-        "sim cache alone (serial): {:.2}x",
-        report.cache_speedup_serial
-    );
-    println!(
         "top-k prune alone (serial): {:.2}x",
         report.prune_speedup_serial
     );
     for s in &report.coarse {
+        let cut = s.candidate_cut.map_or("exact".to_string(), |c| format!("cut {c}"));
         println!(
-            "coarse {:<6}: {:>8.2} ms, {:>5} candidates/query, stage {:>8} ns, \
-             {:>6} lookups/query, {:>8} bound-evals/query, {:.2}x vs off",
-            s.mode,
+            "coarse {cut:<6}: {:>8.2} ms, {:>5} candidates/query, stage {:>8} ns, \
+             {:>6} lookups/query, {:.2}x vs exact",
             s.seconds * 1e3,
             s.candidates_per_query,
             s.coarse_stage_ns,
             s.bound_lookups_per_query,
-            s.bound_evaluations_per_query,
-            s.speedup_vs_off,
+            s.speedup_vs_exact,
         );
-    }
-    if let Some(speedup) = report.coarse_cold_speedup_serial {
-        println!("coarse index alone (cold serial): {speedup:.2}x");
     }
     println!(
         "persistence round trip: {:.2} ms, {} retries, {} bak fallbacks",
@@ -751,7 +691,7 @@ fn kernel_microbench(model: &hmmm_core::Hmmm) -> Vec<KernelSample> {
 }
 
 /// CI smoke for the exact top-k prune: pruned rankings must equal unpruned
-/// rankings on this fixture across threads × cache × regime, and the
+/// rankings on this fixture across threads × regime, and the
 /// serial pruned run must show nonzero pruning work. Aborts the process
 /// with exit code 1 on any violation.
 fn check_pruning_exactness(
@@ -762,7 +702,7 @@ fn check_pruning_exactness(
     eprintln!("checking pruned vs unpruned rankings…");
     let mut failures = 0usize;
     for content_only in [true, false] {
-        for (threads, cache) in [(1usize, true), (1, false), (4, true)] {
+        for threads in [1usize, 4] {
             let base = if content_only {
                 RetrievalConfig::content_only()
             } else {
@@ -770,7 +710,6 @@ fn check_pruning_exactness(
             };
             let pruned_cfg = RetrievalConfig {
                 threads: Some(threads),
-                use_sim_cache: cache,
                 prune: true,
                 ..base
             };
@@ -789,14 +728,14 @@ fn check_pruning_exactness(
             if pruned != unpruned {
                 eprintln!(
                     "FAIL: pruned ranking differs (content_only={content_only} \
-                     threads={threads} cache={cache})"
+                     threads={threads})"
                 );
                 failures += 1;
             }
             // The skewed fixture is adversarial by construction: far more
             // candidates than k and half the videos nearly bare of events,
             // so a healthy prune must fire somewhere.
-            if content_only && threads == 1 && cache {
+            if content_only && threads == 1 {
                 let work = p_stats.entries_pruned + p_stats.videos_skipped_by_bound as u64;
                 if work == 0 {
                     eprintln!("FAIL: serial pruned run pruned nothing (prune is a no-op?)");
@@ -817,79 +756,4 @@ fn check_pruning_exactness(
         std::process::exit(1);
     }
     eprintln!("pruning exactness check passed");
-}
-
-/// CI smoke for the two-stage path (`--coarse --check`): `CoarseMode::
-/// Exact` rankings must be byte-identical to single-stage rankings on this
-/// fixture across threads × cache × prune × regime, and the exact cold run
-/// must show the archive-wide bound scan gone (zero `bound_evaluations`,
-/// nonzero coarse lookups). Aborts the process with exit code 1 on any
-/// violation.
-fn check_coarse_exactness(
-    model: &hmmm_core::Hmmm,
-    catalog: &hmmm_storage::Catalog,
-    pattern: &hmmm_query::CompiledPattern,
-) {
-    eprintln!("checking coarse-exact vs single-stage rankings…");
-    let mut failures = 0usize;
-    for content_only in [true, false] {
-        for (threads, cache, prune) in
-            [(1usize, true, true), (1, false, true), (1, false, false), (4, true, true)]
-        {
-            let base = if content_only {
-                RetrievalConfig::content_only()
-            } else {
-                RetrievalConfig::default()
-            };
-            let off_cfg = RetrievalConfig {
-                threads: Some(threads),
-                use_sim_cache: cache,
-                prune,
-                ..base
-            };
-            let exact_cfg = off_cfg.clone().with_coarse(CoarseMode::Exact);
-            let (off, _) = Retriever::new(model, catalog, off_cfg)
-                .expect("consistent")
-                .retrieve(pattern, 10)
-                .expect("valid");
-            let (exact, x_stats) = Retriever::new(model, catalog, exact_cfg)
-                .expect("consistent")
-                .retrieve(pattern, 10)
-                .expect("valid");
-            if off != exact {
-                eprintln!(
-                    "FAIL: coarse-exact ranking differs (content_only={content_only} \
-                     threads={threads} cache={cache} prune={prune})"
-                );
-                failures += 1;
-            }
-            if x_stats.bound_evaluations != 0 {
-                eprintln!(
-                    "FAIL: coarse run still paid {} archive bound evaluations \
-                     (content_only={content_only} threads={threads} cache={cache} \
-                     prune={prune})",
-                    x_stats.bound_evaluations
-                );
-                failures += 1;
-            }
-            if content_only && threads == 1 && !cache && prune {
-                if x_stats.coarse_bound_lookups == 0 {
-                    eprintln!("FAIL: cold coarse run did zero bound lookups (stage off?)");
-                    failures += 1;
-                } else {
-                    eprintln!(
-                        "  cold coarse work: {} candidates, {} lookups, {} zero-ub skips",
-                        x_stats.coarse_candidates,
-                        x_stats.coarse_bound_lookups,
-                        x_stats.coarse_skipped_zero_ub
-                    );
-                }
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("coarse exactness check FAILED ({failures} violations)");
-        std::process::exit(1);
-    }
-    eprintln!("coarse exactness check passed");
 }

@@ -1,18 +1,17 @@
-//! E13 — the coarse-to-fine frontier: approx candidate cut `C` vs
-//! recall@k and cold-query latency on the skewed catalog (PR-8).
+//! E13 — the coarse-to-fine frontier: candidate cut `C` vs recall@k and
+//! query latency on the skewed catalog.
 //!
-//! The two-stage retrieval's `CoarseMode::Approx` traverses only the `C`
-//! candidate videos with the highest admissible coarse bounds. Because the
-//! candidate order is total, cuts are nested prefixes: recall@k against
-//! the exact top-k is deterministically monotone non-decreasing in `C`,
-//! and this experiment charts the recall-vs-latency frontier that buys.
-//! The `exact` row (no cut) and the single-stage `off` row anchor both
-//! ends: `exact` must reach recall 1.00 at a fraction of `off`'s cold
-//! latency (the archive-wide bound scan replaced by index lookups).
+//! Every retrieval starts with the coarse stage, which orders candidate
+//! videos by their admissible coarse bounds; `candidate_cut: Some(C)`
+//! traverses only the first `C`. Because the candidate order is total,
+//! cuts are nested prefixes: recall@k against the exact top-k is
+//! deterministically monotone non-decreasing in `C`, and this experiment
+//! charts the recall-vs-latency frontier that buys. The `exact` row (no
+//! cut) is the reference, and a cut as wide as the archive must reproduce
+//! it (recall 1.00).
 //!
-//! All rows run the cold path — serial, similarity cache off — because
-//! that is where the ingest-time index changes the cost model; the cached
-//! path already had per-video bounds for free.
+//! All rows run the serving path: serial, content-driven, so the
+//! query-scoped similarity cache is built.
 //!
 //! ```text
 //! cargo run --release -p hmmm-bench --bin exp_coarse_sweep
@@ -22,9 +21,7 @@
 //! `--quick` shrinks the fixture and repeats for the CI smoke row.
 
 use hmmm_bench::{skewed_catalog, DataConfig, Table};
-use hmmm_core::{
-    build_hmmm, BuildConfig, CoarseMode, RankedPattern, RetrievalConfig, Retriever,
-};
+use hmmm_core::{build_hmmm, BuildConfig, RankedPattern, RetrievalConfig, Retriever};
 use hmmm_media::EventKind;
 use hmmm_query::QueryTranslator;
 use std::time::Instant;
@@ -56,7 +53,7 @@ fn main() {
         .unwrap_or(if quick { 2 } else { 5 });
 
     println!(
-        "E13 — coarse candidate cut vs recall@{top} and cold latency \
+        "E13 — coarse candidate cut vs recall@{top} and latency \
          (skewed catalog{})\n",
         if quick { ", quick" } else { "" }
     );
@@ -74,28 +71,28 @@ fn main() {
     let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
     let pattern = translator.compile("goal -> goal").expect("valid");
 
-    // Cold path: serial, cache off — where the archive-wide bound scan
-    // used to live and where the index summaries replace it.
+    // The serving path: serial, content-driven (sim cache built).
     let base = RetrievalConfig {
         threads: Some(1),
-        use_sim_cache: false,
         ..RetrievalConfig::content_only()
     };
 
-    // One measured row: best-of-N latency, averaged work counters, recall
-    // against `truth` (empty truth = trivially recall 1).
-    let measure = |cfg: RetrievalConfig, truth: &[(usize, Vec<usize>)]| {
+    // One measured row: best-of-N latency, the coarse candidate count, and
+    // recall against `truth` (empty truth = trivially recall 1).
+    let measure = |cut: Option<usize>, truth: &[(usize, Vec<usize>)]| {
+        let cfg = RetrievalConfig {
+            candidate_cut: cut,
+            ..base.clone()
+        };
         let r = Retriever::new(&model, &catalog, cfg).expect("consistent");
         let mut best_secs = f64::INFINITY;
         let mut results = Vec::new();
         let mut candidates = 0usize;
-        let mut bound_evals = 0u64;
         for _ in 0..repeats {
             let start = Instant::now();
             let (res, stats) = r.retrieve(&pattern, top).expect("valid");
             best_secs = best_secs.min(start.elapsed().as_secs_f64());
             candidates = stats.coarse_candidates;
-            bound_evals = stats.bound_evaluations;
             results = res;
         }
         let recall = if truth.is_empty() {
@@ -104,80 +101,54 @@ fn main() {
             let hit = results.iter().filter(|p| truth.contains(&key(p))).count();
             hit as f64 / truth.len() as f64
         };
-        (best_secs, recall, candidates, bound_evals, results)
+        (best_secs, recall, candidates, results)
     };
 
-    // Reference: the single-stage exact top-k (coarse off).
-    let (off_secs, _, _, off_bound_evals, off_results) = measure(base.clone(), &[]);
-    let truth: Vec<_> = off_results.iter().map(key).collect();
+    // Reference: the exact top-k (no candidate cut).
+    let (exact_secs, _, exact_cands, exact_results) = measure(None, &[]);
+    let truth: Vec<_> = exact_results.iter().map(key).collect();
     println!(
-        "single-stage reference: {:.2} ms best-of-{repeats}, {} of top-{top} \
-         filled, {off_bound_evals} archive bound evals/query\n",
-        off_secs * 1e3,
+        "exact reference: {:.2} ms best-of-{repeats}, {} of top-{top} filled, \
+         {exact_cands} coarse candidates\n",
+        exact_secs * 1e3,
         truth.len()
     );
 
-    let mut t = Table::new(&[
-        "mode",
-        "C",
-        "recall@k",
-        "candidates",
-        "bound evals",
-        "latency",
-        "speedup vs off",
-    ]);
+    let mut t = Table::new(&["C", "recall@k", "candidates", "latency", "speedup vs exact"]);
     t.row_owned(vec![
-        "off".into(),
-        "—".into(),
+        "∞ (exact)".into(),
         "1.00".into(),
-        "—".into(),
-        format!("{off_bound_evals}"),
-        format!("{:.3} ms", off_secs * 1e3),
+        format!("{exact_cands}"),
+        format!("{:.3} ms", exact_secs * 1e3),
         "1.00x".into(),
     ]);
-    let (exact_secs, exact_recall, exact_cands, exact_evals, _) =
-        measure(base.clone().with_coarse(CoarseMode::Exact), &truth);
-    t.row_owned(vec![
-        "exact".into(),
-        "∞".into(),
-        format!("{exact_recall:.2}"),
-        format!("{exact_cands}"),
-        format!("{exact_evals}"),
-        format!("{:.3} ms", exact_secs * 1e3),
-        format!("{:.2}x", off_secs / exact_secs),
-    ]);
-    assert!(
-        (exact_recall - 1.0).abs() < f64::EPSILON,
-        "CoarseMode::Exact must reproduce the single-stage ranking exactly"
-    );
     let mut prev_recall = 0.0f64;
-    for &c in &[4usize, 8, 16, 32] {
-        let cfg = RetrievalConfig {
-            coarse: CoarseMode::Approx,
-            coarse_candidates: c,
-            ..base.clone()
-        };
-        let (secs, recall, cands, evals, _) = measure(cfg, &truth);
+    // Ascending cuts, ending with one as wide as the archive.
+    let cuts = [4usize, 8, 16, 32].into_iter().filter(|&c| c < videos);
+    for c in cuts.chain([videos]) {
+        let (secs, recall, cands, _) = measure(Some(c), &truth);
         assert!(
             recall >= prev_recall,
             "recall must be monotone in C (dropped {prev_recall} -> {recall} at C={c})"
         );
         prev_recall = recall;
         t.row_owned(vec![
-            "approx".into(),
             format!("{c}"),
             format!("{recall:.2}"),
             format!("{cands}"),
-            format!("{evals}"),
             format!("{:.3} ms", secs * 1e3),
-            format!("{:.2}x", off_secs / secs),
+            format!("{:.2}x", exact_secs / secs),
         ]);
     }
+    assert!(
+        (prev_recall - 1.0).abs() < f64::EPSILON,
+        "a cut as wide as the archive must reproduce the exact ranking"
+    );
     println!("{t}");
     println!(
         "reading: recall@{top} is monotone in C (cuts are nested prefixes of \
-         one totally-ordered candidate list); `exact` reaches recall 1.00 with \
-         the archive-wide bound scan replaced by index lookups, and small C \
-         trades bounded recall for the steepest latency win."
+         one totally-ordered candidate list); a cut as wide as the archive \
+         reproduces the exact ranking, and small C trades bounded recall for \
+         the steepest latency win."
     );
 }

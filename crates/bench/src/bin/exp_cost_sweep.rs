@@ -77,23 +77,15 @@ fn main() {
     }
     println!("{t}");
 
-    // --- Sweep 3: worker threads and the similarity cache, fixed database
-    // and query — the two knobs of the parallel/cached retrieval path.
-    // Content-driven traversal is the similarity-bound regime the cache
-    // targets (annotation-first queries never build it).
-    println!("\n## cost vs threads / sim cache (20 videos × 200 shots, content-only 'goal -> free_kick')\n");
+    // --- Sweep 3: worker threads, fixed database and query. Content-driven
+    // traversal is the similarity-bound regime, which scores through the
+    // query-scoped sim cache.
+    println!("\n## cost vs threads (20 videos × 200 shots, content-only 'goal -> free_kick')\n");
     let two_step = translator.compile("goal -> free_kick").expect("valid");
-    let mut t = Table::new(&["threads", "sim cache", "latency", "sim evals", "top score"]);
-    for (threads, cached) in [
-        (Some(1), false),
-        (Some(1), true),
-        (Some(2), true),
-        (Some(4), true),
-        (None, true),
-    ] {
+    let mut t = Table::new(&["threads", "latency", "sim evals", "top score"]);
+    for threads in [Some(1), Some(2), Some(4), None] {
         let cfg = RetrievalConfig {
             threads,
-            use_sim_cache: cached,
             ..RetrievalConfig::content_only()
         };
         let r = Retriever::new(&model, &catalog, cfg).expect("consistent");
@@ -102,7 +94,6 @@ fn main() {
         let dt = t0.elapsed();
         t.row_owned(vec![
             threads.map_or("auto".into(), |n| n.to_string()),
-            if cached { "on" } else { "off" }.to_string(),
             format!("{dt:.2?}"),
             stats.total_sim_evaluations().to_string(),
             results
@@ -112,14 +103,12 @@ fn main() {
     }
     println!("{t}");
 
-    // --- Sweep 4: exact top-k pruning on/off across threads and the sim
-    // cache. Rankings are identical by construction (the prune is exact);
+    // --- Sweep 4: exact top-k pruning on/off across threads. Rankings are identical by construction (the prune is exact);
     // the table shows what the admissible bounds buy in raw work.
     println!("\n## cost vs top-k pruning (20 videos × 200 shots, content-only 'goal -> free_kick', top-10)\n");
     let mut t = Table::new(&[
         "prune",
         "threads",
-        "sim cache",
         "latency",
         "sim evals",
         "transitions",
@@ -127,17 +116,14 @@ fn main() {
         "pruned",
         "top score",
     ]);
-    for (prune, threads, cached) in [
-        (false, Some(1), true),
-        (true, Some(1), true),
-        (false, Some(1), false),
-        (true, Some(1), false),
-        (false, Some(4), true),
-        (true, Some(4), true),
+    for (prune, threads) in [
+        (false, Some(1)),
+        (true, Some(1)),
+        (false, Some(4)),
+        (true, Some(4)),
     ] {
         let cfg = RetrievalConfig {
             threads,
-            use_sim_cache: cached,
             prune,
             ..RetrievalConfig::content_only()
         };
@@ -148,7 +134,6 @@ fn main() {
         t.row_owned(vec![
             if prune { "on" } else { "off" }.to_string(),
             threads.map_or("auto".into(), |n| n.to_string()),
-            if cached { "on" } else { "off" }.to_string(),
             format!("{dt:.2?}"),
             stats.total_sim_evaluations().to_string(),
             stats.transitions_examined.to_string(),

@@ -3,11 +3,8 @@
 //! The Eq.-13 lattice walk is monotone: every edge multiplies the running
 //! weight by `A_1(prev, next) · sim(next, e)`, both factors non-negative and
 //! bounded. Similarities are bounded by the per-event maximum of the
-//! calibrated Eq.-14 score over the shots in scope: one video's range when
-//! the query cache is available
-//! ([`crate::simcache::SimCache::max_calibrated_in`], the tight variant),
-//! the whole archive otherwise
-//! ([`crate::sim::max_calibrated_similarity`]). Transitions are bounded by
+//! calibrated Eq.-14 score over one video's shots, read from the
+//! ingest-time [`crate::coarse::CoarseIndex`] summaries. Transitions are bounded by
 //! the *forward row maxima* of `A_1` ([`LocalMmm::a1_row_max`]): the walk
 //! only ever moves forward through a video's shots, so an entry sitting on
 //! shot `s` multiplies by at most `max_{t ≥ s} A_1(s, t)` on its next hop —
@@ -57,19 +54,15 @@ pub const BOUND_SLACK: f64 = 1.0 + 1.0 / (1u64 << 30) as f64;
 #[derive(Debug, Clone)]
 pub struct QueryBounds {
     /// `sm_j`: max calibrated similarity over step `j`'s alternatives,
-    /// maximized over every shot in scope (one video's range, or the whole
-    /// archive in the uncached fallback).
+    /// maximized over every shot in scope (one video's range).
     step_max: Vec<f64>,
 }
 
 impl QueryBounds {
     /// Wraps precomputed per-step maxima of the Eq.-14 similarity factor
-    /// (one entry `sm_j` per pattern step).
-    /// The caller derives them from the similarity source in use: with the
-    /// query cache they can be *per-video* maxima
-    /// ([`crate::simcache::SimCache::max_calibrated_in`] over the video's
-    /// shot range — much tighter); without it, the archive-wide
-    /// `sim.rs` scan. Either is admissible for the video(s) it covers.
+    /// (one entry `sm_j` per pattern step), e.g. the per-video maxima of
+    /// [`crate::coarse::CoarseIndex::sim_max`]. Admissible for the
+    /// video(s) whose shots they cover.
     pub fn new(step_max: Vec<f64>) -> Self {
         QueryBounds { step_max }
     }
@@ -87,9 +80,9 @@ impl QueryBounds {
     /// Specializes the query bounds to one video, bounding the Eq.-12
     /// start weight by the separable `pi1_max · sm_0` product and the
     /// first Eq.-13 hop
-    /// by the video-wide forward maximum `a1_max`. Tight enough for the
-    /// uncached fallback; callers holding the query cache should refine
-    /// the whole-video bound with [`VideoBounds::with_video_ub`].
+    /// by the video-wide forward maximum `a1_max`. Callers holding start
+    /// summaries refine the whole-video bound with
+    /// [`VideoBounds::with_video_ub`].
     pub fn for_video(&self, local: &LocalMmm) -> VideoBounds {
         let chain = self.chain_for(local);
         let video_ub = if self.step_max.is_empty() {
@@ -138,13 +131,12 @@ impl VideoBounds {
     }
 
     /// Replaces the whole-video bound with a caller-computed admissible
-    /// `raw_ub` (the [`BOUND_SLACK`] inflation is applied here). With the
-    /// query cache the caller can fold the joint Eq.-12/13 factor
-    /// `max_s Π_1(s) · sim(s, step 0) ·
-    /// (1 + a1_row_max[s] · chain[0])` in one pass of table reads — far
-    /// tighter than the separable product of [`QueryBounds::for_video`],
-    /// since `Π_1` mass, high similarity and a strong outgoing transition
-    /// rarely coincide on one shot.
+    /// `raw_ub` (the [`BOUND_SLACK`] inflation is applied here). The
+    /// coarse index folds the Eq.-12/13 start summaries
+    /// `max_e [start_max + chain[0] · start_joint]` — tighter than the
+    /// separable product of [`QueryBounds::for_video`], since `Π_1` mass,
+    /// high similarity and a strong outgoing transition rarely coincide on
+    /// one shot.
     pub fn with_video_ub(mut self, raw_ub: f64) -> VideoBounds {
         self.video_ub = raw_ub * BOUND_SLACK;
         self

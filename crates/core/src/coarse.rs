@@ -1,4 +1,4 @@
-//! The ingest-time coarse index behind two-stage coarse-to-fine retrieval.
+//! The ingest-time coarse index: the first stage of every retrieval.
 //!
 //! The paper's level-2 structure (Definition 1: `B_2` event counts and the
 //! `Π_2` prior over videos) already answers the Step-2 eligibility question
@@ -12,10 +12,12 @@
 //! maximum folded in). A query then derives an *admissible* per-video upper
 //! bound on any Eq.-15 score the video can produce from
 //! `O(steps × alternatives)` table lookups ([`CoarseIndex::video_bounds`])
-//! — no Eq.-14 work, no archive scan — which is exactly what the cold
-//! (cache-off) retrieval path used to pay
-//! ([`crate::sim::max_calibrated_similarity`] over every shot, per unique
-//! query event).
+//! — no Eq.-14 work, no archive scan.
+//!
+//! This module owns "which videos, under what bound":
+//! [`CoarseIndex::candidates`] enumerates the Step-2 candidates, derives
+//! each one's bounds, and orders them for the fine stage
+//! ([`crate::Retriever`]), which prunes against exactly those bounds.
 //!
 //! The index is a **derived cache** of the model, like the `B_1` SoA slab
 //! and the packed event terms: [`crate::Hmmm::refresh_coarse`] rebuilds it
@@ -41,16 +43,27 @@
 //! *per-video* step maxima. Per start shot, the true quantity is
 //! `w_0(s) · (1 + row_max(s) · chain_0)`; bounding the sum by the sum of
 //! per-term maxima (`max_s a + max_s b ≥ max_s (a + b)`) keeps it
-//! admissible. It is looser than the joint per-shot fold the query-scoped
-//! [`crate::simcache::SimCache`] affords (`per_video_bounds`), which is why
-//! the cached path keeps its own bounds — but it costs two table reads
-//! instead of a shot scan, which is why the cold path wins.
+//! admissible. A joint per-shot fold would be tighter, but it needs every
+//! shot's similarity at query time — a scan per candidate. The separable
+//! form costs two table reads per first-step alternative, so both scorers
+//! get their bounds for free. The per-step maxima are exact either way:
+//! `sim_max` is the per-video maximum itself.
+//!
+//! # Why zero-bound skips are exact
+//!
+//! A whole-video bound of exactly zero forces `start_max(v, e) = 0` for
+//! every first-step alternative `e`, i.e. `Π_1(s) · sim(s, e) = 0` for
+//! every shot. A start entry needs a strictly positive Eq.-12 weight, so
+//! such a video can never emit a candidate: [`CoarseIndex::candidates`]
+//! drops it even when pruning is off.
 
 use crate::bounds::{QueryBounds, VideoBounds};
 use crate::error::CoreError;
 use crate::model::{Hmmm, LocalMmm};
+use crate::retrieve::{RetrievalConfig, RetrievalStats};
 use hmmm_media::EventKind;
 use hmmm_query::CompiledPattern;
+use hmmm_storage::VideoId;
 use serde::{Deserialize, Serialize};
 
 /// The ingest-time candidate index + per-video bound summaries (see the
@@ -93,11 +106,10 @@ impl CoarseIndex {
     /// `sim_max`/`start_max`/`start_joint` summaries (Eqs. 12–14 maxima),
     /// plus the inverted `B_2` postings (Step 2's eligibility signature).
     ///
-    /// The per-video `sim_max` folds walk shots in ascending order with
-    /// `f64::max`, so the union over all videos reproduces
-    /// [`crate::sim::max_calibrated_similarity`]'s archive fold bitwise
-    /// (`f64::max` is associative over the non-NaN scores and always
-    /// returns one of its inputs).
+    /// Each cell is folded from the same blocked kernel and single
+    /// division the query-scoped [`crate::SimCache`] and
+    /// [`crate::sim::calibrated_similarity`] use, so the summaries are
+    /// bitwise maxima of the scores the traversal will see.
     pub fn build(model: &Hmmm) -> Self {
         let videos = model.video_count();
         let shots = model.shot_count();
@@ -158,8 +170,8 @@ impl CoarseIndex {
     }
 
     /// Largest calibrated Eq.-14 similarity any shot of `video` attains
-    /// against `event` — the table-lookup replacement for the per-query
-    /// archive scan of [`crate::sim::max_calibrated_similarity`].
+    /// against `event` — the per-step similarity ceiling `sm_j` of the
+    /// video's Eq.-13 completion chain.
     pub fn sim_max(&self, video: usize, event: usize) -> f64 {
         self.sim_max[video * EventKind::COUNT + event]
     }
@@ -206,6 +218,78 @@ impl CoarseIndex {
     pub fn bound_lookups(pattern: &CompiledPattern) -> u64 {
         let step_reads: usize = pattern.steps.iter().map(|s| s.alternatives.len()).sum();
         (step_reads + 2 * pattern.steps[0].alternatives.len()) as u64
+    }
+
+    /// The coarse stage of every retrieval: the Step-2 candidate videos,
+    /// each with its admissible [`VideoBounds`], in fine-stage visit order.
+    ///
+    /// * Enumeration: every video (or every valid, distinct video of
+    ///   `subset`), kept only if some first-step alternative's postings
+    ///   list it when [`RetrievalConfig::require_first_event`] is on — the
+    ///   paper's `B_2` check, read from the inverted index. Rejects are
+    ///   charged to `videos_skipped`.
+    /// * Bounds: [`CoarseIndex::video_bounds`]; a video whose bound is
+    ///   exactly zero is dropped (`coarse_skipped_zero_ub`), which is exact
+    ///   (see the module docs).
+    /// * Order: bound desc, index asc — a total order, so visit order only
+    ///   affects timing-dependent counters, never the ranking, and cuts at
+    ///   increasing [`RetrievalConfig::candidate_cut`] are nested prefixes.
+    pub fn candidates(
+        &self,
+        model: &Hmmm,
+        pattern: &CompiledPattern,
+        config: &RetrievalConfig,
+        subset: Option<&[VideoId]>,
+        stats: &mut RetrievalStats,
+    ) -> Vec<(VideoId, VideoBounds)> {
+        let video_count = model.video_count();
+        let mut videos: Vec<usize> = match subset {
+            Some(subset) => {
+                let mut videos: Vec<usize> = subset
+                    .iter()
+                    .map(|v| v.index())
+                    .filter(|&v| v < video_count)
+                    .collect();
+                videos.sort_unstable();
+                videos.dedup();
+                videos
+            }
+            None => (0..video_count).collect(),
+        };
+        if config.require_first_event {
+            let mut eligible = vec![false; video_count];
+            for &e in &pattern.steps[0].alternatives {
+                for &v in self.postings(e) {
+                    eligible[v as usize] = true;
+                }
+            }
+            let before = videos.len();
+            videos.retain(|&v| eligible[v]);
+            stats.videos_skipped += before - videos.len();
+        }
+
+        let lookups = Self::bound_lookups(pattern);
+        let mut candidates: Vec<(VideoId, VideoBounds)> = Vec::with_capacity(videos.len());
+        for v in videos {
+            stats.coarse_bound_lookups += lookups;
+            let bounds = self.video_bounds(v, &model.locals[v], pattern);
+            if bounds.video_ub() <= 0.0 {
+                stats.coarse_skipped_zero_ub += 1;
+            } else {
+                candidates.push((VideoId(v), bounds));
+            }
+        }
+        candidates.sort_by(|a, b| {
+            crate::order::cmp_f64_desc(a.1.video_ub(), b.1.video_ub()).then_with(|| a.0.cmp(&b.0))
+        });
+        if let Some(cut) = config.candidate_cut {
+            if candidates.len() > cut {
+                stats.coarse_cut = candidates.len() - cut;
+                candidates.truncate(cut);
+            }
+        }
+        stats.coarse_candidates = candidates.len();
+        candidates
     }
 
     /// Cheap freshness predicate for `validate_against` (every
@@ -293,7 +377,7 @@ impl CoarseIndex {
 mod tests {
     use super::*;
     use crate::construct::{build_hmmm, BuildConfig};
-    use crate::sim::{calibrated_similarity, max_calibrated_similarity};
+    use crate::sim::calibrated_similarity;
     use hmmm_features::{FeatureId, FeatureVector};
     use hmmm_query::QueryTranslator;
     use hmmm_storage::Catalog;
@@ -344,22 +428,6 @@ mod tests {
             for pair in m.coarse.postings(e).windows(2) {
                 assert!(pair[0] < pair[1], "postings not ascending");
             }
-        }
-    }
-
-    #[test]
-    fn per_video_sim_max_unions_to_archive_max_bitwise() {
-        let c = catalog();
-        let m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        for e in 0..EventKind::COUNT {
-            let union = (0..m.video_count())
-                .map(|v| m.coarse.sim_max(v, e))
-                .fold(0.0, f64::max);
-            assert_eq!(
-                union.to_bits(),
-                max_calibrated_similarity(&m, e).to_bits(),
-                "event {e}"
-            );
         }
     }
 

@@ -33,9 +33,9 @@
 //!   Eq.-13 completion bounds and the lock-free shared k-th-best-score
 //!   register the traversal prunes against.
 //! * [`coarse`] — the ingest-time coarse index (inverted `B_2` event →
-//!   video postings + precomputed per-video bound summaries) behind the
-//!   two-stage coarse-to-fine retrieval modes
-//!   ([`retrieve::CoarseMode`]).
+//!   video postings + precomputed per-video bound summaries): the first
+//!   stage of every retrieval, which picks the candidate videos and their
+//!   prune bounds.
 //! * [`feedback`] — positive-pattern logging and the offline learning
 //!   updates (Eqs. 1–2, 4, 5–6, 8–10).
 //! * [`simulate`] — a ground-truth relevance oracle standing in for the
@@ -86,7 +86,7 @@ pub use feedback::{FeedbackConfig, FeedbackLog, PositivePattern, UpdateReport};
 pub use io::{load_model, load_model_with, save_model, save_model_with};
 pub use model::{Hmmm, LocalMmm, ModelSummary, Validated};
 pub use retrieve::{
-    CoarseMode, DeadlineConfig, Degraded, DegradedReason, QueryScratch, RankedPattern,
+    DeadlineConfig, Degraded, DegradedReason, QueryScratch, RankedPattern,
     RetrievalConfig, RetrievalStats, Retriever,
 };
 pub use sim::{similarity, similarity_block};

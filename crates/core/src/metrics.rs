@@ -16,7 +16,9 @@
 pub const SPAN_RETRIEVE: &str = "retrieve";
 /// Dense Eq.-(14) table build ([`crate::SimCache`]).
 pub const SPAN_SIM_CACHE_BUILD: &str = "retrieve/sim_cache_build";
-/// Step 2/7 video ordering (`Π_2` sort + `B_2` first-event filter).
+/// Step 2/7 video ordering. No longer emitted — the coarse stage
+/// ([`SPAN_COARSE`]) enumerates and orders candidates — but kept so report
+/// readers that chart it still resolve the name.
 pub const SPAN_VIDEO_ORDER: &str = "retrieve/video_order";
 /// Coarse candidate stage (postings union + per-video bound lookups from
 /// the ingest-time [`crate::CoarseIndex`]).
@@ -57,9 +59,6 @@ pub const CTR_ENTRIES_PRUNED: &str = "retrieve.entries_pruned";
 /// Times an emitted candidate raised the shared k-th-best threshold
 /// (`RetrievalStats::threshold_raises`).
 pub const CTR_THRESHOLD_RAISES: &str = "retrieve.threshold_raises";
-/// Eq.-(14) evaluations spent deriving per-event bound maxima without a
-/// cache (`RetrievalStats::bound_evaluations`).
-pub const CTR_BOUND_EVALS: &str = "sim.bound_evaluations";
 /// Final value of the shared k-th-best threshold after the last pruned
 /// retrieve (0.0 until `limit` positive-score candidates were found).
 pub const GAUGE_PRUNE_THRESHOLD: &str = "retrieve.prune_threshold";
@@ -78,18 +77,16 @@ pub const CTR_BEAMS_ABANDONED: &str = "retrieve.beams_abandoned";
 /// Queries whose deadline budget elapsed (one per degraded query).
 pub const CTR_DEADLINE_EXPIRED: &str = "retrieve.deadline_expired";
 /// Candidate videos the coarse stage admitted to the fine stage
-/// (`RetrievalStats::coarse_candidates`; emitted only when a coarse mode
-/// is on).
+/// (`RetrievalStats::coarse_candidates`).
 pub const CTR_COARSE_CANDIDATES: &str = "coarse.candidates";
-/// Candidates dropped by the approx top-`C` cut
+/// Candidates dropped by the `candidate_cut` top-`C` cut
 /// (`RetrievalStats::coarse_cut`).
 pub const CTR_COARSE_CUT: &str = "coarse.candidates_cut";
 /// Candidates skipped exactly on a zero coarse upper bound
 /// (`RetrievalStats::coarse_skipped_zero_ub`).
 pub const CTR_COARSE_ZERO_UB: &str = "coarse.zero_ub_skips";
 /// Precomputed-summary table reads spent deriving coarse bounds
-/// (`RetrievalStats::coarse_bound_lookups`) — the lookup cost that
-/// replaces the archive-wide scan behind [`CTR_BOUND_EVALS`].
+/// (`RetrievalStats::coarse_bound_lookups`).
 pub const CTR_COARSE_LOOKUPS: &str = "coarse.bound_lookups";
 pub use hmmm_storage::{CTR_ATOMIC_WRITE_RETRIES, CTR_BAK_FALLBACKS};
 
@@ -101,8 +98,8 @@ pub const GAUGE_THREAD_UTILIZATION: &str = "retrieve.thread_utilization";
 
 // --- Eq.-(14) similarity & the query-scoped cache -------------------------
 
-/// Hot-path Eq.-(14) evaluations (cache off or bypassed) —
-/// `RetrievalStats::sim_evaluations`.
+/// Hot-path Eq.-(14) evaluations (annotation-first queries, which score
+/// directly) — `RetrievalStats::sim_evaluations`.
 pub const CTR_SIM_DIRECT_EVALS: &str = "sim.direct_evaluations";
 /// Eq.-(14) evaluations spent building [`crate::SimCache`] tables —
 /// `RetrievalStats::cache_build_evaluations`.
@@ -112,9 +109,6 @@ pub const CTR_CACHE_BUILD_EVALS: &str = "simcache.build_evaluations";
 pub const CTR_CACHE_LOOKUPS: &str = "simcache.lookups";
 /// Queries that built a cache.
 pub const CTR_CACHE_BUILDS: &str = "simcache.builds";
-/// Similarity-bound queries that ran with the cache explicitly disabled
-/// (`use_sim_cache == false`).
-pub const CTR_CACHE_BYPASSED_QUERIES: &str = "simcache.bypassed_queries";
 /// Annotation-bound queries where the regime gate skipped the cache
 /// (building it would cost more than it saves — see `RetrievalConfig`).
 pub const CTR_CACHE_REGIME_SKIPPED_QUERIES: &str = "simcache.annotation_bound_queries";

@@ -2,8 +2,10 @@
 //!
 //! Retrieval walks the hierarchy exactly as the paper's flowchart does:
 //!
-//! 1. order candidate videos by `Π_2` and `A_2` affinity, skipping videos
-//!    whose `B_2` row lacks the pattern's first event (Step 2);
+//! 1. the coarse stage ([`crate::coarse::CoarseIndex::candidates`])
+//!    enumerates candidate videos from the inverted `B_2` postings,
+//!    skipping videos that lack the pattern's first event (Step 2), and
+//!    gives each an admissible upper bound read from ingest-time summaries;
 //! 2. inside each video, traverse the shot lattice (Figure 3): candidates
 //!    for step `j+1` are *forward* shots reachable through `A_1`, scored by
 //!    `w_{j+1} = w_j · A_1(s_j, s_{j+1}) · sim(s_{j+1}, e_{j+1})`
@@ -52,23 +54,24 @@
 //! parallel runs the *counters* are timing-dependent (workers race the
 //! threshold); the rankings are not.
 //!
-//! Bound tightness depends on the similarity source: with the query cache
-//! up, each video gets *per-video* step maxima and an exact whole-video
-//! bound folded from per-shot start weights and forward `A_1` row maxima,
-//! read straight from the table (free — the table is already built);
-//! without it, one archive-wide scan per unique event feeds a single looser
-//! [`QueryBounds`] shared by all videos. Both are admissible, so rankings
-//! never depend on the cache — but the *pruning decisions* (and counters)
-//! do. Entry bounds charge the entry's own shot's forward row maximum
-//! ([`crate::LocalMmm::a1_row_max`]) for the next hop rather than the
-//! whole-matrix maximum, which a trailing self-loop row would pin near 1.
+//! Every bound comes from one place: the coarse stage derives each
+//! candidate's [`VideoBounds`] (per-video step maxima and a whole-video
+//! bound) from the ingest-time summaries by table lookup, before the fine
+//! stage starts, and hands the table to the fine stage by move. Neither
+//! scorer — the query cache or direct Eq.-14 evaluation — pays for bounds,
+//! and both prune against the same numbers. Candidates arrive in
+//! bound-descending order, so the videos most likely to raise the shared
+//! threshold are traversed first. Entry bounds charge the entry's own
+//! shot's forward row maximum ([`crate::LocalMmm::a1_row_max`]) for the
+//! next hop rather than the whole-matrix maximum, which a trailing
+//! self-loop row would pin near 1.
 
-use crate::bounds::{QueryBounds, VideoBounds};
+use crate::bounds::VideoBounds;
 use crate::error::CoreError;
 use crate::fault::FaultHandle;
 use crate::metrics as m;
 use crate::model::{Hmmm, Validated};
-use crate::sim::{best_alternative, max_calibrated_similarity};
+use crate::sim::best_alternative;
 use crate::simcache::SimCache;
 use crate::topk::SharedTopK;
 use hmmm_media::EventKind;
@@ -82,10 +85,15 @@ use std::time::{Duration, Instant};
 
 /// Retrieval tuning knobs.
 ///
-/// Plain data apart from [`RetrievalConfig::recorder`], which is an
-/// `Arc`-backed observability handle: cloning a config shares the sink,
-/// serializing one drops it (a deserialized config records nothing until
-/// a recorder is attached again).
+/// Plain data apart from [`RetrievalConfig::recorder`] and
+/// [`RetrievalConfig::fault`], which are `Arc`-backed runtime hooks:
+/// cloning a config shares them.
+///
+/// The regime picks the scorer: content-driven traversal
+/// (`annotated_first == false`) scores every reachable shot through
+/// Eq. (14), so it builds a query-scoped [`SimCache`] once and reads it on
+/// the hot path; annotation-first traversal scores too few shots for the
+/// dense build to pay, so it evaluates Eq. (14) directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetrievalConfig {
     /// Paths kept per lattice step (`1` = the paper's greedy traversal).
@@ -111,14 +119,6 @@ pub struct RetrievalConfig {
     /// the calling thread. The ranking is byte-identical at every setting:
     /// videos are traversed independently and merged under a total order.
     pub threads: Option<usize>,
-    /// Allow a query-scoped [`SimCache`] (`true`, the default): when the
-    /// traversal is similarity-bound (`annotated_first == false`), Eq. (14)
-    /// is evaluated once per (shot, query-event) in a dense up-front pass
-    /// instead of repeatedly on the hot path. Annotation-bound traversal
-    /// never builds the cache — it scores too few shots for the build to
-    /// pay. `false` forces direct evaluation everywhere (the
-    /// cached-vs-uncached cost benches).
-    pub use_sim_cache: bool,
     /// Exact top-k pruning (`true`, the default): share the running k-th
     /// best Eq.-15 score across workers and skip videos/beams whose
     /// admissible upper bound falls strictly below it. Rankings are
@@ -145,76 +145,21 @@ pub struct RetrievalConfig {
     /// gauges — see [`crate::metrics`] for the emitted names. The default
     /// [`RecorderHandle::noop`] is near-zero-cost; attach an
     /// [`hmmm_obs::InMemoryRecorder`] to collect a
-    /// [`hmmm_obs::MetricsReport`]. Skipped by serde (a deserialized
-    /// config is a noop until a recorder is attached).
+    /// [`hmmm_obs::MetricsReport`].
     pub recorder: RecorderHandle,
     /// Deterministic fault-injection hook (see [`crate::fault`]). The
     /// default [`FaultHandle::noop`] injects nothing at near-zero cost;
     /// attach a [`crate::fault::FaultPlan`] to drive the degraded paths in
-    /// tests and the fault-matrix CI job. Skipped by serde, like the
-    /// recorder (a runtime hook, not data).
+    /// tests and the fault-matrix CI job.
     pub fault: FaultHandle,
-    /// Two-stage coarse-to-fine retrieval mode ([`CoarseMode::Off`] by
-    /// default, which reproduces single-stage behavior — counters
-    /// included — exactly). `Exact` and `Approx` run the ingest-time
-    /// [`crate::coarse::CoarseIndex`] stage first: candidate videos come
-    /// from the inverted `B_2` postings (no per-video `B_2` row scan) and
-    /// carry admissible per-video upper bounds derived from table lookups
-    /// (no archive-wide Eq.-14 bound scan on the cold path — the
-    /// [`RetrievalStats::bound_evaluations`] counter drops to zero).
-    pub coarse: CoarseMode,
-    /// Candidate-set cut for [`CoarseMode::Approx`]: only the
-    /// `coarse_candidates` videos with the highest coarse upper bounds
-    /// enter the fine stage (the recall@k-vs-latency knob `C` of the E13
-    /// sweep). Ignored by `Off` and `Exact`.
-    pub coarse_candidates: usize,
-}
-
-/// Which coarse stage [`Retriever::retrieve`] runs before the exact
-/// per-video lattice traversal (see [`crate::coarse`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum CoarseMode {
-    /// Single-stage retrieval (the default): candidate videos come from
-    /// the per-video `B_2` row scan and bounds from the similarity source
-    /// in use. Byte-identical to pre-coarse behavior, counters included.
-    Off,
-    /// Bound-admissible coarse stage: candidates from the inverted `B_2`
-    /// postings, ordered by their admissible coarse upper bound
-    /// (descending), with zero-bound videos skipped. The ranking is
-    /// provably **byte-identical** to `Off` (proptest-pinned): every
-    /// skipped video is either `B_2`-ineligible, admissibly bounded below
-    /// the shared top-k threshold, or structurally unable to admit a
-    /// start entry (`w > 0` is required), and visit order only affects
-    /// counters — the final sort is a total order.
-    Exact,
-    /// `Exact` plus a top-`C` candidate cut
-    /// ([`RetrievalConfig::coarse_candidates`]): only the `C` candidates
-    /// with the highest coarse bounds are traversed. Recall@k is
-    /// deterministically monotone in `C` (the candidate order is total,
-    /// so cuts are nested prefixes) and measured against latency by the
-    /// E13 `exp_coarse_sweep`.
-    Approx,
-}
-
-impl CoarseMode {
-    /// Canonical CLI/config spelling (`off` / `exact` / `approx`).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            CoarseMode::Off => "off",
-            CoarseMode::Exact => "exact",
-            CoarseMode::Approx => "approx",
-        }
-    }
-
-    /// Parses the canonical spelling (the `--coarse` CLI flag).
-    pub fn parse(s: &str) -> Option<CoarseMode> {
-        match s {
-            "off" => Some(CoarseMode::Off),
-            "exact" => Some(CoarseMode::Exact),
-            "approx" => Some(CoarseMode::Approx),
-            _ => None,
-        }
-    }
+    /// Candidate-set cut of the coarse stage. `None` (the default) is
+    /// exact: every candidate with a nonzero coarse bound enters the fine
+    /// stage, and the ranking is the full answer. `Some(C)` traverses only
+    /// the `C` candidates with the highest coarse upper bounds — the
+    /// recall@k-vs-latency knob of the E13 sweep. Candidates are ordered
+    /// totally, so cuts at increasing `C` are nested prefixes and recall@k
+    /// is monotone in `C`.
+    pub candidate_cut: Option<usize>,
 }
 
 /// Wall-clock budget for one retrieve call (anytime retrieval).
@@ -240,41 +185,6 @@ impl DeadlineConfig {
             budget,
             check_interval: 64,
         }
-    }
-}
-
-// Hand-written (de)serialization: the vendored serde stub has no Duration
-// support, so the budget travels as nanoseconds.
-impl Serialize for DeadlineConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            (
-                "budget_ns".into(),
-                u64::try_from(self.budget.as_nanos())
-                    .unwrap_or(u64::MAX)
-                    .to_value(),
-            ),
-            ("check_interval".into(), self.check_interval.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for DeadlineConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v.as_object().ok_or_else(|| {
-            serde::DeError::new(format!("DeadlineConfig: expected object, found {}", v.kind()))
-        })?;
-        let budget_ns: u64 = serde::__field(obj, "budget_ns", "DeadlineConfig")?;
-        let check_interval: u32 = serde::__field(obj, "check_interval", "DeadlineConfig")?;
-        if check_interval == 0 {
-            return Err(serde::DeError::new(
-                "DeadlineConfig.check_interval: must be ≥ 1".to_string(),
-            ));
-        }
-        Ok(DeadlineConfig {
-            budget: Duration::from_nanos(budget_ns),
-            check_interval,
-        })
     }
 }
 
@@ -322,76 +232,6 @@ impl DeadlineClock {
     }
 }
 
-// Hand-written (de)serialization because the recorder handle is a runtime
-// sink, not data: serializing omits it, deserializing defaults it to noop
-// (and tolerates its absence, so configs persisted before the field existed
-// still load).
-impl Serialize for RetrievalConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("beam_width".into(), self.beam_width.to_value()),
-            (
-                "max_start_candidates".into(),
-                self.max_start_candidates.to_value(),
-            ),
-            ("per_video_results".into(), self.per_video_results.to_value()),
-            (
-                "require_first_event".into(),
-                self.require_first_event.to_value(),
-            ),
-            ("annotated_first".into(), self.annotated_first.to_value()),
-            ("threads".into(), self.threads.to_value()),
-            ("use_sim_cache".into(), self.use_sim_cache.to_value()),
-            ("prune".into(), self.prune.to_value()),
-            ("deadline".into(), self.deadline.to_value()),
-            ("coarse".into(), self.coarse.to_value()),
-            ("coarse_candidates".into(), self.coarse_candidates.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for RetrievalConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let obj = v.as_object().ok_or_else(|| {
-            serde::DeError::new(format!("RetrievalConfig: expected object, found {}", v.kind()))
-        })?;
-        Ok(RetrievalConfig {
-            beam_width: serde::__field(obj, "beam_width", "RetrievalConfig")?,
-            max_start_candidates: serde::__field(obj, "max_start_candidates", "RetrievalConfig")?,
-            per_video_results: serde::__field(obj, "per_video_results", "RetrievalConfig")?,
-            require_first_event: serde::__field(obj, "require_first_event", "RetrievalConfig")?,
-            annotated_first: serde::__field(obj, "annotated_first", "RetrievalConfig")?,
-            threads: serde::__field(obj, "threads", "RetrievalConfig")?,
-            use_sim_cache: serde::__field(obj, "use_sim_cache", "RetrievalConfig")?,
-            // Tolerant: configs persisted before the pruning PR lack the
-            // field and should keep loading (defaulting to pruning on,
-            // which is ranking-neutral).
-            prune: match obj.iter().find(|(k, _)| k == "prune") {
-                Some((_, v)) => bool::from_value(v)?,
-                None => true,
-            },
-            // Tolerant like `prune`: configs persisted before the deadline
-            // PR lack the field and should keep loading as unbounded.
-            deadline: match obj.iter().find(|(k, _)| k == "deadline") {
-                Some((_, v)) => Option::from_value(v)?,
-                None => None,
-            },
-            // Tolerant like `prune`: configs persisted before the coarse
-            // PR lack both fields and should keep loading single-stage.
-            coarse: match obj.iter().find(|(k, _)| k == "coarse") {
-                Some((_, v)) => CoarseMode::from_value(v)?,
-                None => CoarseMode::Off,
-            },
-            coarse_candidates: match obj.iter().find(|(k, _)| k == "coarse_candidates") {
-                Some((_, v)) => usize::from_value(v)?,
-                None => 16,
-            },
-            recorder: RecorderHandle::noop(),
-            fault: FaultHandle::noop(),
-        })
-    }
-}
-
 impl Default for RetrievalConfig {
     fn default() -> Self {
         RetrievalConfig {
@@ -401,13 +241,11 @@ impl Default for RetrievalConfig {
             require_first_event: true,
             annotated_first: true,
             threads: None,
-            use_sim_cache: true,
             prune: true,
             deadline: None,
             recorder: RecorderHandle::noop(),
             fault: FaultHandle::noop(),
-            coarse: CoarseMode::Off,
-            coarse_candidates: 16,
+            candidate_cut: None,
         }
     }
 }
@@ -451,14 +289,6 @@ impl RetrievalConfig {
         self.fault = FaultHandle::from_plan(plan);
         self
     }
-
-    /// Selects a coarse-to-fine retrieval mode (builder-style). See
-    /// [`CoarseMode`] for the exactness contract of each mode.
-    #[must_use]
-    pub fn with_coarse(mut self, mode: CoarseMode) -> Self {
-        self.coarse = mode;
-        self
-    }
 }
 
 /// One retrieved candidate pattern (`Q_k` in §5).
@@ -490,7 +320,7 @@ pub struct RetrievalStats {
     pub videos_skipped: usize,
     /// Hot-path Eq.-(14) evaluations — scoring lookups answered by
     /// evaluating the similarity directly because no cache was built
-    /// (cache disabled, or the annotation-bound regime gate skipped it).
+    /// (annotation-first queries score directly).
     pub sim_evaluations: u64,
     /// Eq.-(14) evaluations spent building the query-scoped [`SimCache`]
     /// (zero when no cache was built). Kept separate from
@@ -519,11 +349,10 @@ pub struct RetrievalStats {
     /// Times an emitted candidate raised the shared k-th-best threshold.
     /// Timing-dependent in parallel runs; zero with pruning off.
     pub threshold_raises: u64,
-    /// Eq.-(14) evaluations spent deriving the per-event bound maxima when
-    /// no [`SimCache`] was available (the cache derives them for free from
-    /// its column maxima). Kept apart from
-    /// [`RetrievalStats::sim_evaluations`] so hot-path scoring and bound
-    /// derivation are never conflated.
+    /// Eq.-(14) evaluations spent deriving prune bounds. Always zero: the
+    /// coarse stage reads every bound from the ingest-time summaries
+    /// ([`RetrievalStats::coarse_bound_lookups`] counts those reads). Kept
+    /// so reports that chart the quantity keep their shape.
     pub bound_evaluations: u64,
     /// Videos whose traversal panicked (caught per video; the query keeps
     /// running on the survivors). Payloads in
@@ -546,20 +375,17 @@ pub struct RetrievalStats {
     /// deadline expiry, worker panics, or both. `None` means the ranking
     /// is the complete (exact) answer.
     pub degraded: Option<Degraded>,
-    /// Candidate videos the coarse stage admitted to the fine stage
-    /// (zero with [`CoarseMode::Off`], where candidates come from the
-    /// per-video `B_2` row scan instead).
+    /// Candidate videos the coarse stage admitted to the fine stage.
     pub coarse_candidates: usize,
-    /// Candidates dropped by the [`CoarseMode::Approx`] top-`C` cut
-    /// (always zero in `Off`/`Exact`).
+    /// Candidates dropped by the [`RetrievalConfig::candidate_cut`]
+    /// (always zero when the cut is `None`).
     pub coarse_cut: usize,
     /// Candidates skipped because their coarse upper bound was exactly
     /// zero — a zero bound proves no start entry can be admitted (`w > 0`
     /// is required), so the skip is exact even with pruning off.
     pub coarse_skipped_zero_ub: usize,
     /// Precomputed-summary table reads the coarse stage spent deriving
-    /// per-video bounds — the quantity that replaces the archive-wide
-    /// Eq.-14 scan charged to [`RetrievalStats::bound_evaluations`].
+    /// per-video bounds.
     pub coarse_bound_lookups: u64,
 }
 
@@ -799,30 +625,6 @@ impl QueryScratch {
     }
 }
 
-/// Where the admissible per-step similarity maxima come from (see the
-/// module docs on bound tightness).
-enum PruneBounds {
-    /// Query cache up: per-video maxima and the exact start-weight bound
-    /// are read from the table as each candidate video is reached.
-    PerVideo,
-    /// No cache: one archive-wide [`QueryBounds`] shared by every video
-    /// (paid for with [`RetrievalStats::bound_evaluations`] up front).
-    Archive(QueryBounds),
-    /// Coarse stage up, no cache: per-video bounds were already derived
-    /// from the ingest-time [`crate::coarse::CoarseIndex`] summaries
-    /// (table lookups, no archive scan — `bound_evaluations` stays zero),
-    /// indexed by video index (`None` = not admitted by the coarse stage).
-    Coarse(Vec<Option<VideoBounds>>),
-}
-
-/// Output of the coarse stage: the candidate videos in coarse-bound order
-/// (the fine stage's visit order) plus their admissible per-video bounds,
-/// indexed by video index for the pruned traversal to look up.
-struct CoarseStage {
-    order: Vec<VideoId>,
-    bounds: Vec<Option<VideoBounds>>,
-}
-
 /// Pruning auto-disables above this `limit`: the [`SharedTopK`] register
 /// scales with `limit`, and a threshold that deep could never pay.
 const PRUNE_LIMIT_CAP: usize = 65_536;
@@ -1043,22 +845,16 @@ impl<'a> Retriever<'a> {
         let requested_threads = self.requested_threads();
 
         // Anytime-retrieval budget: the clock starts here, so the cache
-        // build and bound derivation below draw from the same budget as
+        // build and the coarse stage below draw from the same budget as
         // the traversal. (No clock read at all when no deadline is set.)
         let deadline = self.config.deadline.map(|d| (d, Instant::now()));
 
-        // Tentpole layer 1: one dense shots × query-events scoring pass,
-        // shared read-only by every traversal worker. The build itself
-        // shards the shot dimension across the same worker budget.
-        //
-        // The build pays for itself only when traversal is similarity-bound:
-        // content-driven candidate selection scores every reachable shot
-        // through Eq. (14), so the dense pass trades ~1 evaluation per cell
-        // for many 2-pass direct calls. Annotation-first traversal is
-        // annotation-bound — it scores so few shots that the build would
-        // dominate the whole query — so the cache is skipped there.
-        let similarity_bound = !self.config.annotated_first;
-        let cache = (self.config.use_sim_cache && similarity_bound).then(|| {
+        // The regime picks the scorer (see `RetrievalConfig`): one dense
+        // shots × query-events scoring pass for content-driven traversal,
+        // shared read-only by every traversal worker, with the build
+        // sharded across the same worker budget; direct Eq.-14 evaluation
+        // for annotation-first traversal.
+        let cache = (!self.config.annotated_first).then(|| {
             let _build_span = obs.span(m::SPAN_SIM_CACHE_BUILD);
             SimCache::build_with_threads(self.model, pattern, requested_threads)
         });
@@ -1070,78 +866,37 @@ impl<'a> Retriever<'a> {
             None => Scorer::Direct(self.model),
         };
 
-        // Coarse stage (this PR's tentpole, `CoarseMode::Exact`/`Approx`):
-        // candidate videos from the ingest-time inverted `B_2` postings,
-        // each carrying an admissible upper bound derived from the
-        // precomputed summaries — table lookups, not shot scans. Runs
-        // before the prune context so the bounds can replace the
-        // archive-wide scan on the cold (cache-off) path.
-        let coarse_stage = (self.config.coarse != CoarseMode::Off).then(|| {
+        // Coarse stage: candidate videos from the ingest-time inverted
+        // `B_2` postings, each with its admissible bounds from the
+        // precomputed summaries, in bound-descending visit order. Visit
+        // order only affects counters — the final ranking is re-sorted
+        // under a total order below.
+        let candidates = {
             let _coarse_span = obs.span(m::SPAN_COARSE);
-            self.coarse_stage(pattern, videos, &mut stats)
-        });
-
-        // Tentpole layer 3: the exact top-k threshold cut. One shared
-        // register holds the running k-th best score; admissible completion
-        // bounds feed the three exact prune sites (see the module docs).
-        // With the cache up the bounds are derived per video at traversal
-        // time (tighter, free table reads); with the coarse stage up they
-        // were already derived from the index summaries above; otherwise
-        // one archive scan per unique event builds a shared set here,
-        // charged to `bound_evaluations`.
-        let prune_ctx = (self.config.prune && limit <= PRUNE_LIMIT_CAP).then(|| {
-            let bounds = match (&scorer, &coarse_stage) {
-                (Scorer::Cached(_), _) => PruneBounds::PerVideo,
-                (Scorer::Direct(_), Some(stage)) => PruneBounds::Coarse(stage.bounds.clone()),
-                (Scorer::Direct(model), None) => {
-                    let mut memo: [Option<f64>; EventKind::COUNT] = [None; EventKind::COUNT];
-                    let mut step_max = Vec::with_capacity(pattern.steps.len());
-                    for step in &pattern.steps {
-                        let mut best = 0.0f64;
-                        for &e in &step.alternatives {
-                            let me = match memo[e] {
-                                Some(v) => v,
-                                None => {
-                                    stats.bound_evaluations += model.shot_count() as u64;
-                                    let v = max_calibrated_similarity(model, e);
-                                    memo[e] = Some(v);
-                                    v
-                                }
-                            };
-                            best = best.max(me);
-                        }
-                        step_max.push(best);
-                    }
-                    PruneBounds::Archive(QueryBounds::new(step_max))
-                }
-            };
-            (SharedTopK::new(limit), bounds)
-        });
-
-        let order = match coarse_stage {
-            // Coarse on: candidates already enumerated (postings union) and
-            // ordered (bound desc). Visit order only affects counters — the
-            // final ranking is re-sorted under a total order below.
-            Some(stage) => stage.order,
-            None => {
-                let _order_span = obs.span(m::SPAN_VIDEO_ORDER);
-                self.video_order(pattern, videos, &mut stats)
-            }
+            self.model
+                .coarse
+                .candidates(self.model, pattern, &self.config, videos, &mut stats)
         };
-        let threads = requested_threads.min(order.len().max(1));
 
-        // Tentpole layer 2: fan the per-video traversals across a scoped
-        // worker pool. Each video's traversal depends only on (model,
-        // catalog, pattern, config, video), each worker owns its results
-        // and stats, and the merge below is a commutative fold + total-order
-        // sort — so the ranking is byte-identical to the serial path.
+        // The exact top-k threshold cut: one shared register holds the
+        // running k-th best score, which the candidates' bounds are checked
+        // against at the three exact prune sites (see the module docs).
+        let register = (self.config.prune && limit <= PRUNE_LIMIT_CAP)
+            .then(|| SharedTopK::new(limit));
+        let threads = requested_threads.min(candidates.len().max(1));
+
+        // Fan the per-video traversals across a scoped worker pool. Each
+        // video's traversal depends only on (model, catalog, pattern,
+        // config, video, bounds), each worker owns its results and stats,
+        // and the merge below is a commutative fold + total-order sort — so
+        // the ranking is byte-identical to the serial path.
         //
         // Observability stays off the per-transition hot path: workers batch
         // counts in their local `RetrievalStats` and everything is flushed to
         // the recorder once, below. Only the per-worker/per-video spans (and
         // the busy-time sum feeding the utilization gauge) touch the clock,
         // and only when a recorder is attached.
-        let mut candidates: Vec<RankedPattern> = Vec::new();
+        let mut results: Vec<RankedPattern> = Vec::new();
         let traverse_span = obs.span(m::SPAN_TRAVERSE);
         let mut workers_busy_ns: u64 = 0;
         if threads <= 1 {
@@ -1155,18 +910,24 @@ impl<'a> Retriever<'a> {
                     &mut local_scratch
                 }
             };
-            candidates = self.run_video_set(
-                &order, pattern, &scorer, &prune_ctx, deadline, scratch, &mut stats,
+            results = self.run_video_set(
+                &candidates,
+                pattern,
+                &scorer,
+                register.as_ref(),
+                deadline,
+                scratch,
+                &mut stats,
             );
         } else {
-            let chunk = order.len().div_ceil(threads);
+            let chunk = candidates.len().div_ceil(threads);
             crossbeam::thread::scope(|s| {
                 let scorer = &scorer;
-                let prune_ctx = &prune_ctx;
-                let handles: Vec<_> = order
+                let register = register.as_ref();
+                let handles: Vec<_> = candidates
                     .chunks(chunk)
                     .enumerate()
-                    .map(|(w, videos)| {
+                    .map(|(w, share)| {
                         s.spawn(move || {
                             let worker_span =
                                 self.config.recorder.span_labeled(m::SPAN_WORKER, w as u64);
@@ -1177,7 +938,7 @@ impl<'a> Retriever<'a> {
                             // across workers).
                             let mut scratch = TraversalScratch::default();
                             let found = self.run_video_set(
-                                videos, pattern, scorer, prune_ctx, deadline, &mut scratch,
+                                share, pattern, scorer, register, deadline, &mut scratch,
                                 &mut local,
                             );
                             let busy_ns = worker_span.elapsed_ns();
@@ -1192,7 +953,7 @@ impl<'a> Retriever<'a> {
                     // the harness itself and should propagate.
                     let (found, local, busy_ns) =
                         handle.join().expect("retrieval worker panicked");
-                    candidates.extend(found);
+                    results.extend(found);
                     stats.merge(local);
                     workers_busy_ns += busy_ns;
                 }
@@ -1201,11 +962,11 @@ impl<'a> Retriever<'a> {
         let traverse_wall_ns = traverse_span.elapsed_ns();
         drop(traverse_span);
 
-        stats.candidates_scored = candidates.len();
+        stats.candidates_scored = results.len();
         {
             let _rank_span = obs.span(m::SPAN_RANK);
-            candidates.sort_by(rank_order);
-            candidates.truncate(limit);
+            results.sort_by(rank_order);
+            results.truncate(limit);
         }
 
         // Degradation summary: payloads sorted so parallel runs report
@@ -1234,31 +995,31 @@ impl<'a> Retriever<'a> {
         if obs.is_enabled() {
             self.flush_metrics(
                 &stats,
-                candidates.len(),
+                results.len(),
                 cache.is_some(),
-                similarity_bound,
                 threads,
                 traverse_wall_ns,
                 workers_busy_ns,
-                prune_ctx.as_ref().map(|(register, _)| register.threshold()),
+                register.as_ref().map(SharedTopK::threshold),
             );
             obs.observe_ns(m::HIST_RETRIEVE_LATENCY, root_span.elapsed_ns());
         }
-        Ok((candidates, stats))
+        Ok((results, stats))
     }
 
     /// One worker's share of the fan-out: the per-video loop with its
-    /// deadline checkpoints, the panic-isolation boundary, and the
-    /// post-traversal threshold offers. Shared verbatim by the serial path
-    /// and every parallel worker, so serial and parallel runs degrade (and
-    /// stay byte-identical when nothing fires) the same way.
+    /// deadline checkpoints, the panic-isolation boundary, the whole-video
+    /// bound check, and the post-traversal threshold offers. Shared
+    /// verbatim by the serial path and every parallel worker, so serial
+    /// and parallel runs degrade (and stay byte-identical when nothing
+    /// fires) the same way.
     #[allow(clippy::too_many_arguments)]
     fn run_video_set(
         &self,
-        videos: &[VideoId],
+        videos: &[(VideoId, VideoBounds)],
         pattern: &CompiledPattern,
         scorer: &Scorer<'_>,
-        prune_ctx: &Option<(SharedTopK, PruneBounds)>,
+        register: Option<&SharedTopK>,
         deadline: Option<(DeadlineConfig, Instant)>,
         // One scratch per worker, recycled across its videos (and, through
         // [`QueryScratch`], across a serving worker's queries): beam arenas
@@ -1269,7 +1030,7 @@ impl<'a> Retriever<'a> {
     ) -> Vec<RankedPattern> {
         let mut clock = deadline.map(|(config, started)| DeadlineClock::new(config, started));
         let mut results = Vec::new();
-        for (i, &video) in videos.iter().enumerate() {
+        for (i, &(video, ref bounds)) in videos.iter().enumerate() {
             // Deadline checkpoint (video granularity): once the budget has
             // elapsed, stop admitting new videos — everything not yet
             // admitted in this worker's share is reported unvisited.
@@ -1288,7 +1049,8 @@ impl<'a> Retriever<'a> {
             //   traversal never mutates them, so no broken invariant can be
             //   observed after an unwind.
             // * `scorer` — read-only table/model reads.
-            // * `prune_ctx`'s `SharedTopK` — lock-free; every update is a
+            // * `bounds` — this candidate's read-only coarse bounds.
+            // * `register` (`SharedTopK`) — lock-free; every update is a
             //   single CAS that installs a complete value, so a panicking
             //   thread can never leave it mid-update. Threshold offers for
             //   this video happen *below, after* the boundary: a panic
@@ -1314,9 +1076,25 @@ impl<'a> Retriever<'a> {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 self.config.fault.on_video_enter(video.index());
                 let mut attempt = RetrievalStats::default();
-                let found = self.traverse_video_bounded(
-                    video, pattern, scorer, prune_ctx, clock_ref, scratch_ref, &mut attempt,
-                );
+                let found = match register {
+                    // Exact prune site 1: a video whose admissible upper
+                    // bound falls strictly below the shared threshold
+                    // cannot contribute to the top-`limit` prefix and is
+                    // skipped before any traversal work.
+                    Some(r) if bounds.video_ub() < r.threshold() => {
+                        attempt.videos_skipped_by_bound += 1;
+                        Vec::new()
+                    }
+                    _ => self.traverse_video(
+                        video,
+                        pattern,
+                        scorer,
+                        register.map(|r| (r, bounds)),
+                        clock_ref,
+                        scratch_ref,
+                        &mut attempt,
+                    ),
+                };
                 (found, attempt)
             }));
             match outcome {
@@ -1327,7 +1105,7 @@ impl<'a> Retriever<'a> {
                     // offered so later videos prune against the best
                     // results found anywhere. Sits after the catch_unwind
                     // boundary — see the audit above.
-                    if let Some((register, _)) = prune_ctx {
+                    if let Some(register) = register {
                         for c in &found {
                             if register.offer(c.score) {
                                 stats.threshold_raises += 1;
@@ -1356,7 +1134,6 @@ impl<'a> Retriever<'a> {
         stats: &RetrievalStats,
         results_returned: usize,
         cache_built: bool,
-        similarity_bound: bool,
         threads: usize,
         traverse_wall_ns: u64,
         workers_busy_ns: u64,
@@ -1378,16 +1155,13 @@ impl<'a> Retriever<'a> {
         );
         obs.counter(m::CTR_ENTRIES_PRUNED, stats.entries_pruned);
         obs.counter(m::CTR_THRESHOLD_RAISES, stats.threshold_raises);
-        obs.counter(m::CTR_BOUND_EVALS, stats.bound_evaluations);
         obs.counter(m::CTR_VIDEOS_FAILED, stats.videos_failed as u64);
         obs.counter(m::CTR_VIDEOS_UNVISITED, stats.videos_unvisited as u64);
         obs.counter(m::CTR_BEAMS_ABANDONED, stats.beams_abandoned);
-        if self.config.coarse != CoarseMode::Off {
-            obs.counter(m::CTR_COARSE_CANDIDATES, stats.coarse_candidates as u64);
-            obs.counter(m::CTR_COARSE_CUT, stats.coarse_cut as u64);
-            obs.counter(m::CTR_COARSE_ZERO_UB, stats.coarse_skipped_zero_ub as u64);
-            obs.counter(m::CTR_COARSE_LOOKUPS, stats.coarse_bound_lookups);
-        }
+        obs.counter(m::CTR_COARSE_CANDIDATES, stats.coarse_candidates as u64);
+        obs.counter(m::CTR_COARSE_CUT, stats.coarse_cut as u64);
+        obs.counter(m::CTR_COARSE_ZERO_UB, stats.coarse_skipped_zero_ub as u64);
+        obs.counter(m::CTR_COARSE_LOOKUPS, stats.coarse_bound_lookups);
         if stats.deadline_expired {
             obs.counter(m::CTR_DEADLINE_EXPIRED, 1);
         }
@@ -1396,8 +1170,6 @@ impl<'a> Retriever<'a> {
         }
         if cache_built {
             obs.counter(m::CTR_CACHE_BUILDS, 1);
-        } else if similarity_bound {
-            obs.counter(m::CTR_CACHE_BYPASSED_QUERIES, 1);
         } else {
             obs.counter(m::CTR_CACHE_REGIME_SKIPPED_QUERIES, 1);
         }
@@ -1420,274 +1192,6 @@ impl<'a> Retriever<'a> {
                 .map(|n| n.get())
                 .unwrap_or(1),
         }
-    }
-
-    /// Step 2 / Step 7: eligible videos in `Π_2` affinity order.
-    ///
-    /// The seed implementation realised "Π_2 then A_2 affinity" as a greedy
-    /// chain — start at the `Π_2`-preferred video, then repeatedly hop to
-    /// the unvisited video with the highest `A_2` affinity from the current
-    /// one — which is O(V²) and was the dominant cost on large archives.
-    /// Since every eligible video is traversed and the final ranking is
-    /// re-sorted under a total order, visit order only affects scheduling,
-    /// not results; a direct sort by (`Π_2` desc, index asc) preserves the
-    /// paper's "most-affine first" intent at O(V log V).
-    fn video_order(
-        &self,
-        pattern: &CompiledPattern,
-        subset: Option<&[VideoId]>,
-        stats: &mut RetrievalStats,
-    ) -> Vec<VideoId> {
-        let first_alts = &pattern.steps[0].alternatives;
-        let candidates: Vec<usize> = match subset {
-            Some(videos) => videos
-                .iter()
-                .map(|v| v.index())
-                .filter(|&v| v < self.model.video_count())
-                .collect(),
-            None => (0..self.model.video_count()).collect(),
-        };
-        let eligible: Vec<usize> = candidates
-            .into_iter()
-            .filter(|&v| {
-                if !self.config.require_first_event {
-                    return true;
-                }
-                let has = first_alts.iter().any(|&e| self.model.b2[v][e] > 0);
-                if !has {
-                    stats.videos_skipped += 1;
-                }
-                has
-            })
-            .collect();
-
-        let mut order = eligible;
-        order.sort_by(|&a, &b| {
-            crate::order::cmp_f64_desc(self.model.pi2.get(a), self.model.pi2.get(b))
-                .then_with(|| a.cmp(&b))
-        });
-        order.into_iter().map(VideoId).collect()
-    }
-
-    /// The coarse stage ([`CoarseMode::Exact`]/[`CoarseMode::Approx`]):
-    /// Step-2 candidate enumeration from the inverted `B_2` postings and
-    /// admissible per-video bounds from the ingest-time summaries — table
-    /// lookups only, no `B_2` row scan, no archive-wide Eq.-14 scan.
-    ///
-    /// Exactness bookkeeping vs the single-stage path:
-    ///
-    /// * Candidate set: the postings union over the first step's
-    ///   alternatives is *definitionally* the set passing the `B_2`
-    ///   first-event check, so `videos_skipped` is charged the identical
-    ///   count. An explicit `subset` keeps the per-video row check (the
-    ///   postings index the whole archive, not arbitrary subsets).
-    /// * Zero-bound skip: a coarse upper bound of exactly zero proves
-    ///   `Π_1(s) · sim(s, e) = 0` for every shot and first-step
-    ///   alternative, and start admission requires `w > 0` — the video
-    ///   cannot emit a candidate, so skipping it is exact even with
-    ///   pruning off.
-    /// * Order (bound desc, index asc — a total order) only affects
-    ///   scheduling and timing-dependent counters, never the ranking.
-    fn coarse_stage(
-        &self,
-        pattern: &CompiledPattern,
-        subset: Option<&[VideoId]>,
-        stats: &mut RetrievalStats,
-    ) -> CoarseStage {
-        let coarse = &self.model.coarse;
-        let video_count = self.model.video_count();
-        let first_alts = &pattern.steps[0].alternatives;
-        let candidates: Vec<usize> = match subset {
-            Some(videos) => videos
-                .iter()
-                .map(|v| v.index())
-                .filter(|&v| v < video_count)
-                .filter(|&v| {
-                    if !self.config.require_first_event {
-                        return true;
-                    }
-                    let has = first_alts.iter().any(|&e| self.model.b2[v][e] > 0);
-                    if !has {
-                        stats.videos_skipped += 1;
-                    }
-                    has
-                })
-                .collect(),
-            None if self.config.require_first_event => {
-                let mut union: Vec<usize> = first_alts
-                    .iter()
-                    .flat_map(|&e| coarse.postings(e).iter().map(|&v| v as usize))
-                    .collect();
-                union.sort_unstable();
-                union.dedup();
-                stats.videos_skipped += video_count - union.len();
-                union
-            }
-            None => (0..video_count).collect(),
-        };
-
-        let lookups = crate::coarse::CoarseIndex::bound_lookups(pattern);
-        let mut scored: Vec<(usize, VideoBounds)> = Vec::with_capacity(candidates.len());
-        for v in candidates {
-            let local = &self.model.locals[v];
-            stats.coarse_bound_lookups += lookups;
-            let vb = coarse.video_bounds(v, local, pattern);
-            if vb.video_ub() <= 0.0 {
-                stats.coarse_skipped_zero_ub += 1;
-                continue;
-            }
-            scored.push((v, vb));
-        }
-        scored.sort_by(|a, b| {
-            crate::order::cmp_f64_desc(a.1.video_ub(), b.1.video_ub())
-                .then_with(|| a.0.cmp(&b.0))
-        });
-        // Approx cut: the order above is total, so cuts at increasing `C`
-        // are nested prefixes — recall@k is deterministically monotone in
-        // `C` (the E13 frontier).
-        if self.config.coarse == CoarseMode::Approx && scored.len() > self.config.coarse_candidates
-        {
-            stats.coarse_cut = scored.len() - self.config.coarse_candidates;
-            scored.truncate(self.config.coarse_candidates);
-        }
-        stats.coarse_candidates = scored.len();
-        let mut bounds: Vec<Option<VideoBounds>> = vec![None; video_count];
-        let order = scored
-            .into_iter()
-            .map(|(v, vb)| {
-                bounds[v] = Some(vb);
-                VideoId(v)
-            })
-            .collect();
-        CoarseStage { order, bounds }
-    }
-
-    /// [`Retriever::traverse_video`] behind the whole-video bound check
-    /// (exact prune site 1): a video whose admissible upper bound falls
-    /// strictly below the shared threshold cannot contribute to the
-    /// top-`limit` prefix and is skipped before any traversal work.
-    #[allow(clippy::too_many_arguments)]
-    fn traverse_video_bounded(
-        &self,
-        video: VideoId,
-        pattern: &CompiledPattern,
-        scorer: &Scorer<'_>,
-        prune_ctx: &Option<(SharedTopK, PruneBounds)>,
-        clock: Option<&mut DeadlineClock>,
-        scratch: &mut TraversalScratch,
-        stats: &mut RetrievalStats,
-    ) -> Vec<RankedPattern> {
-        match prune_ctx {
-            Some((register, bounds)) => {
-                let local = &self.model.locals[video.index()];
-                let video_bounds = match (bounds, scorer) {
-                    (PruneBounds::Archive(query_bounds), _) => query_bounds.for_video(local),
-                    // Coarse stage already derived this video's admissible
-                    // bound from the index summaries; `None` means the
-                    // stage never admitted it (can only happen if the
-                    // visit order and the bound table disagree — skip).
-                    (PruneBounds::Coarse(table), _) => {
-                        match table.get(video.index()).and_then(Clone::clone) {
-                            Some(vb) => vb,
-                            None => return Vec::new(),
-                        }
-                    }
-                    (PruneBounds::PerVideo, Scorer::Cached(cache)) => {
-                        match self.per_video_bounds(video, pattern, cache, scratch) {
-                            Some(vb) => vb,
-                            None => return Vec::new(), // empty/unknown video
-                        }
-                    }
-                    // PerVideo is only constructed alongside a cached
-                    // scorer; fall back to an unpruned traversal rather
-                    // than panic if that invariant ever breaks.
-                    (PruneBounds::PerVideo, Scorer::Direct(_)) => {
-                        return self
-                            .traverse_video(video, pattern, scorer, None, clock, scratch, stats)
-                    }
-                };
-                if video_bounds.video_ub() < register.threshold() {
-                    stats.videos_skipped_by_bound += 1;
-                    return Vec::new();
-                }
-                self.traverse_video(
-                    video,
-                    pattern,
-                    scorer,
-                    Some((register, &video_bounds)),
-                    clock,
-                    scratch,
-                    stats,
-                )
-            }
-            None => self.traverse_video(video, pattern, scorer, None, clock, scratch, stats),
-        }
-    }
-
-    /// Per-video admissible bounds read from the query cache: step maxima
-    /// over *this video's* shot range, plus the exact whole-video bound
-    /// fold `max_s Π_1(s) · sim(s, step 0) · (1 + a1_row_max[s] · chain_0)`
-    /// — all pure table reads, all far tighter than the archive-wide
-    /// fallback on videos that barely exhibit the queried events (which is
-    /// exactly where the skip pays).
-    /// `None` for empty or unknown videos (nothing to traverse anyway).
-    fn per_video_bounds(
-        &self,
-        video: VideoId,
-        pattern: &CompiledPattern,
-        cache: &SimCache,
-        scratch: &mut TraversalScratch,
-    ) -> Option<VideoBounds> {
-        let record = self.catalog.video(video)?;
-        let range = record.shot_range.clone();
-        if range.is_empty() {
-            return None;
-        }
-        let local = &self.model.locals[video.index()];
-        let mut memo: [Option<f64>; EventKind::COUNT] = [None; EventKind::COUNT];
-        let step_max: Vec<f64> = pattern
-            .steps
-            .iter()
-            .map(|step| {
-                step.alternatives
-                    .iter()
-                    .map(|&e| match memo.get(e).copied().flatten() {
-                        Some(v) => v,
-                        None => {
-                            let v = cache.max_calibrated_in(range.clone(), e);
-                            if let Some(slot) = memo.get_mut(e) {
-                                *slot = Some(v);
-                            }
-                            v
-                        }
-                    })
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-        let vb = QueryBounds::new(step_max).for_video(local);
-        let chain0 = vb.chain0();
-        let first_alts = &pattern.steps[0].alternatives;
-        // Event-outer best-sim sweep over the cache's contiguous slot-major
-        // rows, reusing the worker's scratch row. Per shot this folds the
-        // same scores with the same `f64::max` in the same event order as
-        // the old shot-outer loop (rows absent from the cache are all-zero
-        // and fold to a no-op), so the resulting bound is bit-identical.
-        let best = &mut scratch.best_score;
-        best.clear();
-        best.resize(range.len(), 0.0);
-        for &e in first_alts {
-            if let Some(row) = cache.calibrated_range(range.clone(), e) {
-                for (b, &v) in best.iter_mut().zip(row.iter()) {
-                    *b = b.max(v);
-                }
-            }
-        }
-        let raw_ub = best
-            .iter()
-            .enumerate()
-            .map(|(s, &sim)| local.pi1.get(s) * sim * (1.0 + local.a1_row_max[s] * chain0))
-            .fold(0.0, f64::max);
-        Some(vb.with_video_ub(raw_ub))
     }
 
     /// Steps 3–6 for one video: beam traversal of the Figure-3 lattice,
@@ -2301,97 +1805,33 @@ mod tests {
         );
     }
 
-    /// All retrieval config knobs that interact with the coarse stage, for
-    /// the exactness tests below.
-    fn coarse_grid_configs() -> Vec<RetrievalConfig> {
-        let mut configs = Vec::new();
-        for &annotated_first in &[true, false] {
-            for &use_sim_cache in &[true, false] {
-                for &prune in &[true, false] {
-                    for &threads in &[1usize, 4] {
-                        configs.push(RetrievalConfig {
-                            annotated_first,
-                            require_first_event: annotated_first,
-                            use_sim_cache,
-                            prune,
-                            threads: Some(threads),
-                            ..RetrievalConfig::default()
-                        });
-                    }
-                }
-            }
-        }
-        configs
-    }
-
-    #[test]
-    fn coarse_exact_ranking_matches_coarse_off() {
-        let c = catalog();
-        let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        for query in ["free_kick -> goal", "goal", "free_kick|corner_kick -> goal"] {
-            let pattern = translator().compile(query).unwrap();
-            for base in coarse_grid_configs() {
-                let off = Retriever::new(&model, &c, base.clone()).unwrap();
-                let exact = Retriever::new(
-                    &model,
-                    &c,
-                    base.clone().with_coarse(CoarseMode::Exact),
-                )
-                .unwrap();
-                let (r_off, _) = off.retrieve(&pattern, 10).unwrap();
-                let (r_exact, s_exact) = exact.retrieve(&pattern, 10).unwrap();
-                assert_eq!(r_off, r_exact, "query {query:?} config {base:?}");
-                assert!(s_exact.coarse_candidates > 0);
-                assert_eq!(s_exact.coarse_cut, 0);
-            }
-        }
-    }
-
     #[test]
     fn coarse_skip_counter_matches_b2_filter() {
         let c = catalog();
         let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
         let pattern = translator().compile("corner_kick -> goal").unwrap();
-        let off = Retriever::new(&model, &c, RetrievalConfig::default()).unwrap();
-        let exact = Retriever::new(
-            &model,
-            &c,
-            RetrievalConfig::default().with_coarse(CoarseMode::Exact),
-        )
-        .unwrap();
-        let (_, s_off) = off.retrieve(&pattern, 10).unwrap();
-        let (_, s_exact) = exact.retrieve(&pattern, 10).unwrap();
-        // The postings union is definitionally the B2-eligible set, so the
-        // skip counter is identical to the single-stage row scan's.
-        assert_eq!(s_off.videos_skipped, s_exact.videos_skipped);
-        assert_eq!(s_exact.videos_skipped, 1);
-        assert_eq!(s_exact.coarse_candidates, 1);
+        let r = Retriever::new(&model, &c, RetrievalConfig::default()).unwrap();
+        let (_, stats) = r.retrieve(&pattern, 10).unwrap();
+        // Only video 0 has a corner kick in its B2 row.
+        assert_eq!(stats.videos_skipped, 1);
+        assert_eq!(stats.coarse_candidates, 1);
     }
 
     #[test]
-    fn coarse_replaces_archive_bound_scan_on_cold_path() {
+    fn bounds_come_from_the_index_in_both_regimes() {
         let c = catalog();
         let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        // Cold path: content-driven (cache-eligible) but cache disabled, so
-        // single-stage pruning must pay the archive-wide bound scan...
-        let cold = RetrievalConfig {
-            use_sim_cache: false,
-            ..RetrievalConfig::content_only()
-        };
         let pattern = translator().compile("free_kick -> goal").unwrap();
-        let off = Retriever::new(&model, &c, cold.clone()).unwrap();
-        let (_, s_off) = off.retrieve(&pattern, 10).unwrap();
-        assert!(s_off.bound_evaluations > 0);
-        // ...while the coarse stage answers every bound from the index.
-        let exact =
-            Retriever::new(&model, &c, cold.with_coarse(CoarseMode::Exact)).unwrap();
-        let (_, s_exact) = exact.retrieve(&pattern, 10).unwrap();
-        assert_eq!(s_exact.bound_evaluations, 0);
-        assert!(s_exact.coarse_bound_lookups > 0);
+        for cfg in [RetrievalConfig::default(), RetrievalConfig::content_only()] {
+            let r = Retriever::new(&model, &c, cfg).unwrap();
+            let (_, stats) = r.retrieve(&pattern, 10).unwrap();
+            assert_eq!(stats.bound_evaluations, 0);
+            assert!(stats.coarse_bound_lookups > 0);
+        }
     }
 
     #[test]
-    fn approx_cut_truncates_candidates_and_recall_is_monotone() {
+    fn candidate_cut_truncates_candidates_and_recall_is_monotone() {
         let c = catalog();
         let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
         let pattern = translator().compile("goal").unwrap();
@@ -2401,21 +1841,17 @@ mod tests {
             .unwrap()
             .0;
         let mut prev_recall = 0.0f64;
-        for candidates in [1usize, 2, 4] {
+        for cut in [1usize, 2, 4] {
             let cfg = RetrievalConfig {
-                coarse: CoarseMode::Approx,
-                coarse_candidates: candidates,
+                candidate_cut: Some(cut),
                 ..RetrievalConfig::default()
             };
             let r = Retriever::new(&model, &c, cfg).unwrap();
             let (results, stats) = r.retrieve(&pattern, 10).unwrap();
-            assert!(stats.coarse_candidates <= candidates);
-            let hit = full
-                .iter()
-                .filter(|p| results.contains(p))
-                .count();
+            assert!(stats.coarse_candidates <= cut);
+            let hit = full.iter().filter(|p| results.contains(p)).count();
             let recall = hit as f64 / full.len() as f64;
-            assert!(recall >= prev_recall, "recall dropped at C={candidates}");
+            assert!(recall >= prev_recall, "recall dropped at C={cut}");
             prev_recall = recall;
         }
         // Both videos admit `goal`, so C=2 already recovers everything.
@@ -2427,33 +1863,12 @@ mod tests {
         let c = catalog();
         let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
         let pattern = translator().compile("goal").unwrap();
-        let cfg = RetrievalConfig::default().with_coarse(CoarseMode::Exact);
-        let r = Retriever::new(&model, &c, cfg).unwrap();
-        let (results, _) = r
-            .retrieve_within(&pattern, 10, Some(&[VideoId(1)]))
+        let r = Retriever::new(&model, &c, RetrievalConfig::default()).unwrap();
+        let (results, stats) = r
+            .retrieve_within(&pattern, 10, Some(&[VideoId(1), VideoId(1)]))
             .unwrap();
         assert!(results.iter().all(|p| p.video == VideoId(1)));
-    }
-
-    #[test]
-    fn coarse_config_serde_round_trips_and_tolerates_absence() {
-        let cfg = RetrievalConfig {
-            coarse: CoarseMode::Approx,
-            coarse_candidates: 7,
-            ..RetrievalConfig::default()
-        };
-        let json = serde_json::to_string(&cfg).unwrap();
-        let back: RetrievalConfig = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.coarse, CoarseMode::Approx);
-        assert_eq!(back.coarse_candidates, 7);
-        // Configs persisted before the coarse PR load single-stage.
-        let legacy = serde_json::to_string(&RetrievalConfig::default()).unwrap();
-        let stripped = legacy
-            .replace(",\"coarse\":\"Off\"", "")
-            .replace(",\"coarse_candidates\":16", "");
-        assert!(stripped.len() < legacy.len(), "field strip failed: {legacy}");
-        let back: RetrievalConfig = serde_json::from_str(&stripped).unwrap();
-        assert_eq!(back.coarse, CoarseMode::Off);
-        assert_eq!(back.coarse_candidates, 16);
+        // A repeated subset entry is one candidate, traversed once.
+        assert_eq!(stats.coarse_candidates, 1);
     }
 }

@@ -84,7 +84,7 @@ pub fn similarity(model: &Hmmm, shot: usize, event: usize) -> f64 {
 /// in `shots` (a contiguous global-id range) into `out`, one slot per shot.
 ///
 /// This is the kernel body shared by [`similarity_block`], the
-/// [`crate::simcache::SimCache`] builder, and the uncached bound fallback.
+/// [`crate::simcache::SimCache`] builder, and the coarse index build.
 /// It iterates the event's packed non-zero terms on the outside and the
 /// feature-major `B_1` slab row at unit stride on the inside, accumulating
 /// `w · (1 − |b − c|) / c` per shot in ascending feature order — the exact
@@ -229,29 +229,6 @@ pub fn calibrated_similarity(model: &Hmmm, shot: usize, event: usize) -> f64 {
     } else {
         similarity(model, shot, event) / denom
     }
-}
-
-/// Largest [`calibrated_similarity`] any archive shot attains for `event` —
-/// the admissible per-step similarity factor used by the exact top-k pruning
-/// bounds (no Eq.-13 step involving `event` can multiply by more than this).
-///
-/// This is the *uncached* fallback: when a query runs with the
-/// [`crate::simcache::SimCache`] enabled, the cache derives the identical
-/// value for free from its column maxima ([`crate::simcache::SimCache::max_calibrated`]);
-/// both fold the same scores with `f64::max` in shot order, so cached and
-/// uncached bounds are bit-identical and prune the same candidates.
-pub fn max_calibrated_similarity(model: &Hmmm, event: usize) -> f64 {
-    let denom = model.event_terms[event].self_sim;
-    if denom <= 0.0 {
-        return 0.0;
-    }
-    // Blocked evaluation over the whole archive, then the same shot-order
-    // `f64::max` fold as before: each slot is the bitwise-identical Eq.-14
-    // total, and `total / denom` is the same single division the scalar
-    // `calibrated_similarity` performs.
-    let mut scores = vec![0.0; model.shot_count()];
-    similarity_into(model, 0..model.shot_count(), event, &mut scores);
-    scores.iter().map(|&t| t / denom).fold(0.0, f64::max)
 }
 
 /// Similarity of a shot against the best of several alternative events

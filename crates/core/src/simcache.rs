@@ -27,18 +27,13 @@ pub struct SimCache {
     /// Calibrated scores, **slot-major**: `scores[slot * shot_count + shot]`
     /// — each event's scores for the whole archive sit in one contiguous
     /// row, so the blocked Eq.-14 kernel fills a row per sweep, per-video
-    /// range scans ([`SimCache::max_calibrated_in`],
-    /// [`SimCache::calibrated_range`]) are unit-stride, and the parallel
-    /// build hands each worker contiguous row segments.
+    /// range reads ([`SimCache::calibrated_range`]) are unit-stride, and
+    /// the parallel build hands each worker contiguous row segments.
     scores: Vec<f64>,
     /// Number of shots per row (the archive size at build time).
     shot_count: usize,
     /// Memoized `self_similarity` per event (the Eq.-(14) denominator).
     self_sims: [f64; EventKind::COUNT],
-    /// Per-event column maxima over the score table — the admissible
-    /// per-step similarity factor for the exact top-k pruning bounds.
-    /// Zero for events outside the query (matching [`SimCache::calibrated`]).
-    col_max: [f64; EventKind::COUNT],
     /// Eq.-(14) evaluations spent building the table (for [`super::RetrievalStats`]).
     evaluations: u64,
 }
@@ -197,48 +192,13 @@ impl SimCache {
             total
         };
 
-        // Column maxima, folded serially over the settled table in shot
-        // order — the same `f64::max` fold `sim::max_calibrated_similarity`
-        // performs over direct evaluations, so cached and uncached pruning
-        // bounds are bit-identical at any build thread count. Reads only;
-        // the O(shots × slots) pass is free next to the build itself, and
-        // slot-major rows make it a contiguous sweep per event.
-        let mut col_max = [0.0f64; EventKind::COUNT];
-        if shot_count > 0 {
-            for (slot, row) in scores.chunks(shot_count).enumerate() {
-                let e = event_slots[slot];
-                col_max[e] = row.iter().copied().fold(0.0, f64::max);
-            }
-        }
-
         SimCache {
             event_slots,
             slot_of_event,
             scores,
             shot_count,
             self_sims,
-            col_max,
             evaluations,
-        }
-    }
-
-    /// Largest calibrated Eq.-14 score any shot attains for `event` — the
-    /// admissible per-step factor for the exact top-k pruning bounds.
-    /// Events outside the query read `0.0`.
-    pub fn max_calibrated(&self, event: usize) -> f64 {
-        self.col_max.get(event).copied().unwrap_or(0.0)
-    }
-
-    /// Largest calibrated Eq.-14 score any shot in `shots` (a global shot-id
-    /// range, e.g. one video's `shot_range`) attains for `event` — the
-    /// *per-video* admissible similarity factor. Much tighter than the
-    /// archive-wide [`SimCache::max_calibrated`] on videos that barely
-    /// exhibit the event, which is exactly where whole-video pruning pays.
-    /// Pure table reads; events outside the query read `0.0`.
-    pub fn max_calibrated_in(&self, shots: std::ops::Range<usize>, event: usize) -> f64 {
-        match self.calibrated_range(shots, event) {
-            Some(row) => row.iter().copied().fold(0.0, f64::max),
-            None => 0.0,
         }
     }
 
@@ -247,8 +207,7 @@ impl SimCache {
     /// slot `i` is `calibrated(shots.start + i, event)`. `None` for events
     /// outside the query (whose scores are all `0.0` by definition);
     /// callers treat that as a zero row. This is the slot-major layout's
-    /// payoff: per-video start scoring and bound folds become unit-stride
-    /// sweeps.
+    /// payoff: per-video start scoring becomes a unit-stride sweep.
     pub fn calibrated_range(&self, shots: std::ops::Range<usize>, event: usize) -> Option<&[f64]> {
         let slot = self.slot_of_event.get(event).copied().flatten()?;
         let base = slot * self.shot_count;
@@ -385,47 +344,6 @@ mod tests {
         ] {
             assert_eq!(cache.self_similarity(e), crate::sim::self_similarity(&m, e));
         }
-    }
-
-    #[test]
-    fn column_maxima_match_uncached_bound_bitwise() {
-        let m = model();
-        let p = pattern();
-        let cache = SimCache::build_with_threads(&m, &p, 4);
-        for step in &p.steps {
-            for &e in &step.alternatives {
-                assert_eq!(
-                    cache.max_calibrated(e),
-                    crate::sim::max_calibrated_similarity(&m, e),
-                    "column max diverged for event {e}"
-                );
-            }
-        }
-        // Events outside the query bound to zero, like their scores.
-        assert_eq!(cache.max_calibrated(EventKind::RedCard.index()), 0.0);
-    }
-
-    #[test]
-    fn range_maxima_bound_their_shots_and_refine_the_column() {
-        let m = model();
-        let p = pattern();
-        let cache = SimCache::build(&m, &p);
-        let goal = EventKind::Goal.index();
-        // Video "a" owns shots 0..3, video "b" owns 3..5.
-        for (range, n) in [(0..3usize, 3usize), (3..5, 2)] {
-            let local_max = cache.max_calibrated_in(range.clone(), goal);
-            for shot in range {
-                assert!(local_max >= cache.calibrated(shot, goal));
-            }
-            assert!(local_max <= cache.max_calibrated(goal));
-            assert!(n > 0);
-        }
-        // The two per-video maxima reconstruct the archive-wide column max.
-        let joined = cache
-            .max_calibrated_in(0..3, goal)
-            .max(cache.max_calibrated_in(3..5, goal));
-        assert_eq!(joined, cache.max_calibrated(goal));
-        assert_eq!(cache.max_calibrated_in(0..5, EventKind::RedCard.index()), 0.0);
     }
 
     #[test]

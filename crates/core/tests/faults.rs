@@ -55,23 +55,20 @@ fn pattern() -> CompiledPattern {
         .unwrap()
 }
 
-/// The serial/parallel × cache × prune matrix every plan runs through.
+/// The serial/parallel × prune matrix every plan runs through.
 fn configs() -> Vec<(String, RetrievalConfig)> {
     let mut out = Vec::new();
     for &threads in &[1usize, 4] {
-        for &cache in &[false, true] {
-            for &prune in &[false, true] {
-                out.push((
-                    format!("threads={threads} cache={cache} prune={prune}"),
-                    RetrievalConfig {
-                        beam_width: 2,
-                        threads: Some(threads),
-                        use_sim_cache: cache,
-                        prune,
-                        ..RetrievalConfig::content_only()
-                    },
-                ));
-            }
+        for &prune in &[false, true] {
+            out.push((
+                format!("threads={threads} prune={prune}"),
+                RetrievalConfig {
+                    beam_width: 2,
+                    threads: Some(threads),
+                    prune,
+                    ..RetrievalConfig::content_only()
+                },
+            ));
         }
     }
     out

@@ -1,24 +1,24 @@
-//! Properties of the two-stage coarse-to-fine retrieval.
+//! Properties of the coarse stage, checked against the model's own
+//! matrices rather than against the coarse index itself:
 //!
-//! * `CoarseMode::Exact` is invisible in the rankings: for any archive,
-//!   pattern, and engine configuration (thread count × similarity cache ×
-//!   prune × deadline), the ranked patterns are byte-identical to the
-//!   single-stage (`CoarseMode::Off`) run.
-//! * `Exact` never pays the archive-wide bound scan: `bound_evaluations`
-//!   is zero — the coarse summaries answer every bound by table lookup.
-//! * `CoarseMode::Approx` recall@k against the full ranking is monotone
-//!   non-decreasing in the candidate cut `C` (the E13 frontier is a real
-//!   frontier, not noise).
+//! * admissibility — with pruning off, in both regimes, every candidate the
+//!   fine stage emits scores at most its video's coarse upper bound;
+//! * zero-bound skips are exact — a video dropped for a zero bound has
+//!   `Π_1(s) · sim(s, e) = 0` for every shot `s` and first-step
+//!   alternative `e`, so no start entry could have been admitted;
+//! * `retrieve_within` enumerates exactly the `B_2`-eligible videos of the
+//!   subset (postings ∩ subset);
+//! * recall@k against the full ranking is monotone non-decreasing in the
+//!   candidate cut `C`, and serial runs are deterministic.
 
-use std::time::Duration;
+use std::collections::BTreeSet;
 
-use hmmm_core::{
-    build_hmmm, BuildConfig, CoarseMode, DeadlineConfig, RetrievalConfig, Retriever,
-};
+use hmmm_core::sim::calibrated_similarity;
+use hmmm_core::{build_hmmm, BuildConfig, Hmmm, RetrievalConfig, RetrievalStats, Retriever};
 use hmmm_features::{FeatureVector, FEATURE_COUNT};
 use hmmm_media::EventKind;
 use hmmm_query::{CompiledPattern, CompiledStep};
-use hmmm_storage::Catalog;
+use hmmm_storage::{Catalog, VideoId};
 use proptest::prelude::*;
 
 fn feature_vector() -> impl Strategy<Value = FeatureVector> {
@@ -70,67 +70,137 @@ fn pattern() -> impl Strategy<Value = CompiledPattern> {
     })
 }
 
+/// The `B_2`-eligible videos for `pattern`, read straight from the
+/// model's `B_2` rows (not from the coarse postings).
+fn b2_eligible(model: &Hmmm, pattern: &CompiledPattern) -> BTreeSet<usize> {
+    (0..model.video_count())
+        .filter(|&v| pattern.steps[0].alternatives.iter().any(|&e| model.b2[v][e] > 0))
+        .collect()
+}
+
+fn regime(content_only: bool) -> RetrievalConfig {
+    if content_only {
+        RetrievalConfig::content_only()
+    } else {
+        RetrievalConfig::default()
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// `Exact` coarse rankings equal single-stage rankings across the
-    /// whole configuration grid: thread count × similarity cache × prune
-    /// × annotation regime × deadline presence (a far-future deadline, so
-    /// the clock machinery runs without ever firing).
+    /// (a) With pruning off every candidate the fine stage emits is
+    /// returned (wide limit, several per video), and each one scores at
+    /// most its video's coarse upper bound — in both regimes, i.e. for
+    /// both the cached and the direct scorer.
     #[test]
-    fn coarse_exact_is_ranking_exact(
+    fn emitted_scores_respect_coarse_bounds(
         cat in catalog(),
         pat in pattern(),
-        limit in 1usize..20,
-        threads in 1usize..5,
-        use_cache in proptest::sample::select(vec![false, true]),
-        prune in proptest::sample::select(vec![false, true]),
+        beam in 1usize..5,
+        threads in 1usize..4,
         content_only in proptest::sample::select(vec![false, true]),
-        with_deadline in proptest::sample::select(vec![false, true]),
     ) {
         let model = build_hmmm(&cat, &BuildConfig { unannotated_weight: 0.2, ..BuildConfig::default() }).unwrap();
-        let base = if content_only {
-            RetrievalConfig::content_only()
-        } else {
-            RetrievalConfig::default()
-        };
-        let off_cfg = RetrievalConfig {
+        let cfg = RetrievalConfig {
+            beam_width: beam,
+            per_video_results: 8,
             threads: Some(threads),
-            use_sim_cache: use_cache,
-            prune,
-            deadline: with_deadline
-                .then(|| DeadlineConfig::new(Duration::from_secs(3600))),
-            ..base
+            prune: false,
+            ..regime(content_only)
         };
-        let exact_cfg = off_cfg.clone().with_coarse(CoarseMode::Exact);
-        let (off_results, off_stats) =
-            Retriever::new(&model, &cat, off_cfg).unwrap().retrieve(&pat, limit).unwrap();
-        let (cx_results, cx_stats) =
-            Retriever::new(&model, &cat, exact_cfg).unwrap().retrieve(&pat, limit).unwrap();
-        prop_assert_eq!(off_results, cx_results);
-        // The single-stage run never touches the coarse machinery...
-        prop_assert_eq!(off_stats.coarse_candidates, 0);
-        prop_assert_eq!(off_stats.coarse_bound_lookups, 0);
-        // ...and the coarse run never pays the archive-wide bound scan.
-        prop_assert_eq!(cx_stats.bound_evaluations, 0);
-        // The postings union is the B_2-eligible set, so the skip counter
-        // is preserved exactly.
-        prop_assert_eq!(cx_stats.videos_skipped, off_stats.videos_skipped);
-        // Every coarse candidate is accounted for: traversed, bound-
-        // skipped, or (deadline grid only — it never fires here) unvisited.
-        prop_assert_eq!(
-            cx_stats.videos_visited
-                + cx_stats.videos_skipped_by_bound
-                + cx_stats.videos_unvisited,
-            cx_stats.coarse_candidates
-        );
+        let (results, stats) = Retriever::new(&model, &cat, cfg).unwrap().retrieve(&pat, 10_000).unwrap();
+        prop_assert_eq!(results.len(), stats.candidates_scored);
+        for p in &results {
+            let v = p.video.index();
+            let ub = model.coarse.video_bounds(v, &model.locals[v], &pat).video_ub();
+            prop_assert!(
+                p.score <= ub,
+                "video {} scored {} above its coarse bound {}", v, p.score, ub
+            );
+        }
     }
 
-    /// Approx recall@k versus the full ranking is monotone non-decreasing
-    /// in the candidate cut `C`: the coarse candidate order is total, so
-    /// cuts are nested prefixes of one list.
+    /// (b) Every `B_2`-eligible video the coarse stage drops for a zero
+    /// bound has a zero Eq.-12 start weight on every shot for every
+    /// first-step alternative, recomputed from `Π_1` and Eq. 14 directly.
     #[test]
-    fn approx_recall_is_monotone_in_candidate_cut(
+    fn zero_bound_skips_admit_no_start(
+        cat in catalog(),
+        pat in pattern(),
+        content_only in proptest::sample::select(vec![false, true]),
+    ) {
+        let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
+        let cfg = regime(content_only);
+        let mut stats = RetrievalStats::default();
+        let candidates = model.coarse.candidates(&model, &pat, &cfg, None, &mut stats);
+        let admitted: BTreeSet<usize> = candidates.iter().map(|(v, _)| v.index()).collect();
+        let entered: BTreeSet<usize> = if cfg.require_first_event {
+            b2_eligible(&model, &pat)
+        } else {
+            (0..model.video_count()).collect()
+        };
+        prop_assert!(admitted.is_subset(&entered));
+        let skipped: Vec<usize> = entered.difference(&admitted).copied().collect();
+        prop_assert_eq!(skipped.len(), stats.coarse_skipped_zero_ub);
+        for v in skipped {
+            let range = cat.video(VideoId(v)).unwrap().shot_range.clone();
+            let base = range.start;
+            for shot in range {
+                for &e in &pat.steps[0].alternatives {
+                    let w = model.locals[v].pi1.get(shot - base) * calibrated_similarity(&model, shot, e);
+                    prop_assert_eq!(w, 0.0, "video {} shot {} event {} admits a start", v, shot, e);
+                }
+            }
+        }
+    }
+
+    /// (c) `retrieve_within` enumerates exactly the subset's
+    /// `B_2`-eligible videos: each is a candidate or a zero-bound skip,
+    /// the rest of the subset is charged to `videos_skipped`, and nothing
+    /// outside the subset is traversed.
+    #[test]
+    fn subset_candidates_are_postings_intersect_subset(
+        cat in catalog(),
+        pat in pattern(),
+        subset in proptest::collection::vec(0usize..10, 0..8),
+    ) {
+        let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
+        let cfg = RetrievalConfig { prune: false, ..RetrievalConfig::default() };
+        let subset: Vec<VideoId> = subset.into_iter().map(VideoId).collect();
+        let valid: BTreeSet<usize> = subset
+            .iter()
+            .map(|v| v.index())
+            .filter(|&v| v < model.video_count())
+            .collect();
+        let expected: BTreeSet<usize> =
+            valid.intersection(&b2_eligible(&model, &pat)).copied().collect();
+
+        let mut stats = RetrievalStats::default();
+        let candidates = model.coarse.candidates(&model, &pat, &cfg, Some(&subset), &mut stats);
+        let admitted: BTreeSet<usize> = candidates.iter().map(|(v, _)| v.index()).collect();
+        prop_assert_eq!(admitted.len(), candidates.len(), "a candidate repeats");
+        prop_assert!(admitted.is_subset(&expected));
+        for &v in expected.difference(&admitted) {
+            let ub = model.coarse.video_bounds(v, &model.locals[v], &pat).video_ub();
+            prop_assert_eq!(ub, 0.0, "eligible video {} dropped with bound {}", v, ub);
+        }
+        prop_assert_eq!(stats.videos_skipped, valid.len() - expected.len());
+
+        let (results, r_stats) = Retriever::new(&model, &cat, cfg)
+            .unwrap()
+            .retrieve_within(&pat, 100, Some(&subset))
+            .unwrap();
+        prop_assert!(results.iter().all(|p| admitted.contains(&p.video.index())));
+        prop_assert_eq!(r_stats.videos_visited, admitted.len());
+        prop_assert_eq!(r_stats.videos_skipped, stats.videos_skipped);
+    }
+
+    /// Recall@k versus the full ranking is monotone non-decreasing in the
+    /// candidate cut `C`: the coarse candidate order is total, so cuts are
+    /// nested prefixes of one list.
+    #[test]
+    fn recall_is_monotone_in_candidate_cut(
         cat in catalog(),
         pat in pattern(),
         limit in 1usize..10,
@@ -145,8 +215,7 @@ proptest! {
         let mut prev_candidates = 0usize;
         for c in [1usize, 2, 4, 8, 64] {
             let cfg = RetrievalConfig {
-                coarse: CoarseMode::Approx,
-                coarse_candidates: c,
+                candidate_cut: Some(c),
                 ..RetrievalConfig::default()
             };
             let (results, stats) = Retriever::new(&model, &cat, cfg)
@@ -178,15 +247,14 @@ proptest! {
     }
 
     /// Serially the coarse stage is fully deterministic: two identical
-    /// `Exact` runs agree on rankings and on every counter.
+    /// runs agree on rankings and on every counter.
     #[test]
     fn serial_coarse_is_deterministic(cat in catalog(), pat in pattern(), limit in 1usize..20) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
         let cfg = RetrievalConfig {
             threads: Some(1),
             ..RetrievalConfig::default()
-        }
-        .with_coarse(CoarseMode::Exact);
+        };
         let (a_results, a_stats) =
             Retriever::new(&model, &cat, cfg.clone()).unwrap().retrieve(&pat, limit).unwrap();
         let (b_results, b_stats) =

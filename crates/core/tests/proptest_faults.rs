@@ -1,6 +1,6 @@
 //! Properties of the degraded paths (PR-5):
 //!
-//! * an empty fault plan is byte-invisible in every threads × cache ×
+//! * an empty fault plan is byte-invisible in every threads × regime ×
 //!   prune configuration;
 //! * a panic-degraded ranking is exactly the full ranking restricted to
 //!   the surviving videos (injected panics fire at video entry, so a
@@ -8,7 +8,7 @@
 //! * the same plan + seed degrades the same way on every run — rankings,
 //!   failure counts, and payloads are deterministic.
 
-use hmmm_core::{build_hmmm, BuildConfig, FaultPlan, RetrievalConfig, Retriever};
+use hmmm_core::{build_hmmm, BuildConfig, FaultPlan, RetrievalConfig, RetrievalStats, Retriever};
 use hmmm_features::{FeatureVector, FEATURE_COUNT};
 use hmmm_media::EventKind;
 use hmmm_query::{CompiledPattern, CompiledStep};
@@ -84,12 +84,18 @@ fn coin() -> impl Strategy<Value = bool> {
     proptest::sample::select(vec![false, true])
 }
 
-fn base_config(threads: usize, cache: bool, prune: bool) -> RetrievalConfig {
+/// The regime picks the scorer: content-driven traversal reads the sim
+/// cache, annotation-first traversal evaluates Eq. 14 directly.
+fn base_config(threads: usize, content_only: bool, prune: bool) -> RetrievalConfig {
+    let base = if content_only {
+        RetrievalConfig::content_only()
+    } else {
+        RetrievalConfig::default()
+    };
     RetrievalConfig {
         threads: Some(threads),
-        use_sim_cache: cache,
         prune,
-        ..RetrievalConfig::content_only()
+        ..base
     }
 }
 
@@ -104,11 +110,11 @@ proptest! {
         cat in catalog(),
         pat in pattern(),
         threads in 1usize..5,
-        cache in coin(),
+        content_only in coin(),
         prune in coin(),
     ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = base_config(threads, cache, prune);
+        let cfg = base_config(threads, content_only, prune);
         let plain = Retriever::new(&model, &cat, cfg.clone()).unwrap();
         let faulted = Retriever::new(&model, &cat, cfg.with_fault_plan(FaultPlan::default())).unwrap();
         let (a, a_stats) = plain.retrieve(&pat, 10).unwrap();
@@ -132,14 +138,14 @@ proptest! {
         pat in pattern(),
         fp in plan(),
         threads in 1usize..5,
-        cache in coin(),
+        content_only in coin(),
         prune in coin(),
         limit in 1usize..20,
     ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = base_config(threads, cache, prune);
+        let cfg = base_config(threads, content_only, prune);
         let full = Retriever::new(&model, &cat, cfg.clone()).unwrap();
-        let faulted = Retriever::new(&model, &cat, cfg.with_fault_plan(fp.clone())).unwrap();
+        let faulted = Retriever::new(&model, &cat, cfg.clone().with_fault_plan(fp.clone())).unwrap();
         let (full_results, _) = full.retrieve(&pat, limit).unwrap();
         let (degraded_results, stats) = faulted.retrieve(&pat, limit).unwrap();
         let survives = |v: usize| !fp.panics_on(v);
@@ -151,11 +157,18 @@ proptest! {
             .collect();
         prop_assert!(degraded_results.len() >= restricted.len());
         prop_assert_eq!(&degraded_results[..restricted.len()], &restricted[..]);
-        // Without pruning every eligible video is entered, so the failure
-        // count is exactly the poisoned share of the eligible set (with
-        // pruning a poisoned video can be bound-skipped before entry).
+        // Without pruning every coarse candidate is entered, so the
+        // failure count is exactly the poisoned share of the candidates
+        // (with pruning a poisoned video can be bound-skipped before
+        // entry; zero-bound videos never become candidates).
         if !prune {
-            let poisoned = (0..cat.video_count()).filter(|&v| fp.panics_on(v)).count();
+            let mut coarse_stats = RetrievalStats::default();
+            let poisoned = model
+                .coarse
+                .candidates(&model, &pat, &cfg, None, &mut coarse_stats)
+                .iter()
+                .filter(|(v, _)| fp.panics_on(v.index()))
+                .count();
             prop_assert_eq!(stats.videos_failed, poisoned);
         }
     }
@@ -168,10 +181,10 @@ proptest! {
         pat in pattern(),
         fp in plan(),
         threads in 1usize..5,
-        cache in coin(),
+        content_only in coin(),
     ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = base_config(threads, cache, false).with_fault_plan(fp);
+        let cfg = base_config(threads, content_only, false).with_fault_plan(fp);
         let r = Retriever::new(&model, &cat, cfg).unwrap();
         let (a, a_stats) = r.retrieve(&pat, 10).unwrap();
         let (b, b_stats) = r.retrieve(&pat, 10).unwrap();

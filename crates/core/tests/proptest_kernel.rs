@@ -128,32 +128,35 @@ proptest! {
     }
 
     /// The blocked kernel is invisible end-to-end: across the threads ×
-    /// cache × prune grid (the PR-3 harness's axes), rankings are
-    /// byte-identical to the single-threaded uncached exhaustive run —
-    /// whether a video's scores came from the slot-major cache
-    /// (`similarity_into` during `SimCache::build`) or from per-block
-    /// direct evaluation, and whether its `A_1` walk took the CSR rows or
-    /// the dense fallback.
+    /// regime × prune grid, rankings are byte-identical to the
+    /// single-threaded exhaustive run of the same regime — whether a
+    /// video's scores came from the slot-major cache (`similarity_into`
+    /// during `SimCache::build`, content-driven) or from per-block direct
+    /// evaluation (annotation-first), and whether its `A_1` walk took the
+    /// CSR rows or the dense fallback.
     #[test]
     fn kernel_grid_ranks_identically(
         cat in catalog(),
         pat in pattern(),
         threads in 1usize..4,
-        use_cache in proptest::sample::select(vec![false, true]),
+        content_only in proptest::sample::select(vec![false, true]),
         prune in proptest::sample::select(vec![false, true]),
     ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
+        let base = if content_only {
+            RetrievalConfig::content_only()
+        } else {
+            RetrievalConfig::default()
+        };
         let grid_cfg = RetrievalConfig {
             threads: Some(threads),
-            use_sim_cache: use_cache,
             prune,
-            ..RetrievalConfig::default()
+            ..base.clone()
         };
         let reference_cfg = RetrievalConfig {
             threads: Some(1),
-            use_sim_cache: false,
             prune: false,
-            ..RetrievalConfig::default()
+            ..base
         };
         let (a, _) = Retriever::new(&model, &cat, grid_cfg)
             .unwrap()

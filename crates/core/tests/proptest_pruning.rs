@@ -2,14 +2,12 @@
 //!
 //! The shared-threshold prune (`RetrievalConfig::prune`) may only change
 //! *cost* counters — for any archive, pattern, beam width, result limit,
-//! thread count and cache setting, the ranked patterns must be
+//! thread count and regime, the ranked patterns must be
 //! byte-identical to the exhaustive (`prune: false`) run. The unit test at
 //! the bottom pins the admissibility of the bounds themselves on the
 //! paper's §4.2.1.1 worked example.
 
-use hmmm_core::{
-    build_hmmm, sim, BuildConfig, QueryBounds, RetrievalConfig, Retriever,
-};
+use hmmm_core::{build_hmmm, BuildConfig, RetrievalConfig, Retriever};
 use hmmm_features::{FeatureId, FeatureVector, FEATURE_COUNT};
 use hmmm_media::EventKind;
 use hmmm_query::{CompiledPattern, CompiledStep};
@@ -69,8 +67,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Pruned rankings equal exhaustive rankings across the whole config
-    /// grid the engine exposes: thread count × similarity cache ×
-    /// annotation regime × beam width × top-k limit.
+    /// grid the engine exposes: thread count × annotation regime (which
+    /// picks the scorer) × beam width × top-k limit.
     #[test]
     fn pruning_is_ranking_exact(
         cat in catalog(),
@@ -78,7 +76,6 @@ proptest! {
         beam in 1usize..5,
         limit in 1usize..20,
         threads in 1usize..5,
-        use_cache in proptest::sample::select(vec![false, true]),
         content_only in proptest::sample::select(vec![false, true]),
     ) {
         let model = build_hmmm(&cat, &BuildConfig { unannotated_weight: 0.2, ..BuildConfig::default() }).unwrap();
@@ -90,7 +87,6 @@ proptest! {
         let pruned_cfg = RetrievalConfig {
             beam_width: beam,
             threads: Some(threads),
-            use_sim_cache: use_cache,
             prune: true,
             ..base
         };
@@ -165,20 +161,9 @@ fn bounds_are_admissible_on_worked_example() {
             },
         ],
     };
-    // The bounds exactly as `retrieve_within` derives them: per-step
-    // maxima over each alternative's archive-wide calibrated similarity.
-    let step_max: Vec<f64> = pat
-        .steps
-        .iter()
-        .map(|s| {
-            s.alternatives
-                .iter()
-                .map(|&e| sim::max_calibrated_similarity(&model, e))
-                .fold(0.0, f64::max)
-        })
-        .collect();
-    let qb = QueryBounds::new(step_max);
-    let vb = qb.for_video(&model.locals[0]);
+    // The bounds exactly as the coarse stage derives them for the fine
+    // stage: per-video step maxima and start summaries from the index.
+    let vb = model.coarse.video_bounds(0, &model.locals[0], &pat);
 
     // Enumerate everything the traversal can produce (wide beam, no
     // prune) and check domination candidate by candidate.

@@ -439,7 +439,7 @@ fn record_rejection(tally: &mut ClientTally, reason: &RejectReason) {
 /// The serial re-derivation's fault handle: the live config's plan with
 /// its timing-only components (latency stalls) stripped.
 ///
-/// The check must re-derive under the *same* coarse mode and fault plan
+/// The check must re-derive under the *same* candidate cut and fault plan
 /// the server ran with — a panic plan deterministically restricts the
 /// ranking to the surviving videos, so dropping it would diff every
 /// affected response. Latency is the one component that must NOT leak in:
@@ -463,7 +463,7 @@ fn check_fault_handle(live: &FaultHandle) -> FaultHandle {
 }
 
 /// The serial reference configuration for `--check`: single-threaded, no
-/// deadline, same coarse mode, latency-stripped fault plan (see
+/// deadline, same candidate cut, latency-stripped fault plan (see
 /// [`check_fault_handle`]).
 fn check_retrieval_config(live: RetrievalConfig) -> RetrievalConfig {
     let mut serial = live;
@@ -546,12 +546,12 @@ fn maybe_feed_back(
 /// The serial reference for network `--check`: the generation the remote
 /// server is serving (epoch 0 — the wire carries no feedback, so a remote
 /// server's epoch only moves through its own REPL) plus a retrieval
-/// configuration matching the server's `--coarse` mode and fault plan.
+/// configuration matching the server's `--candidates` cut and fault plan.
 #[derive(Clone)]
 pub struct NetCheck {
     /// The epoch-0 model generation, built locally from the same catalog.
     pub snapshot: Arc<ModelSnapshot>,
-    /// The server's base retrieval configuration (coarse mode, fault
+    /// The server's base retrieval configuration (candidate cut, fault
     /// plan); normalized through the same latency-stripping path as the
     /// in-process check.
     pub retrieval: RetrievalConfig,

@@ -89,7 +89,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// N clients hammering one server concurrently — across worker counts
-    /// and the engine's cache × prune grid — receive exactly the rankings
+    /// and the engine's regime × prune grid — receive exactly the rankings
     /// a serial `Retriever` produces on the same model. The queue, the
     /// worker pool, and the per-worker scratch reuse are byte-invisible.
     #[test]
@@ -98,18 +98,19 @@ proptest! {
         pats in proptest::collection::vec(pattern(), 1..4),
         workers in 1usize..4,
         clients in 1usize..4,
-        use_cache in proptest::sample::select(vec![false, true]),
+        content_only in proptest::sample::select(vec![false, true]),
         prune in proptest::sample::select(vec![false, true]),
     ) {
         let snapshot = ModelSnapshot::build(cat, &BuildConfig::default()).unwrap();
+        let base = if content_only {
+            RetrievalConfig::content_only()
+        } else {
+            RetrievalConfig::default()
+        };
         let config = ServerConfig {
             workers,
             queue_capacity: 256,
-            retrieval: RetrievalConfig {
-                use_sim_cache: use_cache,
-                prune,
-                ..RetrievalConfig::default()
-            },
+            retrieval: RetrievalConfig { prune, ..base },
             retain_snapshot_history: true,
             ..ServerConfig::default()
         };

@@ -13,8 +13,7 @@
 //! (`.json` paths use the JSON codec instead).
 
 use hmmm_core::{
-    build_hmmm, build_hmmm_observed, metrics, BuildConfig, CategoryLevel, CoarseMode,
-    FeedbackConfig, FeedbackLog, FeedbackSimulator, InMemoryRecorder, OracleConfig,
+    build_hmmm, build_hmmm_observed, metrics, BuildConfig, CategoryLevel, FeedbackConfig, FeedbackLog, FeedbackSimulator, InMemoryRecorder, OracleConfig,
     PositivePattern, RecorderHandle, RetrievalConfig, Retriever,
 };
 use hmmm_media::{ArchiveConfig, EventKind, RenderConfig, SyntheticArchive};
@@ -58,8 +57,7 @@ USAGE:
   hmmm inspect <file>
       print catalog dimensions and per-event counts
   hmmm query <file> <pattern> [--top N] [--threads N] [--content-only]
-             [--greedy] [--no-sim-cache] [--no-prune]
-             [--coarse off|exact|approx] [--candidates C]
+             [--greedy] [--no-prune] [--candidates C]
              [--deadline-ms N] [--deadline-check-interval M]
              [--fault-plan <json|file>]
              [--metrics-json <out>] [--trace]
@@ -67,11 +65,9 @@ USAGE:
       (--threads 0 = all cores, 1 = serial; default all cores)
       (--top-k is accepted as an alias of --top; --no-prune disables the
       exact top-k threshold pruning — rankings are identical either way)
-      --coarse selects the two-stage coarse-to-fine path: `exact` routes
-      candidate selection through the ingest-time index (same ranking,
-      no archive-wide bound scan); `approx` additionally traverses only
-      the --candidates C highest-bound videos (default 16), trading
-      recall for latency; `off` (default) runs single-stage
+      candidate videos and their prune bounds always come from the
+      ingest-time coarse index; --candidates C traverses only the C
+      highest-bound videos, trading recall for latency (default: all)
       --deadline-ms bounds the query wall clock: on expiry the engine
       returns the best-so-far ranking marked DEGRADED (recall may drop,
       exactness of what is returned does not); --deadline-check-interval
@@ -91,8 +87,7 @@ USAGE:
       --feedback-rounds the audit is repeated after N simulated
       feedback/learning updates (exit 1 on any violation)
   hmmm serve <file> [--workers N] [--queue N] [--deadline-ms N]
-             [--coarse off|exact|approx] [--candidates C]
-             [--fault-plan <json|file>] [--metrics-json <out>]
+             [--top N] [--candidates C] [--fault-plan <json|file>] [--metrics-json <out>]
              [--listen ADDR] [--max-conns N] [--frame-timeout-ms N]
              [--net-fault-plan <json|file>]
       start the in-process query server and answer patterns read from
@@ -109,8 +104,7 @@ USAGE:
   hmmm loadgen <file> [--clients N] [--requests N] [--zipf F]
              [--think-us N] [--feedback-prob F] [--deadline-ms N]
              [--workers N] [--queue N] [--top N] [--seed N] [--check]
-             [--coarse off|exact|approx] [--candidates C]
-             [--fault-plan <json|file>] [--metrics-json <out>]
+             [--candidates C] [--fault-plan <json|file>] [--metrics-json <out>]
              [--connect ADDR] [--retries N]
              [--net-fault-plan <json|file>]
       run the seeded workload generator (Zipf query mix, Poisson
@@ -120,7 +114,7 @@ USAGE:
       mismatch or unaccounted rejection
       --connect drives the same workload over TCP against a running
       `hmmm serve --listen` process instead (no in-process server; pass
-      the server's catalog path plus its --coarse/--fault-plan flags so
+      the server's catalog path plus its --candidates/--fault-plan flags so
       --check can rebuild the reference locally); --retries caps wire
       attempts per request, --net-fault-plan injects client-side
       network faults and exercises the retry/backoff path
@@ -132,7 +126,125 @@ USAGE:
 PATTERNS:  event ( '->' ['[' gap ']'] event ('|' event)* )*
            e.g. \"free_kick -> goal ->[5] corner_kick|goal_kick\"
 EVENTS:    goal corner_kick free_kick foul goal_kick yellow_card red_card player_change
+
+Every subcommand rejects flags it does not know.
 ";
+
+/// The flags one subcommand accepts: boolean switches, and flags that take
+/// the next argument as their value.
+struct Flags {
+    command: &'static str,
+    switches: &'static [&'static str],
+    valued: &'static [&'static str],
+}
+
+const GENERATE_FLAGS: Flags = Flags {
+    command: "generate",
+    switches: &[],
+    valued: &["--out", "--videos", "--shots", "--event-rate", "--seed"],
+};
+const INSPECT_FLAGS: Flags = Flags {
+    command: "inspect",
+    switches: &[],
+    valued: &[],
+};
+const QUERY_FLAGS: Flags = Flags {
+    command: "query",
+    switches: &["--content-only", "--greedy", "--no-prune", "--trace"],
+    valued: &[
+        "--top",
+        "--top-k",
+        "--threads",
+        "--candidates",
+        "--deadline-ms",
+        "--deadline-check-interval",
+        "--fault-plan",
+        "--metrics-json",
+    ],
+};
+const CATEGORIES_FLAGS: Flags = Flags {
+    command: "categories",
+    switches: &[],
+    valued: &["--k"],
+};
+const CHECK_FLAGS: Flags = Flags {
+    command: "check",
+    switches: &[],
+    valued: &["--feedback-rounds"],
+};
+const SERVE_FLAGS: Flags = Flags {
+    command: "serve",
+    switches: &[],
+    valued: &[
+        "--workers",
+        "--queue",
+        "--deadline-ms",
+        "--top",
+        "--candidates",
+        "--fault-plan",
+        "--metrics-json",
+        "--listen",
+        "--max-conns",
+        "--frame-timeout-ms",
+        "--net-fault-plan",
+    ],
+};
+const LOADGEN_FLAGS: Flags = Flags {
+    command: "loadgen",
+    switches: &["--check"],
+    valued: &[
+        "--clients",
+        "--requests",
+        "--zipf",
+        "--think-us",
+        "--feedback-prob",
+        "--deadline-ms",
+        "--workers",
+        "--queue",
+        "--top",
+        "--seed",
+        "--candidates",
+        "--fault-plan",
+        "--metrics-json",
+        "--connect",
+        "--retries",
+        "--net-fault-plan",
+    ],
+};
+const MATN_FLAGS: Flags = Flags {
+    command: "matn",
+    switches: &[],
+    valued: &[],
+};
+
+/// Checks every `--flag` in `args` against `flags` and returns the
+/// positional arguments in order. An unknown flag is an error naming it —
+/// guessing whether it takes a value would silently swallow the next
+/// argument — and so is a valued flag with nothing after it.
+fn positionals<'a>(args: &'a [String], flags: &Flags) -> Result<Vec<&'a String>, String> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < args.len() {
+        let arg = &args[i];
+        if !arg.starts_with("--") {
+            out.push(arg);
+            i += 1;
+        } else if flags.switches.contains(&arg.as_str()) {
+            i += 1;
+        } else if flags.valued.contains(&arg.as_str()) {
+            if i + 1 >= args.len() {
+                return Err(format!("{arg} requires a value"));
+            }
+            i += 2;
+        } else {
+            return Err(format!(
+                "unknown flag {arg} for `hmmm {}`; see `hmmm help`",
+                flags.command
+            ));
+        }
+    }
+    Ok(out)
+}
 
 /// Pulls `--name value` out of an argument list.
 fn flag_value(args: &[String], name: &str) -> Option<String> {
@@ -146,50 +258,26 @@ fn flag_present(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-fn positional(args: &[String], index: usize) -> Option<&String> {
-    let mut i = 0;
-    let mut seen = 0;
-    while i < args.len() {
-        if args[i].starts_with("--") {
-            // Boolean switches consume one slot; valued flags two.
-            let is_switch = matches!(
-                args[i].as_str(),
-                "--content-only" | "--greedy" | "--no-sim-cache" | "--no-prune" | "--trace"
-                    | "--check"
-            );
-            i += if is_switch { 1 } else { 2 };
-            continue;
-        }
-        if seen == index {
-            return Some(&args[i]);
-        }
-        seen += 1;
-        i += 1;
-    }
-    None
-}
-
 fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse::<T>().map_err(|_| format!("bad {what}: {s:?}"))
 }
 
-/// Applies the shared `--coarse <mode>` / `--candidates <C>` flags to a
-/// retrieval config (used by `query`, `serve`, and `loadgen`).
-fn apply_coarse_flags(args: &[String], config: &mut RetrievalConfig) -> Result<(), String> {
-    if let Some(mode) = flag_value(args, "--coarse") {
-        config.coarse = CoarseMode::parse(&mode)
-            .ok_or_else(|| format!("bad --coarse: {mode:?} (expected off, exact, or approx)"))?;
-    }
+/// Applies the shared `--candidates <C>` flag to a retrieval config (used
+/// by `query`, `serve`, and `loadgen`).
+fn apply_candidates_flag(args: &[String], config: &mut RetrievalConfig) -> Result<(), String> {
     if let Some(c) = flag_value(args, "--candidates") {
         let c: usize = parse_num(&c, "--candidates")?;
         if c == 0 {
             return Err("--candidates must be ≥ 1".into());
         }
-        config.coarse_candidates = c;
-    } else if flag_present(args, "--candidates") {
-        return Err("--candidates requires a value".into());
+        config.candidate_cut = Some(c);
     }
     Ok(())
+}
+
+/// How a candidate cut reads in status lines.
+fn cut_label(cut: Option<usize>) -> String {
+    cut.map_or("exact".to_string(), |c| format!("top {c}"))
 }
 
 /// Parses a `--fault-plan`-style flag: inline JSON when the argument
@@ -222,6 +310,7 @@ fn load_observed(path: &str, obs: &RecorderHandle) -> Result<Catalog, String> {
 }
 
 fn cmd_generate(args: &[String]) -> Result<(), String> {
+    positionals(args, &GENERATE_FLAGS)?;
     let out = flag_value(args, "--out").ok_or("generate requires --out <file>")?;
     let videos: usize = parse_num(&flag_value(args, "--videos").unwrap_or("8".into()), "--videos")?;
     let shots: usize = parse_num(&flag_value(args, "--shots").unwrap_or("100".into()), "--shots")?;
@@ -256,7 +345,8 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let path = positional(args, 0).ok_or("inspect requires a catalog path")?;
+    let pos = positionals(args, &INSPECT_FLAGS)?;
+    let path = pos.first().ok_or("inspect requires a catalog path")?;
     let catalog = load(path)?;
     println!(
         "{path}: {} videos, {} shots, {} event annotations",
@@ -282,8 +372,9 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_query(args: &[String]) -> Result<(), String> {
-    let path = positional(args, 0).ok_or("query requires a catalog path")?;
-    let text = positional(args, 1).ok_or("query requires a pattern string")?;
+    let pos = positionals(args, &QUERY_FLAGS)?;
+    let path = pos.first().ok_or("query requires a catalog path")?;
+    let text = pos.get(1).ok_or("query requires a pattern string")?;
     let top: usize = parse_num(
         &flag_value(args, "--top")
             .or_else(|| flag_value(args, "--top-k"))
@@ -320,13 +411,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         // 0 = auto (all cores), n = exactly n workers (1 = serial).
         config.threads = if t == 0 { None } else { Some(t) };
     }
-    if flag_present(args, "--no-sim-cache") {
-        config.use_sim_cache = false;
-    }
     if flag_present(args, "--no-prune") {
         config.prune = false;
     }
-    apply_coarse_flags(args, &mut config)?;
+    apply_candidates_flag(args, &mut config)?;
     if let Some(ms) = flag_value(args, "--deadline-ms") {
         let ms: u64 = parse_num(&ms, "--deadline-ms")?;
         let mut deadline = hmmm_core::DeadlineConfig::new(std::time::Duration::from_millis(ms));
@@ -348,7 +436,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         config = config.with_fault_plan(plan);
     }
     config.recorder = obs;
-    let config_coarse = config.coarse;
+    let cut = config.candidate_cut;
     let retriever = Retriever::new(&model, &catalog, config).map_err(|e| e.to_string())?;
     let start = std::time::Instant::now();
     let (results, stats) = retriever.retrieve(&pattern, top).map_err(|e| e.to_string())?;
@@ -365,17 +453,15 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         stats.videos_skipped_by_bound,
         stats.entries_pruned,
     );
-    if config_coarse != CoarseMode::Off {
-        println!(
-            "coarse [{}]: {} candidates ({} cut, {} zero-bound skips), \
-             {} index bound lookups",
-            config_coarse.as_str(),
-            stats.coarse_candidates,
-            stats.coarse_cut,
-            stats.coarse_skipped_zero_ub,
-            stats.coarse_bound_lookups,
-        );
-    }
+    println!(
+        "coarse [{}]: {} candidates ({} cut, {} zero-bound skips), \
+         {} index bound lookups",
+        cut_label(cut),
+        stats.coarse_candidates,
+        stats.coarse_cut,
+        stats.coarse_skipped_zero_ub,
+        stats.coarse_bound_lookups,
+    );
     if let Some(d) = &stats.degraded {
         let reason = d.reason.as_str();
         println!(
@@ -421,7 +507,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_categories(args: &[String]) -> Result<(), String> {
-    let path = positional(args, 0).ok_or("categories requires a catalog path")?;
+    let pos = positionals(args, &CATEGORIES_FLAGS)?;
+    let path = pos.first().ok_or("categories requires a catalog path")?;
     let k: usize = parse_num(&flag_value(args, "--k").unwrap_or("4".into()), "--k")?;
     let catalog = load(path)?;
     let model = build_hmmm(&catalog, &BuildConfig::default()).map_err(|e| e.to_string())?;
@@ -445,7 +532,8 @@ fn cmd_categories(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_check(args: &[String]) -> Result<(), String> {
-    let path = positional(args, 0).ok_or("check requires a catalog path")?;
+    let pos = positionals(args, &CHECK_FLAGS)?;
+    let path = pos.first().ok_or("check requires a catalog path")?;
     let rounds: usize = parse_num(
         &flag_value(args, "--feedback-rounds").unwrap_or("0".into()),
         "--feedback-rounds",
@@ -506,10 +594,11 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
 /// file and assemble the server configuration from the common flags.
 fn serve_setup(
     args: &[String],
+    path: Option<&String>,
     obs: &RecorderHandle,
     retain_history: bool,
 ) -> Result<(hmmm_serve::ModelSnapshot, hmmm_serve::ServerConfig), String> {
-    let path = positional(args, 0).ok_or("a catalog path is required")?;
+    let path = path.ok_or("a catalog path is required")?;
     let workers: usize =
         parse_num(&flag_value(args, "--workers").unwrap_or("2".into()), "--workers")?;
     let queue: usize = parse_num(&flag_value(args, "--queue").unwrap_or("64".into()), "--queue")?;
@@ -521,7 +610,7 @@ fn serve_setup(
     let snapshot = hmmm_serve::ModelSnapshot::build(catalog, &BuildConfig::default())
         .map_err(|e| e.to_string())?;
     let mut retrieval = RetrievalConfig::content_only();
-    apply_coarse_flags(args, &mut retrieval)?;
+    apply_candidates_flag(args, &mut retrieval)?;
     if let Some(plan) = parse_fault_plan(args, "--fault-plan")? {
         if !plan.is_empty() {
             eprintln!("fault injection active: degraded output is expected");
@@ -558,6 +647,7 @@ fn write_serve_metrics(recorder: &std::sync::Arc<InMemoryRecorder>, out: &str) -
 
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     use std::io::BufRead;
+    let pos = positionals(args, &SERVE_FLAGS)?;
     let top: usize = parse_num(&flag_value(args, "--top").unwrap_or("8".into()), "--top")?;
     let metrics_out = flag_value(args, "--metrics-json");
     let recorder = metrics_out.is_some().then(InMemoryRecorder::shared);
@@ -566,14 +656,14 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map(InMemoryRecorder::handle)
         .unwrap_or_default();
 
-    let (snapshot, config) = serve_setup(args, &obs, false)?;
+    let (snapshot, config) = serve_setup(args, pos.first().copied(), &obs, false)?;
     println!(
-        "serving {} videos / {} shots with {} workers (queue {}, coarse {}): {}",
+        "serving {} videos / {} shots with {} workers (queue {}, candidates {}): {}",
         snapshot.catalog.video_count(),
         snapshot.catalog.shot_count(),
         config.workers,
         config.queue_capacity,
-        config.retrieval.coarse.as_str(),
+        cut_label(config.retrieval.candidate_cut),
         snapshot.audit,
     );
     println!("enter a pattern per line; :accept <rank>, :learn, :epoch, :quit");
@@ -724,6 +814,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_loadgen(args: &[String]) -> Result<(), String> {
+    let pos = positionals(args, &LOADGEN_FLAGS)?;
+    let path = pos.first().copied();
     let clients: usize =
         parse_num(&flag_value(args, "--clients").unwrap_or("4".into()), "--clients")?;
     let requests: usize =
@@ -747,7 +839,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 
     if let Some(addr) = flag_value(args, "--connect") {
         let report = run_loadgen_net(
-            args, &addr, clients, requests, zipf, think_us, top, seed, check, &obs,
+            args, path, &addr, clients, requests, zipf, think_us, top, seed, check, &obs,
         )?;
         print_net_report(&report, check);
         if let (Some(recorder), Some(out)) = (recorder, metrics_out) {
@@ -768,13 +860,13 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let (snapshot, config) = serve_setup(args, &obs, check)?;
+    let (snapshot, config) = serve_setup(args, path, &obs, check)?;
     eprintln!(
         "loadgen: {clients} clients × {requests} requests (zipf {zipf}, think {think_us}µs, \
-         feedback p={feedback_prob}) against {} workers / queue {} / coarse {}{}",
+         feedback p={feedback_prob}) against {} workers / queue {} / candidates {}{}",
         config.workers,
         config.queue_capacity,
-        config.retrieval.coarse.as_str(),
+        cut_label(config.retrieval.candidate_cut),
         if check { ", exactness check on" } else { "" },
     );
     let server = hmmm_serve::QueryServer::start(snapshot, config).map_err(|e| e.to_string())?;
@@ -834,6 +926,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
 #[allow(clippy::too_many_arguments)] // a CLI argument bundle, not an API
 fn run_loadgen_net(
     args: &[String],
+    path: Option<&String>,
     addr: &str,
     clients: usize,
     requests: usize,
@@ -870,16 +963,15 @@ fn run_loadgen_net(
         None => hmmm_core::FaultHandle::noop(),
     };
     // --check re-derives responses against a locally built epoch-0
-    // snapshot, so it needs the same catalog file — and the same --coarse
-    // / --fault-plan flags — the server was started with.
+    // snapshot, so it needs the same catalog file — and the same
+    // --candidates / --fault-plan flags — the server was started with.
     let net_check = if check {
-        let path = positional(args, 0)
-            .ok_or("loadgen --connect --check requires the server's catalog path")?;
+        let path = path.ok_or("loadgen --connect --check requires the server's catalog path")?;
         let catalog = load_observed(path, obs)?;
         let snapshot = hmmm_serve::ModelSnapshot::build(catalog, &BuildConfig::default())
             .map_err(|e| e.to_string())?;
         let mut retrieval = RetrievalConfig::content_only();
-        apply_coarse_flags(args, &mut retrieval)?;
+        apply_candidates_flag(args, &mut retrieval)?;
         if let Some(plan) = parse_fault_plan(args, "--fault-plan")? {
             retrieval = retrieval.with_fault_plan(plan);
         }
@@ -946,7 +1038,8 @@ fn print_net_report(report: &hmmm_serve::NetLoadReport, check: bool) {
 }
 
 fn cmd_matn(args: &[String]) -> Result<(), String> {
-    let text = positional(args, 0).ok_or("matn requires a pattern string")?;
+    let pos = positionals(args, &MATN_FLAGS)?;
+    let text = pos.first().ok_or("matn requires a pattern string")?;
     let pattern = parse_pattern(text).map_err(|e| e.to_string())?;
     let matn = Matn::from_pattern(&pattern);
     println!("canonical : {pattern}");
@@ -954,4 +1047,43 @@ fn cmd_matn(args: &[String]) -> Result<(), String> {
     println!("states    : {}, arcs: {}\n", matn.state_count(), matn.arcs().len());
     print!("{}", matn.to_dot());
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        // Typos and removed flags must fail loudly instead of swallowing
+        // the argument after them.
+        for bad in ["--no-prun", "--deadine-ms", "--coarse", "--no-sim-cache"] {
+            let args = argv(&["db.json", "goal", bad, "5"]);
+            let err = positionals(&args, &QUERY_FLAGS).unwrap_err();
+            assert!(err.contains(bad), "{err}");
+            assert!(err.contains("hmmm query"), "{err}");
+        }
+        // Flags are per subcommand: `--check` belongs to loadgen only.
+        let args = argv(&["db.json", "goal", "--check"]);
+        assert!(positionals(&args, &QUERY_FLAGS).is_err());
+        assert!(positionals(&argv(&["db.json", "--check"]), &LOADGEN_FLAGS).is_ok());
+    }
+
+    #[test]
+    fn known_flags_are_skipped_around_positionals() {
+        let args = argv(&["--top", "3", "db.json", "--trace", "goal -> goal", "--no-prune"]);
+        let pos = positionals(&args, &QUERY_FLAGS).unwrap();
+        assert_eq!(pos, vec!["db.json", "goal -> goal"]);
+    }
+
+    #[test]
+    fn valued_flag_without_a_value_is_rejected() {
+        let args = argv(&["db.json", "goal", "--deadline-ms"]);
+        let err = positionals(&args, &QUERY_FLAGS).unwrap_err();
+        assert!(err.contains("--deadline-ms requires a value"), "{err}");
+    }
 }
