@@ -218,16 +218,12 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
     (
         "crates/core/src/coarse.rs",
         &[
-            "empty",
             "build",
             "postings",
             "sim_max",
             "video_bounds",
             "bound_lookups",
             "candidates",
-            "matches",
-            "audit",
-            "postings_len",
         ],
     ),
     (

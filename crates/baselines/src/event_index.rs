@@ -84,7 +84,7 @@ impl<'a> EventIndexRetriever<'a> {
         // intersection over steps of the inverted-postings unions. Exact
         // for the annotated join; videos outside the intersection cannot
         // host a match, so their start postings are never even probed.
-        let coarse = &self.model.coarse;
+        let coarse = self.model.coarse();
         let mut eligible: Option<Vec<u32>> = None;
         for step in &pattern.steps {
             let mut union: Vec<u32> = step
@@ -156,7 +156,7 @@ impl<'a> EventIndexRetriever<'a> {
     ) {
         let record = self.catalog.video(video).expect("valid video");
         let base = record.shot_range.start;
-        let local = &self.model.locals[video.index()];
+        let local = &self.model.locals()[video.index()];
 
         stats.sim_evaluations += 1;
         let Some((event, sim)) =
@@ -165,7 +165,7 @@ impl<'a> EventIndexRetriever<'a> {
             return;
         };
         let s0 = start.index() - base;
-        let w0 = local.pi1.get(s0) * sim;
+        let w0 = local.pi1().get(s0) * sim;
 
         let mut stack: Vec<JoinFrame> =
             vec![(1, s0, w0, w0, vec![s0], vec![event], vec![w0])];
@@ -200,7 +200,7 @@ impl<'a> EventIndexRetriever<'a> {
                 else {
                     continue;
                 };
-                let a = local.a1.get(from, to);
+                let a = local.a1().get(from, to);
                 let w2 = w * a * sim;
                 let mut p2 = path.clone();
                 p2.push(to);

@@ -124,7 +124,7 @@ impl<'a> ExhaustiveRetriever<'a> {
             }
             let base = video.shot_range.start;
             let n = video.shot_count();
-            let local = &self.model.locals[video.id.index()];
+            let local = &self.model.locals()[video.id.index()];
 
             let step_sims: Vec<Vec<(usize, f64)>> = pattern
                 .steps
@@ -156,7 +156,7 @@ impl<'a> ExhaustiveRetriever<'a> {
                     .iter()
                     .enumerate()
                     .map(|(s, &(_, sim))| {
-                        local.pi1.get(s) * sim * (1.0 + local.a1_row_max[s] * chain0)
+                        local.pi1().get(s) * sim * (1.0 + local.a1_row_max()[s] * chain0)
                     })
                     .fold(0.0, f64::max);
                 vb.with_video_ub(raw_ub)
@@ -173,7 +173,7 @@ impl<'a> ExhaustiveRetriever<'a> {
             let mut budget = self.config.max_combinations_per_video;
             let mut stack: Vec<SearchFrame> = Vec::new();
             for (s, &(event, sim)) in step_sims[0].iter().enumerate() {
-                let w = local.pi1.get(s) * sim;
+                let w = local.pi1().get(s) * sim;
                 if w <= 0.0 {
                     continue;
                 }
@@ -188,7 +188,7 @@ impl<'a> ExhaustiveRetriever<'a> {
                 // drop to perturb — skip it and everything below it.
                 if let (Some(reg), Some(vb)) = (register.as_ref(), bounds.as_ref()) {
                     let from = *path.last().expect("path non-empty");
-                    let row_max = local.a1_row_max[from];
+                    let row_max = local.a1_row_max()[from];
                     if vb.entry_ub(score, w, depth - 1, row_max) < reg.threshold() {
                         stats.entries_pruned += 1;
                         continue;
@@ -224,7 +224,7 @@ impl<'a> ExhaustiveRetriever<'a> {
                         continue; // combinations use distinct shots
                     }
                     stats.transitions_examined += 1;
-                    let a = local.a1.get(from, to);
+                    let a = local.a1().get(from, to);
                     let w2 = w * a * sim;
                     if w2 <= 0.0 {
                         continue;

@@ -86,7 +86,7 @@ fn join_reproduces_the_worked_example_weights() {
     let c = worked_example_catalog();
     let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
     // Pin the §4.2.1.1 closed form the join's edge weights read.
-    let a1 = &model.locals[0].a1;
+    let a1 = model.locals()[0].a1();
     assert!((a1.get(0, 1) - 2.0 / 3.0).abs() < 1e-12);
     assert!((a1.get(0, 2) - 1.0 / 3.0).abs() < 1e-12);
     assert!((a1.get(1, 1) - 1.0 / 2.0).abs() < 1e-12);
@@ -109,7 +109,7 @@ fn join_reproduces_the_worked_example_weights() {
         hmmm_core::sim::best_alternative(&model, 0, &pattern.steps[0].alternatives).unwrap();
     let (_, sim1) =
         hmmm_core::sim::best_alternative(&model, 1, &pattern.steps[1].alternatives).unwrap();
-    let w0 = model.locals[0].pi1.get(0) * sim0;
+    let w0 = model.locals()[0].pi1().get(0) * sim0;
     let w1 = w0 * a1.get(0, 1) * sim1;
     assert_eq!(hit.weights, vec![w0, w1]);
     assert_eq!(hit.score, w0 + w1);

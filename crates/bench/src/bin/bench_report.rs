@@ -66,13 +66,12 @@ struct Sample {
     parallelism_unmeasurable: bool,
 }
 
-/// One similarity-kernel / bound-refresh micro-measurement: the same work
-/// through two layouts, so the snapshot records what the SoA/CSR hot-path
-/// representations actually buy on this host.
+/// One similarity-kernel / bound-refresh micro-measurement, so the snapshot
+/// records what the SoA similarity kernel buys over the scalar reference
+/// and what the CSR `A_1` row-max refresh costs on this host.
 #[derive(Debug, Serialize)]
 struct KernelSample {
-    /// What ran: `similarity_scalar`, `similarity_blocked`,
-    /// `row_max_dense`, `row_max_csr`.
+    /// What ran: `similarity_scalar`, `similarity_blocked`, `row_max_csr`.
     variant: &'static str,
     /// Best-of-N wall clock, seconds.
     seconds: f64,
@@ -574,10 +573,10 @@ fn net_sweep(model: &hmmm_core::Hmmm, catalog: &hmmm_storage::Catalog) -> Vec<Ne
 }
 
 /// Times the Eq.-14 similarity of every event against every archive shot
-/// through the scalar reference and the blocked SoA kernel, and the
-/// forward row-max refresh through the dense fold and the CSR view —
-/// best-of-3, with a bitwise cross-check so a layout bug can never ship
-/// inside a perf snapshot.
+/// through the scalar reference and the blocked SoA kernel (bitwise
+/// cross-checked, so a layout bug can never ship inside a perf snapshot),
+/// and the forward row-max refresh over every video's CSR `A_1` —
+/// best-of-3.
 fn kernel_microbench(model: &hmmm_core::Hmmm) -> Vec<KernelSample> {
     use hmmm_core::sim;
     const ROUNDS: usize = 3;
@@ -627,44 +626,17 @@ fn kernel_microbench(model: &hmmm_core::Hmmm) -> Vec<KernelSample> {
         "blocked kernel diverged from the scalar reference"
     );
 
-    let rows: usize = model.locals.iter().map(|l| l.a1.rows()).sum();
-    let mut maxima = vec![0.0f64; model.locals.iter().map(|l| l.a1.rows()).max().unwrap_or(0)];
-    let mut dense_sink = 0.0f64;
-    let dense_secs = best(&mut || {
-        let mut acc = 0.0;
-        for local in &model.locals {
-            let m = local.a1.as_matrix();
-            // Per-video partial, folded in row order — the same
-            // accumulation sequence as the CSR run's per-view row-maxima
-            // sum, so the two sinks compare bitwise below.
-            let mut part = 0.0;
-            for s in 0..m.rows() {
-                part += (s..m.cols()).map(|t| m[(s, t)]).fold(0.0, f64::max);
-            }
-            acc += part;
-        }
-        dense_sink = std::hint::black_box(acc);
-    });
-    let csrs: Vec<hmmm_matrix::ForwardCsr> = model
-        .locals
-        .iter()
-        .map(|l| hmmm_matrix::ForwardCsr::from_forward(l.a1.as_matrix()))
-        .collect();
-    let mut csr_sink = 0.0f64;
+    let rows: usize = model.locals().iter().map(|l| l.len()).sum();
+    let mut maxima = vec![0.0f64; model.locals().iter().map(|l| l.len()).max().unwrap_or(0)];
     let csr_secs = best(&mut || {
         let mut acc = 0.0;
-        for csr in &csrs {
-            let out = &mut maxima[..csr.rows()];
-            csr.row_maxima_into(out);
+        for local in model.locals() {
+            let out = &mut maxima[..local.len()];
+            local.a1().row_maxima_into(out);
             acc += out.iter().sum::<f64>();
         }
-        csr_sink = std::hint::black_box(acc);
+        std::hint::black_box(acc);
     });
-    assert_eq!(
-        dense_sink.to_bits(),
-        csr_sink.to_bits(),
-        "CSR row maxima diverged from the dense fold"
-    );
 
     vec![
         KernelSample {
@@ -676,11 +648,6 @@ fn kernel_microbench(model: &hmmm_core::Hmmm) -> Vec<KernelSample> {
             variant: "similarity_blocked",
             seconds: blocked_secs,
             units_per_sec: evals / blocked_secs,
-        },
-        KernelSample {
-            variant: "row_max_dense",
-            seconds: dense_secs,
-            units_per_sec: rows as f64 / dense_secs,
         },
         KernelSample {
             variant: "row_max_csr",

@@ -1,21 +1,19 @@
-//! E11 — hot-path layout sweep: what the blocked SoA kernel and the sparse
-//! `A_1` rows buy, and where.
+//! E11 — hot-path layout sweep: what the blocked SoA kernel buys, and
+//! where.
 //!
-//! Three sweeps, all serial (this measures memory layout, not the machine):
+//! Two sweeps, all serial (this measures memory layout, not the machine):
 //!
 //! 1. **Block size** — Eq.-14 throughput (shot-evaluations/sec) of
 //!    `sim::similarity_block` over contiguous blocks of B shots, against
 //!    the scalar per-shot reference. Small blocks pay per-call overhead;
 //!    large blocks stream the feature-major slab at unit stride.
-//! 2. **Annotation density** — forward row-max refresh (rows/sec) through
-//!    the dense fold vs the CSR view across event rates: the sparser the
-//!    archive's `A_1` support, the more structural zeros the CSR skips.
-//! 3. **Archive size** — end-to-end content-driven retrieval (shots/sec)
-//!    at growing archive sizes, the number the ISSUE acceptance gate
-//!    tracks.
+//! 2. **Archive size** — end-to-end content-driven retrieval (shots/sec)
+//!    at growing archive sizes, with the forward density of the sparse
+//!    `A_1` the traversal walks.
 //!
-//! Every timed variant is cross-checked bitwise against its reference
-//! inside the loop — a layout bug can never ship inside a perf table.
+//! The blocked variant is cross-checked bitwise against the scalar
+//! reference inside the loop — a layout bug can never ship inside a perf
+//! table.
 //!
 //! ```text
 //! cargo run --release -p hmmm-bench --bin exp_kernel_sweep [-- --quick]
@@ -25,7 +23,6 @@
 
 use hmmm_bench::{skewed_catalog, DataConfig, Table};
 use hmmm_core::{build_hmmm, sim, BuildConfig, Hmmm, RetrievalConfig, Retriever};
-use hmmm_matrix::ForwardCsr;
 use hmmm_media::EventKind;
 use hmmm_query::QueryTranslator;
 use std::time::Instant;
@@ -138,79 +135,7 @@ fn main() {
     println!("{t}");
     std::hint::black_box(reference);
 
-    // --- Sweep 2: A1 forward density vs row-max refresh cost.
-    println!("\n## forward row-max refresh: dense fold vs CSR view\n");
-    let mut t = Table::new(&["event rate", "fwd density", "dense", "csr", "dense/csr"]);
-    for &rate in &[0.02f64, 0.08, 0.30] {
-        let catalog = skewed_catalog(
-            DataConfig {
-                videos: if quick { 8 } else { 40 },
-                shots_per_video: if quick { 40 } else { 150 },
-                event_rate: rate,
-                seed: 0xE11 + 7,
-            },
-            0.005,
-        );
-        let model = build_hmmm(&catalog, &BuildConfig::default()).expect("non-empty");
-        let csrs: Vec<ForwardCsr> = model
-            .locals
-            .iter()
-            .map(|l| ForwardCsr::from_forward(l.a1.as_matrix()))
-            .collect();
-        let nnz: usize = csrs.iter().map(|c| c.nnz()).sum();
-        let slots: usize = model
-            .locals
-            .iter()
-            .map(|l| l.a1.rows() * (l.a1.rows() + 1) / 2)
-            .sum();
-        let max_rows = model.locals.iter().map(|l| l.a1.rows()).max().unwrap_or(0);
-        let mut maxima = vec![0.0f64; max_rows];
-        let dense_sink: f64 = model
-            .locals
-            .iter()
-            .map(|l| {
-                let m = l.a1.as_matrix();
-                (0..m.rows())
-                    .map(|s| (s..m.cols()).map(|c| m[(s, c)]).fold(0.0, f64::max))
-                    .sum::<f64>()
-            })
-            .sum();
-        let dense_secs = best_secs(rounds, || {
-            let mut acc = 0.0;
-            for local in &model.locals {
-                let m = local.a1.as_matrix();
-                for s in 0..m.rows() {
-                    acc += (s..m.cols()).map(|c| m[(s, c)]).fold(0.0, f64::max);
-                }
-            }
-            std::hint::black_box(acc);
-        });
-        let mut csr_sink = 0.0f64;
-        let csr_secs = best_secs(rounds, || {
-            let mut acc = 0.0;
-            for csr in &csrs {
-                let out = &mut maxima[..csr.rows()];
-                csr.row_maxima_into(out);
-                acc += out.iter().sum::<f64>();
-            }
-            csr_sink = std::hint::black_box(acc);
-        });
-        assert_eq!(
-            dense_sink.to_bits(),
-            csr_sink.to_bits(),
-            "CSR row maxima diverged at event rate {rate}"
-        );
-        t.row_owned(vec![
-            format!("{rate:.2}"),
-            format!("{:.3}", nnz as f64 / slots.max(1) as f64),
-            format!("{:.3} ms", dense_secs * 1e3),
-            format!("{:.3} ms", csr_secs * 1e3),
-            format!("{:.2}x", dense_secs / csr_secs),
-        ]);
-    }
-    println!("{t}");
-
-    // --- Sweep 3: end-to-end serial retrieval throughput vs archive size.
+    // --- Sweep 2: end-to-end serial retrieval throughput vs archive size.
     println!("\n## content-driven retrieval (serial): shots/sec vs archive size\n");
     let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
     let pattern = translator.compile("goal -> goal").expect("valid");
@@ -219,7 +144,7 @@ fn main() {
     } else {
         &[(20, 100), (40, 150), (80, 250)]
     };
-    let mut t = Table::new(&["archive", "latency", "shots/sec", "csr videos"]);
+    let mut t = Table::new(&["archive", "latency", "shots/sec", "A1 fwd density"]);
     for &(videos, shots_per) in sizes {
         let catalog = skewed_catalog(
             DataConfig {
@@ -231,7 +156,8 @@ fn main() {
             0.005,
         );
         let model = build_hmmm(&catalog, &BuildConfig::default()).expect("non-empty");
-        let sparse = model.locals.iter().filter(|l| l.a1_sparse.is_some()).count();
+        let nnz: usize = model.locals().iter().map(|l| l.a1().nnz()).sum();
+        let slots: usize = model.locals().iter().map(|l| l.len() * (l.len() + 1) / 2).sum();
         let cfg = RetrievalConfig {
             threads: Some(1),
             ..RetrievalConfig::content_only()
@@ -245,7 +171,7 @@ fn main() {
             format!("{videos}×{shots_per}"),
             format!("{:.2} ms", secs * 1e3),
             format!("{:.0}", catalog.shot_count() as f64 / secs),
-            format!("{sparse}/{videos}"),
+            format!("{:.3}", nnz as f64 / slots.max(1) as f64),
         ]);
     }
     println!("{t}");

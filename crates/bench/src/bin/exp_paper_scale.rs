@@ -20,9 +20,14 @@ fn main() {
     let build = t1.elapsed();
 
     // Memory proxy: dominant allocations.
-    let a1_entries: usize = model.locals.iter().map(|l| l.len() * l.len()).sum();
-    let b1_bytes = model.b1.len() * hmmm_features::FEATURE_COUNT * 8;
-    let a1_bytes = a1_entries * 8;
+    // A_1 is CSR: a u32 column and an f64 value per stored entry, plus a
+    // u32 row offset per row.
+    let a1_bytes: usize = model
+        .locals()
+        .iter()
+        .map(|l| l.a1().nnz() * 12 + (l.len() + 1) * 4)
+        .sum();
+    let b1_bytes = model.shot_count() * hmmm_features::FEATURE_COUNT * 8;
     let a2_bytes = model.video_count() * model.video_count() * 8;
 
     let mut t = Table::new(&["quantity", "paper", "this run"]);

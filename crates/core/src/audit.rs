@@ -1,13 +1,14 @@
 //! The λ-invariant deep auditor.
 //!
-//! [`crate::model::Hmmm::validate_against`] checks *shapes* (state counts,
-//! matrix dimensions, fresh pruning-bound caches). This module extends it
-//! into a numeric well-formedness audit of the whole Definition-1 tuple
+//! [`crate::model::Hmmm::validate_against`] pairs a model with a catalog
+//! (state counts per video, one `B_1` row per shot). This module adds the
+//! numeric well-formedness audit of the whole Definition-1 tuple
 //! `λ = (d, S, F, A, B, Π, P, L)`:
 //!
-//! * `A_1` (per video) and `A_2` are row-stochastic within tolerance, with
-//!   every entry a finite probability — the Eq. 12–13 walk weights and the
-//!   admissible completion bounds both assume this.
+//! * `A_1` (per video, over its stored forward entries) and `A_2` are
+//!   row-stochastic within tolerance, with every entry a finite probability
+//!   — the Eq. 12–13 walk weights and the admissible completion bounds both
+//!   assume this.
 //! * `Π_1`, `Π_2` and every row of `P_{1,2}` carry unit mass (Eqs. 4, 6, 7
 //!   and the Eqs. 8–10 learning updates all renormalize; drift here means a
 //!   broken update path).
@@ -20,21 +21,17 @@
 //!   [`crate::sim::CENTROID_EPSILON`] are genuinely usable.
 //! * `B_2` matches the catalog's annotation counts (feedback never touches
 //!   `B_2`; a mismatch means the model was built from a different archive).
-//! * The `refresh_bounds` caches compare exactly equal to recomputed
-//!   maxima (delegated to `validate_against` — same fold, bitwise equality).
-//! * The hot-path SoA caches mirror their AoS sources bitwise (also via
-//!   `validate_against`): the feature-major `B_1` slab against the row-major
-//!   `b1`, every packed [`crate::model::EventTerms`] list (including its
-//!   memoized Eq. 14 self-similarity denominator) against `P_{1,2}` and
-//!   `B_1'`, and each video's sparse `A_1` view against its dense matrix —
-//!   including that the sparse/dense choice still agrees with
-//!   [`crate::model::A1_CSR_DENSITY_THRESHOLD`].
 //!
-//! The audit runs through [`crate::model::Hmmm::deep_audit`], is surfaced on
-//! the CLI as `hmmm check`, and in debug builds is wired into
-//! `validate_against` itself so every validation proof minted while tests
-//! run (each `Retriever::new`, each served (worker, epoch)) re-proves the
-//! invariants.
+//! The derived caches (bound factors, the `B_1` slab, packed event terms,
+//! the coarse index) are not audited: they are private, rebuilt from the
+//! sources by every writer, and never persisted, so they cannot disagree
+//! with them.
+//!
+//! The numeric half ([`audit_numeric`]) runs whenever a model is
+//! deserialized, in every build profile, and [`crate::load_model`] adds
+//! the catalog half ([`audit_links`] after `validate_against`). The full
+//! audit runs through [`crate::model::Hmmm::deep_audit`]:
+//! before a served snapshot is published, and on the CLI as `hmmm check`.
 
 use crate::error::CoreError;
 use crate::model::Hmmm;
@@ -70,14 +67,6 @@ pub struct AuditSummary {
     /// Events whose `B_1'` centroid has at least one Eq.-14-usable
     /// denominator (an entry above [`crate::sim::CENTROID_EPSILON`]).
     pub events_with_usable_centroid: usize,
-    /// Videos whose `A_1` traversal runs over the proven-fresh sparse CSR
-    /// view (the rest fall back to the dense row scan because their forward
-    /// density exceeds [`crate::model::A1_CSR_DENSITY_THRESHOLD`]).
-    pub a1_sparse_videos: usize,
-    /// Total event → video postings proven to mirror the `B_2` signature
-    /// bitwise, with every stored coarse bound summary re-folded equal
-    /// (the [`crate::coarse::CoarseIndex`] consistency check).
-    pub coarse_postings: usize,
 }
 
 impl fmt::Display for AuditSummary {
@@ -85,8 +74,7 @@ impl fmt::Display for AuditSummary {
         write!(
             f,
             "{} videos / {} shots; rows unit-mass: A1={} A2={} P12={} Π={}; \
-             L12 links 0/1: {}; events with usable B1' denominators: {}/{}; \
-             A1 sparse views: {}/{}; coarse postings: {}",
+             L12 links 0/1: {}; events with usable B1' denominators: {}/{}",
             self.videos,
             self.shots,
             self.a1_rows,
@@ -96,21 +84,21 @@ impl fmt::Display for AuditSummary {
             self.links,
             self.events_with_usable_centroid,
             EventKind::COUNT,
-            self.a1_sparse_videos,
-            self.videos,
-            self.coarse_postings
         )
     }
 }
 
-/// Checks that every row of `what` is a finite probability distribution
-/// within [`AUDIT_TOLERANCE`]. Returns the number of rows proven.
-fn audit_stochastic_rows(m: &StochasticMatrix, what: &str) -> Result<usize, CoreError> {
-    let dense = m.as_matrix();
-    for r in 0..dense.rows() {
+/// Checks that every row (an iterator of `(column, entry)` pairs) is a
+/// finite probability distribution within [`AUDIT_TOLERANCE`]. Returns the
+/// number of rows proven.
+fn audit_stochastic_rows<R>(rows: impl Iterator<Item = R>, what: &str) -> Result<usize, CoreError>
+where
+    R: Iterator<Item = (usize, f64)>,
+{
+    let mut proven = 0;
+    for (r, row) in rows.enumerate() {
         let mut sum = 0.0;
-        for c in 0..dense.cols() {
-            let p = dense[(r, c)];
+        for (c, p) in row {
             if !p.is_finite() || !(0.0..=1.0 + AUDIT_TOLERANCE).contains(&p) {
                 return Err(CoreError::Inconsistent(format!(
                     "{what} row {r} col {c}: entry {p} is not a probability"
@@ -123,8 +111,17 @@ fn audit_stochastic_rows(m: &StochasticMatrix, what: &str) -> Result<usize, Core
                 "{what} row {r} sums to {sum}, expected 1 ± {AUDIT_TOLERANCE}"
             )));
         }
+        proven += 1;
     }
-    Ok(dense.rows())
+    Ok(proven)
+}
+
+/// [`audit_stochastic_rows`] over every row of a dense stochastic matrix.
+fn audit_dense_rows(m: &StochasticMatrix, what: &str) -> Result<usize, CoreError> {
+    audit_stochastic_rows(
+        (0..m.rows()).map(|r| m.row(r).iter().copied().enumerate()),
+        what,
+    )
 }
 
 /// Checks that a `Π` vector carries unit mass of finite probabilities.
@@ -147,24 +144,31 @@ fn audit_prob_vector(v: &ProbVector, what: &str) -> Result<(), CoreError> {
 }
 
 /// Numeric audit of the model-internal Definition-1 invariants (no catalog
-/// needed): stochastic rows, unit-mass `Π`s, finite in-range `B_1`/`B_1'`
-/// (the Eq. 11 centroids).
+/// needed): stochastic rows (`A_1` over its stored forward entries),
+/// unit-mass `Π`s, finite in-range `B_1`/`B_1'` (the Eq. 11 centroids).
 ///
 /// # Errors
 ///
 /// [`CoreError::Inconsistent`] naming the first violated invariant.
 pub fn audit_numeric(model: &Hmmm) -> Result<(), CoreError> {
-    for (v, local) in model.locals.iter().enumerate() {
-        audit_stochastic_rows(&local.a1, &format!("A1 of video {v}"))?;
-        audit_prob_vector(&local.pi1, &format!("Π1 of video {v}"))?;
+    for (v, local) in model.locals().iter().enumerate() {
+        let a1 = local.a1();
+        audit_stochastic_rows(
+            (0..a1.rows()).map(|r| {
+                let (cols, vals) = a1.row(r);
+                cols.iter().map(|&c| c as usize).zip(vals.iter().copied())
+            }),
+            &format!("A1 of video {v}"),
+        )?;
+        audit_prob_vector(local.pi1(), &format!("Π1 of video {v}"))?;
     }
-    audit_stochastic_rows(&model.a2, "A2")?;
-    audit_prob_vector(&model.pi2, "Π2")?;
-    audit_stochastic_rows(&model.p12, "P12")?;
-    for (s, row) in model.b1.iter().enumerate() {
+    audit_dense_rows(model.a2(), "A2")?;
+    audit_prob_vector(model.pi2(), "Π2")?;
+    audit_dense_rows(model.p12(), "P12")?;
+    for (s, row) in model.b1().iter().enumerate() {
         audit_unit_interval(row.as_slice(), &format!("B1 shot {s}"))?;
     }
-    for (e, row) in model.b1_prime.iter().enumerate() {
+    for (e, row) in model.b1_prime().iter().enumerate() {
         audit_unit_interval(row.as_slice(), &format!("B1' event {e}"))?;
     }
     Ok(())
@@ -213,8 +217,8 @@ pub fn audit_links(model: &Hmmm, catalog: &Catalog) -> Result<usize, CoreError> 
         )));
     }
     let expected = catalog.event_count_matrix();
-    if model.b2 != expected {
-        for (v, (got, want)) in model.b2.iter().zip(expected.iter()).enumerate() {
+    if model.b2() != expected.as_slice() {
+        for (v, (got, want)) in model.b2().iter().zip(expected.iter()).enumerate() {
             if got != want {
                 return Err(CoreError::Inconsistent(format!(
                     "B2 row {v} disagrees with catalog annotations \
@@ -227,9 +231,11 @@ pub fn audit_links(model: &Hmmm, catalog: &Catalog) -> Result<usize, CoreError> 
 }
 
 impl Hmmm {
-    /// Full λ-invariant audit: [`Hmmm::validate_against`] (shapes + fresh
-    /// pruning-bound caches) plus the numeric Definition-1 checks in
-    /// [`crate::audit`]. This is what `hmmm check` runs.
+    /// Full λ-invariant audit: [`Hmmm::validate_against`] (the
+    /// model↔catalog pairing) plus the numeric Definition-1 checks and the
+    /// `L_{1,2}`/`B_2` agreement with the catalog in [`crate::audit`]. This
+    /// is what `hmmm check` runs; [`crate::load_model`] runs the same checks,
+    /// the numeric half while parsing.
     ///
     /// # Errors
     ///
@@ -238,37 +244,24 @@ impl Hmmm {
         self.validate_against(catalog)?;
         audit_numeric(self)?;
         let links = audit_links(self, catalog)?;
-        // Coarse-index consistency, full half: the postings must equal the
-        // B_2 signature (which `audit_links` just proved equal to the
-        // catalog's annotation counts, so signatures == catalog counts by
-        // transitivity) and every stored bound summary must re-fold
-        // bitwise from the live matrices (stored bounds == fresh bounds).
-        self.coarse.audit(self)?;
-        let usable = (0..EventKind::COUNT)
-            .filter(|&e| {
-                self.b1_prime[e]
-                    .as_slice()
+        let usable = self
+            .b1_prime()
+            .iter()
+            .filter(|c| {
+                c.as_slice()
                     .iter()
                     .any(|&c| c > crate::sim::CENTROID_EPSILON)
             })
             .count();
-        let a1_rows = self.locals.iter().map(|l| l.a1.rows()).sum();
-        let a1_sparse_videos = self
-            .locals
-            .iter()
-            .filter(|l| l.a1_sparse.is_some())
-            .count();
         Ok(AuditSummary {
             videos: self.video_count(),
             shots: self.shot_count(),
-            a1_rows,
-            a2_rows: self.a2.rows(),
-            p12_rows: self.p12.rows(),
-            pi_vectors: self.locals.len() + 1,
+            a1_rows: self.locals().iter().map(|l| l.a1().rows()).sum(),
+            a2_rows: self.a2().rows(),
+            p12_rows: self.p12().rows(),
+            pi_vectors: self.video_count() + 1,
             links,
             events_with_usable_centroid: usable,
-            a1_sparse_videos,
-            coarse_postings: self.coarse.postings_len(),
         })
     }
 }
@@ -280,17 +273,21 @@ const _: () = assert!(FEATURE_COUNT > 0 && EventKind::COUNT > 0);
 mod tests {
     use super::*;
     use crate::construct::{build_hmmm, BuildConfig};
+    use crate::model::tests::load_edited;
     use hmmm_features::{FeatureId, FeatureVector};
-    use hmmm_matrix::Matrix;
+    use serde::{Deserialize, Value};
 
-    fn catalog() -> Catalog {
+    fn feat(x: f64) -> FeatureVector {
+        let mut v = FeatureVector::zeros();
+        v[FeatureId::GrassRatio] = x;
+        v[FeatureId::VolumeMean] = 1.0 - x;
+        v
+    }
+
+    /// Builds a two-video catalog; `extra_goal` also annotates the last
+    /// shot of the second video as a goal (same shapes, different `B_2`).
+    fn annotated_catalog(extra_goal: bool) -> Catalog {
         let mut c = Catalog::new();
-        let feat = |x: f64| {
-            let mut v = FeatureVector::zeros();
-            v[FeatureId::GrassRatio] = x;
-            v[FeatureId::VolumeMean] = 1.0 - x;
-            v
-        };
         c.add_video(
             "m1",
             vec![
@@ -299,11 +296,20 @@ mod tests {
                 (vec![EventKind::CornerKick], feat(0.5)),
             ],
         );
+        let last = if extra_goal {
+            vec![EventKind::Goal]
+        } else {
+            vec![]
+        };
         c.add_video(
             "m2",
-            vec![(vec![EventKind::Goal], feat(0.9)), (vec![], feat(0.1))],
+            vec![(vec![EventKind::Goal], feat(0.9)), (last, feat(0.1))],
         );
         c
+    }
+
+    fn catalog() -> Catalog {
+        annotated_catalog(false)
     }
 
     #[test]
@@ -321,135 +327,35 @@ mod tests {
     }
 
     #[test]
-    fn deep_audit_rejects_perturbed_a1_row() {
-        let c = catalog();
-        let mut m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        let mut dense: Matrix = m.locals[0].a1.as_matrix().clone();
-        dense[(0, 0)] += 0.25; // row now sums to 1.25
-        m.locals[0].a1 = StochasticMatrix::new_unchecked(dense);
-        m.locals[0].refresh_bounds(); // keep bound caches fresh so the
-                                      // *row-sum* check is what fires
-        let err = m.deep_audit(&c).unwrap_err();
-        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("A1")));
+    fn loading_rejects_a_perturbed_a1_row() {
+        let m = build_hmmm(&catalog(), &BuildConfig::default()).unwrap();
+        // The first stored entry of video 0's row 0: the row now sums to 1.25.
+        let err = load_edited(&m, &["locals", "0", "a1", "vals", "0"], |v| {
+            *v = Value::Float(f64::from_value(v).unwrap() + 0.25)
+        })
+        .unwrap_err();
+        assert!(
+            err.to_string().contains("A1 of video 0 row 0 sums to"),
+            "{err}"
+        );
     }
 
     #[test]
     fn deep_audit_rejects_b2_drift() {
-        let c = catalog();
-        let mut m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        m.b2[0][EventKind::Goal.index()] += 1;
-        let err = m.deep_audit(&c).unwrap_err();
-        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("B2")));
+        // Same shapes, one more goal annotation: the model's B2 was counted
+        // from another archive.
+        let m = build_hmmm(&catalog(), &BuildConfig::default()).unwrap();
+        let err = m.deep_audit(&annotated_catalog(true)).unwrap_err();
+        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("B2 row 1")));
     }
 
     #[test]
-    fn deep_audit_rejects_non_finite_centroid() {
-        let c = catalog();
-        let mut m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        m.b1_prime[0].as_mut_slice()[0] = f64::NAN;
-        assert!(m.deep_audit(&c).is_err());
-    }
-
-    #[test]
-    fn deep_audit_rejects_stale_b1_slab() {
-        let c = catalog();
-        let mut m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        // Mutate the AoS source without refreshing the SoA mirror: the
-        // blocked kernel would silently read stale features, so the audit
-        // must fail before retrieval ever runs.
-        m.b1[0][FeatureId::GrassRatio] += 0.05;
-        let err = m.deep_audit(&c).unwrap_err();
-        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("B1 SoA slab")));
-        m.refresh_derived();
-        assert!(m.deep_audit(&c).is_ok());
-    }
-
-    #[test]
-    fn deep_audit_rejects_stale_event_terms() {
-        let c = catalog();
-        let mut m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        // Nudge a centroid entry the packed term lists were built from
-        // (keep it inside [0, 1] so only the staleness check can fire).
-        let slice = m.b1_prime[0].as_mut_slice();
-        slice[0] = (slice[0] + 0.1).min(1.0);
-        let err = m.deep_audit(&c).unwrap_err();
-        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("event terms")));
-        m.refresh_event_terms();
-        // The coarse index folds calibrated Eq.-14 scores off the packed
-        // terms, so it went stale with them and must be refreshed too.
-        let err = m.deep_audit(&c).unwrap_err();
-        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("coarse")));
-        m.refresh_coarse();
-        assert!(m.deep_audit(&c).is_ok());
-    }
-
-    #[test]
-    fn deep_audit_rejects_stale_coarse_index() {
-        let c = catalog();
-        let mut m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        // A poked bound summary passes the cheap postings predicate in
-        // `validate_against` but must fail the deep audit's bitwise
-        // re-fold (stored bounds == freshly folded bounds).
-        m.coarse.sim_max[EventKind::Goal.index()] += 0.5;
-        assert!(m.validate_against(&c).is_ok());
-        let err = m.deep_audit(&c).unwrap_err();
-        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("coarse sim_max")));
-        m.refresh_coarse();
-        assert!(m.deep_audit(&c).is_ok());
-        // Postings drift, by contrast, is caught by every
-        // `validate_against` (and thus every validation proof).
-        m.coarse.postings[EventKind::Goal.index()].clear();
-        let err = m.validate_against(&c).unwrap_err();
-        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("coarse index")));
-    }
-
-    /// A catalog whose lone video has mostly-unannotated shots, so the
-    /// initial `A_1` (Eq. 4) is genuinely sparse: only the annotated shots
-    /// attract forward mass and the density falls under the CSR threshold.
-    fn sparse_catalog() -> Catalog {
-        let mut c = Catalog::new();
-        let feat = |x: f64| {
-            let mut v = FeatureVector::zeros();
-            v[FeatureId::GrassRatio] = x;
-            v[FeatureId::VolumeMean] = 1.0 - x;
-            v
-        };
-        c.add_video(
-            "long",
-            vec![
-                (vec![EventKind::FreeKick], feat(0.2)),
-                (vec![], feat(0.3)),
-                (vec![], feat(0.4)),
-                (vec![], feat(0.6)),
-                (vec![EventKind::Goal], feat(0.8)),
-            ],
-        );
-        c
-    }
-
-    #[test]
-    fn deep_audit_rejects_stale_sparse_a1() {
-        let c = sparse_catalog();
-        let mut m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        // Drop the CSR view while the density still demands one: the
-        // sparse/dense traversal choice would diverge from the policy.
-        assert!(
-            m.locals.iter().any(|l| l.a1_sparse.is_some()),
-            "fixture should produce at least one sparse A1"
-        );
-        for local in &mut m.locals {
-            local.a1_sparse = None;
-        }
-        let err = m.deep_audit(&c).unwrap_err();
-        assert!(matches!(err, CoreError::Inconsistent(ref s) if s.contains("sparse A1")));
-    }
-
-    #[test]
-    fn summary_reports_sparse_a1_views() {
-        let c = sparse_catalog();
-        let m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        let summary = m.deep_audit(&c).unwrap();
-        assert_eq!(summary.a1_sparse_videos, 1);
-        assert!(summary.to_string().contains("A1 sparse views: 1/1"));
+    fn loading_rejects_a_non_finite_centroid() {
+        let m = build_hmmm(&catalog(), &BuildConfig::default()).unwrap();
+        let err = load_edited(&m, &["b1_prime", "0", "0"], |v| {
+            *v = Value::Float(f64::INFINITY)
+        })
+        .unwrap_err();
+        assert!(err.to_string().contains("B1' event 0 feature 0"), "{err}");
     }
 }

@@ -88,7 +88,7 @@ impl QueryBounds {
         let video_ub = if self.step_max.is_empty() {
             0.0
         } else {
-            local.pi1_max * self.step_max[0] * (1.0 + local.a1_max * chain[0]) * BOUND_SLACK
+            local.pi1_max() * self.step_max[0] * (1.0 + local.a1_max() * chain[0]) * BOUND_SLACK
         };
         VideoBounds { chain, video_ub }
     }
@@ -98,7 +98,7 @@ impl QueryBounds {
         let steps = self.step_max.len();
         let mut chain = vec![0.0; steps.max(1)];
         for j in (0..steps.saturating_sub(1)).rev() {
-            chain[j] = self.step_max[j + 1] * (1.0 + local.a1_max * chain[j + 1]);
+            chain[j] = self.step_max[j + 1] * (1.0 + local.a1_max() * chain[j + 1]);
         }
         chain
     }
@@ -155,41 +155,47 @@ impl VideoBounds {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hmmm_matrix::{ProbVector, StochasticMatrix};
+    use hmmm_matrix::{ForwardCsr, ProbVector};
 
+    /// A local MMM from dense `A_1` rows; only the forward (`j ≥ i`) part
+    /// of each row is stored, and it must already sum to one.
     fn local(a1_rows: &[&[f64]], pi1: &[f64]) -> LocalMmm {
-        let n = a1_rows.len();
-        let mut m = hmmm_matrix::Matrix::zeros(n, n);
+        let (mut row_start, mut cols, mut counts) = (vec![0u32], Vec::new(), Vec::new());
         for (i, row) in a1_rows.iter().enumerate() {
-            for (j, &x) in row.iter().enumerate() {
-                m[(i, j)] = x;
+            for (j, &x) in row.iter().enumerate().skip(i) {
+                cols.push(j as u32);
+                counts.push(x);
+            }
+            row_start.push(cols.len() as u32);
+        }
+        let a1 = ForwardCsr::from_counts(row_start, cols, counts).unwrap();
+        for (i, row) in a1_rows.iter().enumerate() {
+            for (j, &x) in row.iter().enumerate().skip(i) {
+                assert_eq!(a1.get(i, j), x, "forward row {i} is not stochastic");
             }
         }
-        LocalMmm::new(
-            StochasticMatrix::new(m).unwrap(),
-            ProbVector::from_counts(pi1).unwrap(),
-        )
+        LocalMmm::new(a1, ProbVector::from_counts(pi1).unwrap())
     }
 
     #[test]
     fn chain_recurrence_matches_hand_fold() {
         let l = local(
-            &[&[0.2, 0.8], &[0.5, 0.5]],
+            &[&[0.25, 0.75], &[0.0, 1.0]],
             &[1.0, 3.0], // normalizes to [0.25, 0.75]
         );
-        assert_eq!(l.a1_row_max, vec![0.8, 0.5]);
-        assert_eq!(l.a1_max, 0.8);
-        assert_eq!(l.pi1_max, 0.75);
+        assert_eq!(l.a1_row_max(), &[0.75, 1.0]);
+        assert_eq!(l.a1_max(), 1.0);
+        assert_eq!(l.pi1_max(), 0.75);
         let qb = QueryBounds::new(vec![0.9, 0.6, 0.4]);
         let vb = qb.for_video(&l);
         // chain[2] = 0; chain[1] = 0.4·1 = 0.4;
-        // chain[0] = 0.6·(1 + 0.8·0.4) = 0.792.
+        // chain[0] = 0.6·(1 + 1·0.4) = 0.84.
         assert_eq!(vb.chain[2], 0.0);
         assert!((vb.chain[1] - 0.4).abs() < 1e-12);
-        assert!((vb.chain[0] - 0.792).abs() < 1e-12);
-        assert!((vb.chain0() - 0.792).abs() < 1e-12);
-        // UB = 0.75·0.9·(1 + 0.8·0.792)·slack.
-        let expect = 0.75 * 0.9 * (1.0 + 0.8 * 0.792) * BOUND_SLACK;
+        assert!((vb.chain[0] - 0.84).abs() < 1e-12);
+        assert!((vb.chain0() - 0.84).abs() < 1e-12);
+        // UB = 0.75·0.9·(1 + 1·0.84)·slack.
+        let expect = 0.75 * 0.9 * (1.0 + 0.84) * BOUND_SLACK;
         assert!((vb.video_ub() - expect).abs() < 1e-12);
         // A caller-refined whole-video bound replaces it, slack included.
         let refined = vb.clone().with_video_ub(0.5);
@@ -203,15 +209,15 @@ mod tests {
         // (start, step) prefix by brute force and check domination —
         // entry bounds charged with each prefix shot's own row maximum.
         let a1 = [
-            [0.1, 0.6, 0.3],
-            [0.4, 0.2, 0.4],
-            [0.3, 0.3, 0.4],
+            [0.125, 0.625, 0.25],
+            [0.0, 0.375, 0.625],
+            [0.0, 0.0, 1.0],
         ];
         let l = local(
             &[&a1[0], &a1[1], &a1[2]],
             &[0.2, 0.5, 0.3],
         );
-        assert_eq!(l.a1_row_max, vec![0.6, 0.4, 0.4]);
+        assert_eq!(l.a1_row_max(), &[0.625, 0.625, 1.0]);
         let sims = [
             [0.9, 0.1, 0.5], // sim(shot, step) for step 0..3
             [0.2, 0.8, 0.3],
@@ -238,14 +244,14 @@ mod tests {
                     best_from_s0 = best_from_s0.max(total);
                     assert!(vb.video_ub() >= total);
                     // An entry settled at the final step bounds itself.
-                    assert!(vb.entry_ub(total, w2, 2, l.a1_row_max[s2]) >= total);
+                    assert!(vb.entry_ub(total, w2, 2, l.a1_row_max()[s2]) >= total);
                 }
                 assert!(
-                    vb.entry_ub(w0 + w1, w1, 1, l.a1_row_max[s1]) >= best_from_s1,
+                    vb.entry_ub(w0 + w1, w1, 1, l.a1_row_max()[s1]) >= best_from_s1,
                     "step-1 entry bound below its best completion"
                 );
             }
-            assert!(vb.entry_ub(w0, w0, 0, l.a1_row_max[s0]) >= best_from_s0);
+            assert!(vb.entry_ub(w0, w0, 0, l.a1_row_max()[s0]) >= best_from_s0);
         }
     }
 
@@ -254,9 +260,9 @@ mod tests {
         // Same lattice: the per-shot start fold must dominate every
         // forward path yet sit at or below the separable product.
         let a1 = [
-            [0.1, 0.6, 0.3],
-            [0.4, 0.2, 0.4],
-            [0.3, 0.3, 0.4],
+            [0.125, 0.625, 0.25],
+            [0.0, 0.375, 0.625],
+            [0.0, 0.0, 1.0],
         ];
         let l = local(&[&a1[0], &a1[1], &a1[2]], &[0.2, 0.5, 0.3]);
         let sims = [[0.9, 0.1], [0.2, 0.8], [0.4, 0.4]];
@@ -266,7 +272,7 @@ mod tests {
         let vb = QueryBounds::new(sm).for_video(&l);
         let pi = [0.2, 0.5, 0.3];
         let raw = (0..3)
-            .map(|s| pi[s] * sims[s][0] * (1.0 + l.a1_row_max[s] * vb.chain0()))
+            .map(|s| pi[s] * sims[s][0] * (1.0 + l.a1_row_max()[s] * vb.chain0()))
             .fold(0.0, f64::max);
         let refined = vb.clone().with_video_ub(raw);
         assert!(refined.video_ub() <= vb.video_ub());

@@ -45,14 +45,14 @@ impl CategoryLevel {
             return None;
         }
         let k = k.min(m);
-        let (assignments, medoids) = k_medoids(&model.b2, k);
+        let (assignments, medoids) = k_medoids(model.b2(), k);
 
         let mut b3 = vec![[0usize; EventKind::COUNT]; medoids.len()];
         let mut sizes = vec![0.0f64; medoids.len()];
         for (video, &cat) in assignments.iter().enumerate() {
             sizes[cat] += 1.0;
             for (e, cell) in b3[cat].iter_mut().enumerate() {
-                *cell += model.b2[video][e];
+                *cell += model.b2()[video][e];
             }
         }
 

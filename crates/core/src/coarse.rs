@@ -20,11 +20,10 @@
 //! ([`crate::Retriever`]), which prunes against exactly those bounds.
 //!
 //! The index is a **derived cache** of the model, like the `B_1` SoA slab
-//! and the packed event terms: [`crate::Hmmm::refresh_coarse`] rebuilds it
-//! whenever the source matrices move (construction, every feedback round),
-//! `validate_against` checks its shape and the postings ↔ `B_2` agreement
-//! on every [`crate::Retriever::new`], and `deep_audit` re-folds every
-//! stored bound bitwise from the live matrices.
+//! and the packed event terms: private to the model, never persisted, and
+//! rebuilt from the sources by every writer (construction, each feedback
+//! round, deserialization), so it always folds the matrices it sits
+//! beside.
 //!
 //! # Why the bounds are admissible
 //!
@@ -58,49 +57,35 @@
 //! drops it even when pruning is off.
 
 use crate::bounds::{QueryBounds, VideoBounds};
-use crate::error::CoreError;
 use crate::model::{Hmmm, LocalMmm};
 use crate::retrieve::{RetrievalConfig, RetrievalStats};
 use hmmm_media::EventKind;
 use hmmm_query::CompiledPattern;
 use hmmm_storage::VideoId;
-use serde::{Deserialize, Serialize};
 
 /// The ingest-time candidate index + per-video bound summaries (see the
 /// module docs). Flat `f64` tables are indexed `[video × EventKind::COUNT
 /// + event]`; postings lists hold ascending video indices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CoarseIndex {
     /// Inverted `B_2` signature: `postings[e]` lists (ascending) every
     /// video whose `B_2[v][e] > 0` — the videos that pass the paper's
     /// Step-2 first-event check for `e`.
-    pub postings: Vec<Vec<u32>>,
+    postings: Vec<Vec<u32>>,
     /// `sim_max[v·C + e]` — largest calibrated Eq.-14 similarity any shot
     /// of video `v` attains against event `e` (the per-video per-step
     /// similarity ceiling `sm_j` of [`QueryBounds`]).
-    pub sim_max: Vec<f64>,
+    sim_max: Vec<f64>,
     /// `start_max[v·C + e] = max_s Π_1(s) · sim(s, e)` — the largest
     /// Eq.-12 start weight video `v` can admit for event `e`.
-    pub start_max: Vec<f64>,
+    start_max: Vec<f64>,
     /// `start_joint[v·C + e] = max_s Π_1(s) · sim(s, e) · a1_row_max[s]` —
     /// the start weight with the shot's own forward `A_1` row maximum
     /// (first Eq.-13 hop) folded in.
-    pub start_joint: Vec<f64>,
+    start_joint: Vec<f64>,
 }
 
 impl CoarseIndex {
-    /// The empty index (no videos, no events indexed) — the construction
-    /// placeholder before [`crate::Hmmm::refresh_coarse`] runs, mirroring
-    /// the other Definition-1 derived caches (`B_1` slab, event terms).
-    pub fn empty() -> Self {
-        CoarseIndex {
-            postings: Vec::new(),
-            sim_max: Vec::new(),
-            start_max: Vec::new(),
-            start_joint: Vec::new(),
-        }
-    }
-
     /// Builds the index from a model: one blocked calibrated Eq.-14 pass
     /// over the archive per event, folded per video into the
     /// `sim_max`/`start_max`/`start_joint` summaries (Eqs. 12–14 maxima),
@@ -125,7 +110,7 @@ impl CoarseIndex {
             // Calibrated Eq.-14 scores of every archive shot against `e`:
             // the blocked kernel plus the same single division by the
             // memoized self-similarity denominator the scalar path uses.
-            let denom = model.event_terms[e].self_sim;
+            let denom = model.event_terms()[e].self_sim;
             if denom > 0.0 {
                 crate::sim::similarity_into(model, 0..shots, e, &mut scores);
                 for s in scores.iter_mut() {
@@ -137,16 +122,16 @@ impl CoarseIndex {
             // L_{1,2} is dense and implicit: each video's shots are the
             // next `local.len()` global ids, in order.
             let mut offset = 0usize;
-            for (v, local) in model.locals.iter().enumerate() {
+            for (v, local) in model.locals().iter().enumerate() {
                 let cell = v * EventKind::COUNT + e;
                 let mut sim_max = 0.0f64;
                 let mut start_max = 0.0f64;
                 let mut start_joint = 0.0f64;
                 for (s, &sim) in scores[offset..offset + local.len()].iter().enumerate() {
                     sim_max = sim_max.max(sim);
-                    let w = local.pi1.get(s) * sim;
+                    let w = local.pi1().get(s) * sim;
                     start_max = start_max.max(w);
-                    start_joint = start_joint.max(w * local.a1_row_max[s]);
+                    start_joint = start_joint.max(w * local.a1_row_max()[s]);
                 }
                 index.sim_max[cell] = sim_max;
                 index.start_max[cell] = start_max;
@@ -154,7 +139,7 @@ impl CoarseIndex {
                 offset += local.len();
             }
             index.postings[e] = (0..videos)
-                .filter(|&v| model.b2[v][e] > 0)
+                .filter(|&v| model.b2()[v][e] > 0)
                 .map(|v| v as u32)
                 .collect();
         }
@@ -272,7 +257,7 @@ impl CoarseIndex {
         let mut candidates: Vec<(VideoId, VideoBounds)> = Vec::with_capacity(videos.len());
         for v in videos {
             stats.coarse_bound_lookups += lookups;
-            let bounds = self.video_bounds(v, &model.locals[v], pattern);
+            let bounds = self.video_bounds(v, &model.locals()[v], pattern);
             if bounds.video_ub() <= 0.0 {
                 stats.coarse_skipped_zero_ub += 1;
             } else {
@@ -290,86 +275,6 @@ impl CoarseIndex {
         }
         stats.coarse_candidates = candidates.len();
         candidates
-    }
-
-    /// Cheap freshness predicate for `validate_against` (every
-    /// [`crate::Retriever::new`] runs it): shapes match the model and the
-    /// postings agree with the `B_2` signature (Step 2's eligibility
-    /// predicate) — `O(videos × events)`, no Eq.-14 work. The full bitwise
-    /// re-fold of the stored bound summaries lives in
-    /// [`CoarseIndex::audit`] (run by `deep_audit`).
-    pub fn matches(&self, model: &Hmmm) -> bool {
-        let videos = model.video_count();
-        let cells = videos * EventKind::COUNT;
-        if self.postings.len() != EventKind::COUNT
-            || self.sim_max.len() != cells
-            || self.start_max.len() != cells
-            || self.start_joint.len() != cells
-        {
-            return false;
-        }
-        for e in 0..EventKind::COUNT {
-            let mut k = 0usize;
-            for v in 0..videos {
-                if model.b2[v][e] > 0 {
-                    if k >= self.postings[e].len() || self.postings[e][k] as usize != v {
-                        return false;
-                    }
-                    k += 1;
-                }
-            }
-            if k != self.postings[e].len() {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Full index-consistency audit: rebuilds the index from the live
-    /// matrices and compares **bitwise** — postings equal to the `B_2`
-    /// signature, every stored `sim_max`/`start_max`/`start_joint` cell
-    /// equal to a fresh Eq.-12/13/14 fold. Run by `deep_audit` (stored
-    /// bounds == freshly folded bounds); a mismatch means a mutation
-    /// bypassed [`crate::Hmmm::refresh_coarse`] and the coarse stage's
-    /// admission bounds can no longer be trusted.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Inconsistent`] naming the first stale table.
-    pub fn audit(&self, model: &Hmmm) -> Result<(), CoreError> {
-        let fresh = CoarseIndex::build(model);
-        if self.postings != fresh.postings {
-            return Err(CoreError::Inconsistent(
-                "stale coarse postings vs B2 signature (refresh_coarse not \
-                 called after mutation?)"
-                    .into(),
-            ));
-        }
-        let bitwise_eq = |a: &[f64], b: &[f64]| {
-            a.len() == b.len()
-                && a.iter()
-                    .zip(b.iter())
-                    .all(|(x, y)| x.to_bits() == y.to_bits())
-        };
-        for (name, stored, rebuilt) in [
-            ("sim_max", &self.sim_max, &fresh.sim_max),
-            ("start_max", &self.start_max, &fresh.start_max),
-            ("start_joint", &self.start_joint, &fresh.start_joint),
-        ] {
-            if !bitwise_eq(stored, rebuilt) {
-                return Err(CoreError::Inconsistent(format!(
-                    "stale coarse {name} summaries vs fresh fold \
-                     (refresh_coarse not called after mutation?)"
-                )));
-            }
-        }
-        Ok(())
-    }
-
-    /// Total postings entries across all events (the `B_2` signature
-    /// cardinality reported by the Definition-1 audit summary).
-    pub fn postings_len(&self) -> usize {
-        self.postings.iter().map(Vec::len).sum()
     }
 }
 
@@ -420,12 +325,15 @@ mod tests {
         let goal = EventKind::Goal.index();
         let fk = EventKind::FreeKick.index();
         let ck = EventKind::CornerKick.index();
-        assert_eq!(m.coarse.postings(goal), &[0, 1]);
-        assert_eq!(m.coarse.postings(fk), &[0]);
-        assert_eq!(m.coarse.postings(ck), &[0]);
-        assert_eq!(m.coarse.postings(EventKind::RedCard.index()), &[] as &[u32]);
+        assert_eq!(m.coarse().postings(goal), &[0, 1]);
+        assert_eq!(m.coarse().postings(fk), &[0]);
+        assert_eq!(m.coarse().postings(ck), &[0]);
+        assert_eq!(
+            m.coarse().postings(EventKind::RedCard.index()),
+            &[] as &[u32]
+        );
         for e in 0..EventKind::COUNT {
-            for pair in m.coarse.postings(e).windows(2) {
+            for pair in m.coarse().postings(e).windows(2) {
                 assert!(pair[0] < pair[1], "postings not ascending");
             }
         }
@@ -436,7 +344,7 @@ mod tests {
         let c = catalog();
         let m = build_hmmm(&c, &BuildConfig::default()).unwrap();
         let mut offset = 0usize;
-        for (v, local) in m.locals.iter().enumerate() {
+        for (v, local) in m.locals().iter().enumerate() {
             for e in 0..EventKind::COUNT {
                 let mut sim_max = 0.0f64;
                 let mut start_max = 0.0f64;
@@ -444,17 +352,17 @@ mod tests {
                 for s in 0..local.len() {
                     let sim = calibrated_similarity(&m, offset + s, e);
                     sim_max = sim_max.max(sim);
-                    let w = local.pi1.get(s) * sim;
+                    let w = local.pi1().get(s) * sim;
                     start_max = start_max.max(w);
-                    start_joint = start_joint.max(w * local.a1_row_max[s]);
+                    start_joint = start_joint.max(w * local.a1_row_max()[s]);
                 }
-                assert_eq!(m.coarse.sim_max(v, e).to_bits(), sim_max.to_bits());
+                assert_eq!(m.coarse().sim_max(v, e).to_bits(), sim_max.to_bits());
                 assert_eq!(
-                    m.coarse.start_max[v * EventKind::COUNT + e].to_bits(),
+                    m.coarse().start_max[v * EventKind::COUNT + e].to_bits(),
                     start_max.to_bits()
                 );
                 assert_eq!(
-                    m.coarse.start_joint[v * EventKind::COUNT + e].to_bits(),
+                    m.coarse().start_joint[v * EventKind::COUNT + e].to_bits(),
                     start_joint.to_bits()
                 );
             }
@@ -472,7 +380,7 @@ mod tests {
         assert!(!results.is_empty());
         for p in &results {
             let v = p.video.index();
-            let vb = m.coarse.video_bounds(v, &m.locals[v], &pattern);
+            let vb = m.coarse().video_bounds(v, &m.locals()[v], &pattern);
             assert!(
                 vb.video_ub() >= p.score,
                 "coarse bound {} below retrieved score {} for video {v}",
@@ -487,58 +395,5 @@ mod tests {
         let pattern = translator().compile("free_kick|corner_kick -> goal").unwrap();
         // 2 + 1 step reads, plus 2 × 2 start reads on the first step.
         assert_eq!(CoarseIndex::bound_lookups(&pattern), 7);
-    }
-
-    #[test]
-    fn matches_and_audit_accept_fresh_reject_stale() {
-        let c = catalog();
-        let mut m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        assert!(m.coarse.matches(&m));
-        assert!(m.coarse.audit(&m).is_ok());
-        // Postings drift is caught by the cheap predicate.
-        let goal = EventKind::Goal.index();
-        let mut stale = m.coarse.clone();
-        stale.postings[goal].pop();
-        assert!(!stale.matches(&m));
-        assert!(matches!(
-            stale.audit(&m),
-            Err(CoreError::Inconsistent(msg)) if msg.contains("coarse postings")
-        ));
-        // A poked bound cell passes the cheap predicate but fails the
-        // bitwise audit.
-        let cell = goal; // video 0, event goal
-        let mut poked = m.coarse.clone();
-        poked.sim_max[cell] += 0.25;
-        assert!(poked.matches(&m));
-        assert!(matches!(
-            poked.audit(&m),
-            Err(CoreError::Inconsistent(msg)) if msg.contains("sim_max")
-        ));
-        // Mutating Π_1 without a refresh makes the stored start summaries
-        // stale; refresh_coarse repairs them.
-        let old = m.clone();
-        m.locals[0].pi1 = hmmm_matrix::ProbVector::from_counts(&[5.0, 1.0, 1.0]).unwrap();
-        m.locals[0].refresh_bounds();
-        assert!(m.coarse.audit(&m).is_err());
-        m.refresh_coarse();
-        assert!(m.coarse.audit(&m).is_ok());
-        assert_ne!(m.coarse, old.coarse);
-    }
-
-    #[test]
-    fn empty_index_matches_nothing_built() {
-        let c = catalog();
-        let m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        assert!(!CoarseIndex::empty().matches(&m));
-        assert_eq!(CoarseIndex::empty().postings_len(), 0);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let c = catalog();
-        let m = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        let json = serde_json::to_string(&m.coarse).unwrap();
-        let back: CoarseIndex = serde_json::from_str(&json).unwrap();
-        assert_eq!(m.coarse, back);
     }
 }

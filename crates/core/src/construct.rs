@@ -2,11 +2,11 @@
 
 use crate::error::CoreError;
 use crate::metrics as m;
-use crate::model::{Hmmm, LocalMmm};
+use crate::model::{Hmmm, LocalMmm, Sources};
 use hmmm_features::{FeatureVector, FEATURE_COUNT};
 use hmmm_obs::RecorderHandle;
 use hmmm_matrix::dense::ZeroRowPolicy;
-use hmmm_matrix::{Matrix, ProbVector, StochasticMatrix};
+use hmmm_matrix::{ForwardCsr, Matrix, ProbVector, StochasticMatrix};
 use hmmm_media::EventKind;
 use hmmm_storage::Catalog;
 use serde::{Deserialize, Serialize};
@@ -66,8 +66,9 @@ impl BuildConfig {
 /// `A_1(i,i) = (NE(s_i) − 1) / (Σ_{k=i}^N NE(s_k) − 1)`, `A_1(N,N) = 1`,
 /// zeros below the diagonal. Rows whose forward annotation mass is
 /// exhausted become absorbing (self-loop), matching the `A_1(N,N) = 1`
-/// convention; rows are re-normalized to absorb the `NE = 0` edge cases the
-/// paper's formula leaves undefined.
+/// convention; rows are re-normalized (Eq. 2) to absorb the `NE = 0` edge
+/// cases the paper's formula leaves undefined. Only the non-zero forward
+/// entries are ever materialized.
 ///
 /// # Examples
 ///
@@ -90,29 +91,38 @@ impl BuildConfig {
 /// # Errors
 ///
 /// [`CoreError::Matrix`] if `ne` is empty.
-pub fn a1_initial_from_counts(ne: &[f64]) -> Result<StochasticMatrix, CoreError> {
+pub fn a1_initial_from_counts(ne: &[f64]) -> Result<ForwardCsr, CoreError> {
     let n = ne.len();
     if n == 0 {
         return Err(CoreError::Matrix(hmmm_matrix::MatrixError::Empty));
     }
-    let mut m = Matrix::zeros(n, n);
     // Suffix sums: suffix[i] = Σ_{k=i}^{N-1} ne[k].
     let mut suffix = vec![0.0; n + 1];
     for i in (0..n).rev() {
         suffix[i] = suffix[i + 1] + ne[i];
     }
+    let mut row_start = Vec::with_capacity(n + 1);
+    let mut cols = Vec::new();
+    let mut counts = Vec::new();
+    row_start.push(0u32);
     for i in 0..n {
         let denom = suffix[i] - 1.0;
         if i == n - 1 || denom <= 0.0 {
-            m[(i, i)] = 1.0;
-            continue;
+            cols.push(i as u32);
+            counts.push(1.0);
+        } else {
+            for j in i..n {
+                let num = if j == i { ne[i] - 1.0 } else { ne[j] };
+                let count = (num / denom).max(0.0);
+                if count > 0.0 {
+                    cols.push(j as u32);
+                    counts.push(count);
+                }
+            }
         }
-        m[(i, i)] = ((ne[i] - 1.0) / denom).max(0.0);
-        for j in (i + 1)..n {
-            m[(i, j)] = (ne[j] / denom).max(0.0);
-        }
+        row_start.push(cols.len() as u32);
     }
-    StochasticMatrix::normalize(m, ZeroRowPolicy::SelfLoop).map_err(CoreError::from)
+    ForwardCsr::from_counts(row_start, cols, counts).map_err(CoreError::from)
 }
 
 /// Builds the complete two-level HMMM from a catalog.
@@ -149,12 +159,12 @@ pub fn a1_initial_from_counts(ne: &[f64]) -> Result<StochasticMatrix, CoreError>
 /// assert_eq!(model.summary().shots, 3);
 ///
 /// // NE = [1, 2, 1] → the worked example's first row: (0, 2/3, 1/3).
-/// let a1 = &model.locals[0].a1;
+/// let a1 = model.locals()[0].a1();
 /// assert!((a1.get(0, 1) - 2.0 / 3.0).abs() < 1e-12);
 /// assert!((a1.get(0, 2) - 1.0 / 3.0).abs() < 1e-12);
 ///
 /// // B_2 counts the annotations per video; goal appears once.
-/// assert_eq!(model.b2[0][EventKind::Goal.index()], 1);
+/// assert_eq!(model.b2()[0][EventKind::Goal.index()], 1);
 /// ```
 ///
 /// # Errors
@@ -255,7 +265,7 @@ pub fn build_hmmm_observed(
         obs.counter(m::CTR_CONSTRUCT_SHOTS, catalog.shot_count() as u64);
     }
 
-    let mut model = Hmmm {
+    Ok(Hmmm::from_sources(Sources {
         locals,
         b1,
         a2,
@@ -264,15 +274,7 @@ pub fn build_hmmm_observed(
         p12,
         b1_prime,
         normalizer,
-        b1_slab: hmmm_features::FeatureSlab::empty(),
-        event_terms: Vec::new(),
-        coarse: crate::coarse::CoarseIndex::empty(),
-    };
-    // Derive the SoA hot-path caches (feature-major B1 slab, packed Eq.-14
-    // event terms with memoized self-similarity denominators, the coarse
-    // retrieval index).
-    model.refresh_derived();
-    Ok(model)
+    }))
 }
 
 /// `B_1'` per Eq. (11): the mean normalized feature vector over the shots
@@ -409,7 +411,7 @@ mod tests {
         assert_eq!(a1.get(1, 1), 1.0);
         assert_eq!(a1.get(2, 2), 1.0);
         assert_eq!(a1.get(0, 1), 0.0);
-        let sum: f64 = a1.row(0).iter().sum();
+        let sum: f64 = a1.row(0).1.iter().sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
 
@@ -450,8 +452,8 @@ mod tests {
         let c = catalog();
         let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
         assert!(model.validate_against(&c).is_ok());
-        assert_eq!(model.locals[0].len(), 4);
-        assert_eq!(model.locals[1].len(), 2);
+        assert_eq!(model.locals()[0].len(), 4);
+        assert_eq!(model.locals()[1].len(), 2);
     }
 
     #[test]
@@ -466,9 +468,9 @@ mod tests {
     fn b2_counts_match_catalog() {
         let c = catalog();
         let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        assert_eq!(model.b2[0][EventKind::FreeKick.index()], 2);
-        assert_eq!(model.b2[0][EventKind::Goal.index()], 2);
-        assert_eq!(model.b2[1][EventKind::CornerKick.index()], 1);
+        assert_eq!(model.b2()[0][EventKind::FreeKick.index()], 2);
+        assert_eq!(model.b2()[0][EventKind::Goal.index()], 2);
+        assert_eq!(model.b2()[1][EventKind::CornerKick.index()], 1);
     }
 
     #[test]
@@ -477,11 +479,11 @@ mod tests {
         let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
         // Goal shots are the loud ones; its centroid volume must exceed the
         // free-kick centroid's.
-        let goal = &model.b1_prime[EventKind::Goal.index()];
-        let fk = &model.b1_prime[EventKind::FreeKick.index()];
+        let goal = &model.b1_prime()[EventKind::Goal.index()];
+        let fk = &model.b1_prime()[EventKind::FreeKick.index()];
         assert!(goal[FeatureId::VolumeMean] > fk[FeatureId::VolumeMean]);
         // Unseen events have the zero centroid.
-        let red = &model.b1_prime[EventKind::RedCard.index()];
+        let red = &model.b1_prime()[EventKind::RedCard.index()];
         assert_eq!(*red, FeatureVector::zeros());
     }
 
@@ -492,14 +494,14 @@ mod tests {
         // Goal shots share high volume (std small) but catalog-wide grass
         // varies more; volume weight must beat the uniform baseline.
         let goal_row = EventKind::Goal.index();
-        let w_volume = model.p12.get(goal_row, FeatureId::VolumeMean.index());
+        let w_volume = model.p12().get(goal_row, FeatureId::VolumeMean.index());
         assert!(
             w_volume > 1.0 / FEATURE_COUNT as f64,
             "volume weight {w_volume}"
         );
         // Rows with < 2 examples are uniform.
         let red_row = EventKind::RedCard.index();
-        let w = model.p12.get(red_row, 0);
+        let w = model.p12().get(red_row, 0);
         assert!((w - 1.0 / FEATURE_COUNT as f64).abs() < 1e-12);
     }
 
@@ -510,13 +512,13 @@ mod tests {
         let u = 1.0 / FEATURE_COUNT as f64;
         for row in 0..EventKind::COUNT {
             for col in 0..FEATURE_COUNT {
-                assert!((model.p12.get(row, col) - u).abs() < 1e-12);
+                assert!((model.p12().get(row, col) - u).abs() < 1e-12);
             }
         }
         let m = c.video_count();
         for i in 0..m {
             for j in 0..m {
-                assert!((model.a2.get(i, j) - 1.0 / m as f64).abs() < 1e-12);
+                assert!((model.a2().get(i, j) - 1.0 / m as f64).abs() < 1e-12);
             }
         }
     }
@@ -526,6 +528,6 @@ mod tests {
         let c = catalog();
         let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
         // Both videos contain goals → off-diagonal affinity is non-zero.
-        assert!(model.a2.get(0, 1) > 0.0);
+        assert!(model.a2().get(0, 1) > 0.0);
     }
 }

@@ -23,7 +23,7 @@
 use crate::construct;
 use crate::error::CoreError;
 use crate::metrics;
-use crate::model::Hmmm;
+use crate::model::{Hmmm, LocalMmm};
 use hmmm_features::FeatureVector;
 use hmmm_obs::RecorderHandle;
 use hmmm_matrix::dense::ZeroRowPolicy;
@@ -166,7 +166,7 @@ impl FeedbackLog {
     ///     (vec![EventKind::CornerKick], feat(0.5, 0.4)),
     /// ]);
     /// let mut model = build_hmmm(&catalog, &BuildConfig::default()).unwrap();
-    /// assert!((model.locals[0].a1.get(0, 1) - 2.0 / 3.0).abs() < 1e-12);
+    /// assert!((model.locals()[0].a1().get(0, 1) - 2.0 / 3.0).abs() < 1e-12);
     ///
     /// let mut log = FeedbackLog::new();
     /// log.record(PositivePattern {
@@ -179,7 +179,7 @@ impl FeedbackLog {
     ///
     /// let report = log.apply(&mut model, &catalog, &FeedbackConfig::default()).unwrap();
     /// assert_eq!(report.patterns_applied, 1);
-    /// assert!(model.locals[0].a1.get(0, 1) > 2.0 / 3.0);
+    /// assert!(model.locals()[0].a1().get(0, 1) > 2.0 / 3.0);
     /// ```
     ///
     /// # Errors
@@ -242,9 +242,9 @@ impl FeedbackLog {
 
         // --- A_1 / Π_1 per video (Eqs. 1, 2, 4).
         let local_span = obs.span(metrics::SPAN_FEEDBACK_LOCAL);
-        let mut videos_updated = 0usize;
+        let mut updated_locals = Vec::new();
         let mut a1_drift_total = 0.0;
-        for (v, local) in model.locals.iter_mut().enumerate() {
+        for (v, local) in model.locals().iter().enumerate() {
             let video_patterns: Vec<&PositivePattern> =
                 patterns.iter().filter(|p| p.video.index() == v).collect();
             if video_patterns.is_empty() {
@@ -266,21 +266,25 @@ impl FeedbackLog {
             let n = local.len();
 
             // Eq. (1): counts weighted by the *current* A_1 entries, plus
-            // the retention prior.
-            let old = local.a1.as_matrix().clone();
-            let mut counts = old.clone();
-            counts.scale(config.retention);
+            // the retention prior. Both terms scale stored entries only: an
+            // absent A_1(m, n) is zero and gains nothing, so the counts
+            // live on A_1's own support, in its row-major order.
+            let old = local.a1();
+            let mut counts: Vec<f64> = old.values().iter().map(|&a| a * config.retention).collect();
             for p in &video_patterns {
                 let locals: Vec<usize> = p.shots.iter().map(|s| s.index() - base).collect();
                 for (i, &m) in locals.iter().enumerate() {
                     for &nn in &locals[i..] {
-                        counts[(m, nn)] += old[(m, nn)] * p.access;
+                        if let Some(k) = old.position(m, nn) {
+                            counts[k] += old.values()[k] * p.access;
+                        }
                     }
                 }
             }
-            let updated = StochasticMatrix::normalize(counts, ZeroRowPolicy::SelfLoop)?;
-            a1_drift_total += updated.as_matrix().frobenius_distance(&old)?;
-            local.a1 = updated;
+            // Eq. (2): row normalization; a row left without mass becomes
+            // a self-loop.
+            let a1 = old.renormalized(counts)?;
+            a1_drift_total += a1.frobenius_distance(old)?;
 
             // Eq. (4): initial-state usage — pattern starting shots.
             let mut usage = vec![0.0; n];
@@ -290,7 +294,7 @@ impl FeedbackLog {
                 }
             }
             let mut blended: Vec<f64> = local
-                .pi1
+                .pi1()
                 .as_slice()
                 .iter()
                 .map(|&x| x * config.retention.max(f64::MIN_POSITIVE))
@@ -301,19 +305,17 @@ impl FeedbackLog {
                     *b += u / total_usage;
                 }
             }
-            local.pi1 = ProbVector::from_counts(&blended)?;
-            // Both matrices just moved; stale maxima would make the top-k
-            // pruning bounds inadmissible (validate_against checks this).
-            local.refresh_bounds();
-            videos_updated += 1;
+            let pi1 = ProbVector::from_counts(&blended)?;
+            updated_locals.push((v, LocalMmm::new(a1, pi1)));
         }
+        let videos_updated = updated_locals.len();
 
         drop(local_span);
 
         // --- A_2 / Π_2 (Eqs. 5, 6): co-access of videos within a query.
         let level2_span = obs.span(metrics::SPAN_FEEDBACK_LEVEL2);
         let m = model.video_count();
-        let mut a2_counts = model.a2.as_matrix().clone();
+        let mut a2_counts = model.a2().as_matrix().clone();
         a2_counts.scale(config.retention);
         let mut queries: Vec<u64> = patterns.iter().map(|p| p.query).collect();
         queries.sort_unstable();
@@ -331,13 +333,12 @@ impl FeedbackLog {
                 video_usage[a] += acc_a;
                 for &(b, acc_b) in &videos {
                     a2_counts[(a, b)] += acc_a.min(acc_b);
-                    let _ = b;
                 }
             }
         }
-        model.a2 = StochasticMatrix::normalize(a2_counts, ZeroRowPolicy::Uniform)?;
+        let a2 = StochasticMatrix::normalize(a2_counts, ZeroRowPolicy::Uniform)?;
         let mut pi2_counts: Vec<f64> = model
-            .pi2
+            .pi2()
             .as_slice()
             .iter()
             .map(|&x| x * config.retention.max(f64::MIN_POSITIVE))
@@ -348,7 +349,7 @@ impl FeedbackLog {
                 *c += u / usage_total;
             }
         }
-        model.pi2 = ProbVector::from_counts(&pi2_counts)?;
+        let pi2 = ProbVector::from_counts(&pi2_counts)?;
         drop(level2_span);
 
         // --- P_{1,2} / B_1' (Eqs. 8–11) over the grown membership.
@@ -360,31 +361,25 @@ impl FeedbackLog {
                 }
             }
         }
-        let p12_drift = if config.relearn_p12 {
-            let old_p12 = model.p12.as_matrix().clone();
+        let (cross, p12_drift) = if config.relearn_p12 {
             let (p12, b1_prime) = relearn_cross_level(
                 catalog,
-                &model.b1,
+                model.b1(),
                 &self.confirmed_members,
                 config.std_floor,
             )?;
-            model.p12 = p12;
-            model.b1_prime = b1_prime;
-            // The cross-level matrices just moved: repack the per-event
-            // Eq.-14 terms and their memoized self-similarity denominators
-            // (validate_against checks their freshness).
-            model.refresh_event_terms();
-            model.p12.as_matrix().frobenius_distance(&old_p12)?
+            let drift = p12
+                .as_matrix()
+                .frobenius_distance(model.p12().as_matrix())?;
+            (Some((p12, b1_prime)), drift)
         } else {
-            0.0
+            (None, 0.0)
         };
         drop(cross_span);
 
-        // The coarse retrieval index folds Π_1/A_1 row maxima and the
-        // calibrated Eq.-14 scores — all of which just moved (Π_1/A_1
-        // unconditionally above, P_{1,2}/B_1' under `relearn_p12`) — so it
-        // is rebuilt unconditionally, after the event terms it reads.
-        model.refresh_coarse();
+        // Install everything at once; the model rebuilds the caches that
+        // fold what moved (event terms, coarse index) before returning.
+        model.install_feedback(updated_locals, a2, pi2, cross);
 
         if obs.is_enabled() {
             obs.counter(metrics::CTR_FEEDBACK_PATTERNS, patterns.len() as u64);
@@ -514,7 +509,7 @@ mod tests {
     fn apply_strengthens_confirmed_transition() {
         let c = catalog();
         let mut model = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        let before = model.locals[0].a1.get(0, 1);
+        let before = model.locals()[0].a1().get(0, 1);
         assert!(before > 0.0);
         let mut log = FeedbackLog::new();
         // Confirm free_kick(0) → goal(1) in video 0, many accesses.
@@ -534,14 +529,14 @@ mod tests {
         assert_eq!(report.patterns_applied, 5);
         assert_eq!(report.videos_updated, 1);
         assert!(report.a1_drift > 0.0);
-        let after = model.locals[0].a1.get(0, 1);
+        let after = model.locals()[0].a1().get(0, 1);
         assert!(
             after > before,
             "confirmed transition must strengthen: {before} -> {after}"
         );
         // Rows remain stochastic.
-        for i in 0..model.locals[0].len() {
-            let s: f64 = model.locals[0].a1.row(i).iter().sum();
+        for i in 0..model.locals()[0].len() {
+            let s: f64 = model.locals()[0].a1().row(i).1.iter().sum();
             assert!((s - 1.0).abs() < 1e-8);
         }
         // Queue drained.
@@ -552,7 +547,7 @@ mod tests {
     fn apply_updates_pi1_toward_pattern_starts() {
         let c = catalog();
         let mut model = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        let before = model.locals[0].pi1.get(1);
+        let before = model.locals()[0].pi1().get(1);
         let mut log = FeedbackLog::new();
         for q in 0..10 {
             log.record(PositivePattern {
@@ -566,7 +561,7 @@ mod tests {
         }
         log.apply(&mut model, &c, &FeedbackConfig::default())
             .unwrap();
-        let after = model.locals[0].pi1.get(1);
+        let after = model.locals()[0].pi1().get(1);
         assert!(after > before, "start shot must gain Π1 mass");
     }
 
@@ -574,7 +569,7 @@ mod tests {
     fn apply_updates_a2_coaccess() {
         let c = catalog();
         let mut model = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        let before = model.a2.get(0, 1);
+        let before = model.a2().get(0, 1);
         let mut log = FeedbackLog::new();
         // Same query confirms patterns in both videos.
         log.record(pattern(7, 0, vec![1], vec![EventKind::Goal.index()]))
@@ -583,8 +578,11 @@ mod tests {
             .unwrap();
         log.apply(&mut model, &c, &FeedbackConfig::default())
             .unwrap();
-        let after = model.a2.get(0, 1);
-        assert!(after > before, "co-accessed videos must bind: {before} -> {after}");
+        let after = model.a2().get(0, 1);
+        assert!(
+            after > before,
+            "co-accessed videos must bind: {before} -> {after}"
+        );
     }
 
     #[test]
@@ -639,7 +637,7 @@ mod tests {
         };
         log.apply(&mut model, &c, &cfg).unwrap();
         // Transition 0→2 was never confirmed → literal Eq. (1) zeroes it.
-        assert_eq!(model.locals[0].a1.get(0, 2), 0.0);
-        assert!(model.locals[0].a1.get(0, 1) > 0.9);
+        assert_eq!(model.locals()[0].a1().get(0, 2), 0.0);
+        assert!(model.locals()[0].a1().get(0, 1) > 0.9);
     }
 }

@@ -2,18 +2,25 @@
 //!
 //! The paper's MMDBMS keeps the trained matrices alongside the data so the
 //! (expensive, offline) learning survives restarts. Models serialize as
-//! JSON; loading re-validates against the catalog the caller pairs them
-//! with, so a stale model cannot silently serve a grown archive.
+//! JSON holding the Definition-1 sources only (`A_1` as CSR, `Π_1`, `B_1`,
+//! `A_2`, `B_2`, `Π_2`, `P_{1,2}`, `B_1'`, the normalizer); the derived
+//! caches are rebuilt at load. Parsing checks every index structure and
+//! shape and runs the numeric audit, and loading then runs the catalog
+//! half of [`Hmmm::deep_audit`] (the model↔catalog pairing and the
+//! `L_{1,2}`/`B_2` agreement) against the catalog the caller pairs the
+//! model with. Together they are the full `deep_audit`, run once: a
+//! corrupt file is an error (never a panic), and a stale model cannot
+//! silently serve a grown or re-annotated archive.
 //!
 //! Saves publish through the crash-safe atomic writer
 //! ([`hmmm_storage::atomic_write`]): a crash mid-save never leaves a torn
 //! file, the previous generation is kept at `<path>.bak`, and transient
 //! I/O errors are retried with bounded backoff. Loads fall back to that
 //! `.bak` generation when the primary file is unreadable or unparseable —
-//! but **not** when it parses fine and merely fails catalog validation
-//! (a stale model is a caller error, not corruption; silently serving an
-//! even older generation would compound it). Fallbacks and retries are
-//! counted under [`hmmm_storage::CTR_BAK_FALLBACKS`] /
+//! but **not** when it parses fine and merely fails the audit against the
+//! catalog (a stale model is a caller error, not corruption; silently
+//! serving an even older generation would compound it). Fallbacks and
+//! retries are counted under [`hmmm_storage::CTR_BAK_FALLBACKS`] /
 //! [`hmmm_storage::CTR_ATOMIC_WRITE_RETRIES`] via the
 //! [`PersistOptions`] recorder.
 
@@ -61,12 +68,13 @@ pub fn save_model_with(
     Ok(())
 }
 
-/// Loads a model and validates it against `catalog`, falling back to the
-/// `.bak` generation when the primary file is unreadable or unparseable.
+/// Loads a model and audits it against `catalog` (parsing plus this check
+/// is [`Hmmm::deep_audit`]), falling back to the `.bak` generation when the
+/// primary file is unreadable or unparseable.
 ///
 /// # Errors
 ///
-/// [`CoreError::Inconsistent`] for I/O, parse, or shape-mismatch failures.
+/// [`CoreError::Inconsistent`] for I/O, parse, or audit failures.
 pub fn load_model(path: impl AsRef<Path>, catalog: &Catalog) -> Result<Hmmm, CoreError> {
     load_model_with(path, catalog, &PersistOptions::default())
 }
@@ -77,8 +85,8 @@ pub fn load_model(path: impl AsRef<Path>, catalog: &Catalog) -> Result<Hmmm, Cor
 /// # Errors
 ///
 /// Same as [`load_model`]; when both generations fail, the primary file's
-/// error is returned. Validation failure (a model that parses but does
-/// not match `catalog`) never triggers the fallback.
+/// error is returned. An audit failure (a model that parses but does not
+/// match `catalog`) never triggers the fallback.
 pub fn load_model_with(
     path: impl AsRef<Path>,
     catalog: &Catalog,
@@ -90,7 +98,7 @@ pub fn load_model_with(
         Err(primary) => {
             // Read/parse failure is what the kept generation can repair
             // (corruption, or the atomic writer's rotate window). Whether
-            // the recovered model matches the catalog is still checked
+            // the recovered model matches the catalog is still audited
             // below, same as the primary path.
             let bak = bak_path(path);
             match bak.exists().then(|| read_model(&bak)) {
@@ -102,11 +110,14 @@ pub fn load_model_with(
             }
         }
     };
+    // Parsing already ran the numeric audit; what is left of `deep_audit`
+    // is the catalog half.
     model.validate_against(catalog)?;
+    crate::audit::audit_links(&model, catalog)?;
     Ok(model)
 }
 
-/// One generation's read + parse (no validation, no fallback).
+/// One generation's read + parse (no catalog audit, no fallback).
 fn read_model(path: &Path) -> Result<Hmmm, CoreError> {
     let data =
         std::fs::read(path).map_err(|e| CoreError::Inconsistent(format!("read: {e}")))?;
@@ -142,6 +153,45 @@ mod tests {
         save_model(&model, &path).unwrap();
         let back = load_model(&path, &c).unwrap();
         assert_eq!(model, back);
+    }
+
+    #[test]
+    fn persisted_model_holds_only_the_sources() {
+        let c = catalog();
+        let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
+        let dir = TestDir::new("hmmm_model_io");
+        let path = dir.file("model.json");
+        save_model(&model, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let persisted: serde_json::Value = serde_json::from_str(&text).unwrap();
+        let keys = |v: &serde_json::Value| -> Vec<String> {
+            v.as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        assert_eq!(
+            keys(&persisted),
+            [
+                "locals",
+                "b1",
+                "a2",
+                "b2",
+                "pi2",
+                "p12",
+                "b1_prime",
+                "normalizer"
+            ]
+        );
+        let local = &persisted.get("locals").unwrap().as_array().unwrap()[0];
+        assert_eq!(keys(local), ["a1", "pi1"]);
+        assert_eq!(
+            keys(local.get("a1").unwrap()),
+            ["row_start", "cols", "vals"]
+        );
+        // Equality covers the caches too: load rebuilt them bit for bit.
+        assert_eq!(load_model(&path, &c).unwrap(), model);
     }
 
     #[test]

@@ -42,8 +42,9 @@
 //!   paper's human feedback (see DESIGN.md substitutions).
 //! * [`audit`] — the λ-invariant deep auditor: numeric Definition-1
 //!   well-formedness checks (row-stochastic `A_n`, unit-mass `Π_n`/`P_{1,2}`,
-//!   the `L_{1,2}` partition, `B_1'` sanity, fresh pruning bounds) behind
-//!   [`model::Hmmm::deep_audit`] and the `hmmm check` CLI subcommand.
+//!   the `L_{1,2}` partition, `B_2` against the catalog, `B_1'` sanity)
+//!   behind [`model::Hmmm::deep_audit`], model loading and the `hmmm check`
+//!   CLI subcommand.
 //! * [`order`] — the blessed total-order float comparators every ranking
 //!   sort goes through (re-exported from `hmmm_matrix::order`).
 //! * [`metrics`] — the canonical metric/span names this crate records

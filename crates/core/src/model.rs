@@ -1,92 +1,86 @@
 //! The two-level HMMM container.
+//!
+//! λ stores each fact once. The *sources* — `A_1` (as CSR, its non-zero
+//! forward entries only), `Π_1`, `B_1`, `A_2`, `B_2`, `Π_2`, `P_{1,2}`,
+//! `B_1'` and the Eq.-(3) normalizer — are the only state a model persists.
+//! The *derived caches* the retrieval hot path reads (per-video `A_1` row
+//! maxima, `a1_max`/`pi1_max`, the feature-major `B_1` slab, the packed
+//! Eq.-14 event terms and the [`crate::coarse::CoarseIndex`]) are private
+//! and rebuilt from the sources by the only three writers: construction
+//! ([`crate::build_hmmm`]), the feedback update
+//! ([`crate::FeedbackLog::apply`]) and deserialization. Each writer ends in
+//! one rebuild, so a cache that disagrees with its sources cannot be built,
+//! and nothing needs to check for one.
 
+use crate::coarse::CoarseIndex;
 use crate::error::CoreError;
 use hmmm_features::{FeatureSlab, FeatureVector, Normalizer, FEATURE_COUNT};
 use hmmm_matrix::{ForwardCsr, ProbVector, StochasticMatrix};
 use hmmm_media::EventKind;
 use hmmm_storage::Catalog;
-use serde::{Deserialize, Serialize};
-
-/// Forward-density ceiling for keeping the sparse `A_1` view. Above this
-/// fraction of non-zero forward slots a CSR walk touches almost every cell a
-/// dense scan would — plus an index load per cell — so the dense row scan
-/// wins and [`LocalMmm::a1_sparse`] is dropped to `None`. The §4.2
-/// construction links each shot to a handful of successors, so real archives
-/// sit far below this.
-pub const A1_CSR_DENSITY_THRESHOLD: f64 = 0.5;
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// The *local* MMM of one video (§4.2.1): its shots' temporal affinity
 /// matrix and initial-state distribution. Shot indices here are positions
 /// **within the video**; the catalog's `shot_range` maps them to global ids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalMmm {
     /// `A_1` — temporal relative-affinity matrix over the video's shots.
-    pub a1: StochasticMatrix,
+    a1: ForwardCsr,
     /// `Π_1` — initial-state distribution over the video's shots.
-    pub pi1: ProbVector,
-    /// Per-shot forward transition maxima: `a1_row_max[s] = max_{t ≥ s}
-    /// A_1(s, t)`. The Eq.-13 walk only ever moves forward through the
-    /// lattice (`t ≥ s`, with `t = s` allowed for double-annotated shots),
-    /// so this is the admissible one-step factor for an entry *sitting on*
-    /// shot `s` — much tighter than the whole-matrix maximum, which is
-    /// routinely poisoned to ≈1 by a trailing self-loop row. Maintained by
-    /// [`LocalMmm::new`]/[`LocalMmm::refresh_bounds`]; construction and
-    /// every feedback update keep it in sync with `a1`.
-    pub a1_row_max: Vec<f64>,
-    /// Largest forward transition factor anywhere in the video
-    /// (`max` of [`LocalMmm::a1_row_max`]) — the admissible per-hop factor
-    /// when the source shot of a future hop is not yet known (the deeper
-    /// steps of the completion-bound chain).
-    pub a1_max: f64,
-    /// Largest entry of `Π_1` — the admissible Eq.-12 start factor.
-    pub pi1_max: f64,
-    /// CSR view of `a1`'s non-zero forward entries, so the Eq.-13 expansion
-    /// loop and the bound refresh stop scanning structural zeros. `None`
-    /// when the forward density exceeds [`A1_CSR_DENSITY_THRESHOLD`] (dense
-    /// scan fallback). Derived cache maintained by
-    /// [`LocalMmm::refresh_bounds`], like `a1_row_max`.
-    pub a1_sparse: Option<ForwardCsr>,
+    pi1: ProbVector,
+    /// Derived bound factors: per-row forward maxima of `A_1`, their
+    /// maximum, and the largest entry of `Π_1`.
+    a1_row_max: Vec<f64>,
+    a1_max: f64,
+    pi1_max: f64,
 }
 
 impl LocalMmm {
     /// Builds a local MMM, deriving the pruning bound factors
     /// (`a1_row_max`, `a1_max`, `pi1_max`) from the matrices.
-    pub fn new(a1: StochasticMatrix, pi1: ProbVector) -> Self {
-        let mut local = LocalMmm {
+    pub(crate) fn new(a1: ForwardCsr, pi1: ProbVector) -> Self {
+        let mut a1_row_max = vec![0.0; a1.rows()];
+        a1.row_maxima_into(&mut a1_row_max);
+        let a1_max = max_of(&a1_row_max);
+        let pi1_max = max_of(pi1.as_slice());
+        LocalMmm {
             a1,
             pi1,
-            a1_row_max: Vec::new(),
-            a1_max: 0.0,
-            pi1_max: 0.0,
-            a1_sparse: None,
-        };
-        local.refresh_bounds();
-        local
+            a1_row_max,
+            a1_max,
+            pi1_max,
+        }
     }
 
-    /// Recomputes `a1_row_max`/`a1_max`/`pi1_max` — and the sparse `A_1`
-    /// view — from the current matrices. Must be called after any in-place
-    /// mutation of `a1`/`pi1` (the feedback updates do), otherwise the
-    /// retrieval pruning bounds go stale and the exactness guarantee is
-    /// void.
-    ///
-    /// When the CSR view is kept, the row maxima are folded over its stored
-    /// entries; a CSR omits exactly the zero entries, and the dense fold
-    /// starts at `0.0`, so the results are bitwise identical either way
-    /// (`validate_against` re-proves this against the dense fold).
-    pub fn refresh_bounds(&mut self) {
-        let csr = ForwardCsr::from_forward(self.a1.as_matrix());
-        if csr.forward_density() <= crate::model::A1_CSR_DENSITY_THRESHOLD {
-            let mut maxima = vec![0.0; self.a1.rows()];
-            csr.row_maxima_into(&mut maxima);
-            self.a1_row_max = maxima;
-            self.a1_sparse = Some(csr);
-        } else {
-            self.a1_row_max = forward_row_maxima(&self.a1);
-            self.a1_sparse = None;
-        }
-        self.a1_max = max_of(&self.a1_row_max);
-        self.pi1_max = max_of(self.pi1.as_slice());
+    /// `A_1`: the non-zero forward entries of the temporal affinity matrix.
+    pub fn a1(&self) -> &ForwardCsr {
+        &self.a1
+    }
+
+    /// `Π_1`: the initial-state distribution over the video's shots.
+    pub fn pi1(&self) -> &ProbVector {
+        &self.pi1
+    }
+
+    /// Per-shot forward transition maxima: `a1_row_max()[s] = max_{t ≥ s}
+    /// A_1(s, t)`. The Eq.-13 walk only ever moves forward through the
+    /// lattice, so this is the admissible one-step factor for an entry
+    /// *sitting on* shot `s` — much tighter than the whole-matrix maximum,
+    /// which a trailing self-loop row routinely pushes to ≈1.
+    pub fn a1_row_max(&self) -> &[f64] {
+        &self.a1_row_max
+    }
+
+    /// Largest forward transition factor in the video: the admissible
+    /// per-hop factor when a future hop's source shot is not yet known.
+    pub fn a1_max(&self) -> f64 {
+        self.a1_max
+    }
+
+    /// Largest entry of `Π_1`: the admissible Eq.-12 start factor.
+    pub fn pi1_max(&self) -> f64 {
+        self.pi1_max
     }
 
     /// Number of shot states.
@@ -106,14 +100,34 @@ fn max_of(values: &[f64]) -> f64 {
     values.iter().copied().fold(0.0, f64::max)
 }
 
-/// `max_{t ≥ s} A_1(s, t)` per row — only the forward (upper-triangle,
-/// diagonal included) entries matter, because the lattice walk never moves
-/// backwards through a video's shots.
-fn forward_row_maxima(a1: &StochasticMatrix) -> Vec<f64> {
-    let m = a1.as_matrix();
-    (0..m.rows())
-        .map(|s| (s..m.cols()).map(|t| m[(s, t)]).fold(0.0, f64::max))
-        .collect()
+/// The persisted fields of a [`LocalMmm`].
+#[derive(Deserialize)]
+struct LocalMmmFields {
+    a1: ForwardCsr,
+    pi1: ProbVector,
+}
+
+impl Serialize for LocalMmm {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("a1".into(), self.a1.to_value()),
+            ("pi1".into(), self.pi1.to_value()),
+        ])
+    }
+}
+
+impl Deserialize for LocalMmm {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let LocalMmmFields { a1, pi1 } = LocalMmmFields::from_value(v)?;
+        if pi1.len() != a1.rows() {
+            return Err(DeError::new(format!(
+                "LocalMmm: Π1 has {} states vs {} A1 rows",
+                pi1.len(),
+                a1.rows()
+            )));
+        }
+        Ok(LocalMmm::new(a1, pi1))
+    }
 }
 
 /// Packed Eq.-14 terms of one query event: the features whose `B_1'`
@@ -121,12 +135,12 @@ fn forward_row_maxima(a1: &StochasticMatrix) -> Vec<f64> {
 /// feature order, plus the memoized Eq.-14 self-similarity denominator.
 ///
 /// This is what lets the blocked similarity kernel run with *no* epsilon
-/// branch in its inner loop: the filtering happened once, here, at
-/// build/feedback time. The arrays deliberately store the raw
+/// branch in its inner loop: the filtering happened once, here, when the
+/// model's caches were built. The arrays deliberately store the raw
 /// `(weight, centroid)` pairs rather than a pre-divided `weight / centroid`
 /// — the kernel must perform the exact operation sequence of the scalar
 /// reference loop (`w * (1 - |b - c|) / c`) to stay bitwise identical.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EventTerms {
     /// Feature indices `y` with `B_1'(e, y) > CENTROID_EPSILON`, ascending.
     pub features: Vec<u32>,
@@ -165,30 +179,6 @@ impl EventTerms {
         }
         terms
     }
-
-    /// Verifies — without allocating — that these terms still mirror the
-    /// cross-level matrices bitwise (NaN-safe: compares bit patterns).
-    pub fn matches(&self, p12: &StochasticMatrix, centroid: &FeatureVector, event: usize) -> bool {
-        let mut k = 0usize;
-        let mut self_sim = 0.0;
-        for y in 0..FEATURE_COUNT {
-            let c = centroid[y];
-            if c <= crate::sim::CENTROID_EPSILON {
-                continue;
-            }
-            let w = p12.get(event, y);
-            if k >= self.features.len()
-                || self.features[k] as usize != y
-                || self.centroids[k].to_bits() != c.to_bits()
-                || self.weights[k].to_bits() != w.to_bits()
-            {
-                return false;
-            }
-            self_sim += w / c;
-            k += 1;
-        }
-        k == self.features.len() && self.self_sim.to_bits() == self_sim.to_bits()
-    }
 }
 
 /// A fully constructed two-level HMMM (Definition 1 with `d = 2`).
@@ -198,7 +188,7 @@ impl EventTerms {
 /// | `d` | 2 (see [`Hmmm::DEPTH`]) |
 /// | `S_1`, `S_2` | catalog shot ids / video ids |
 /// | `F_1`, `F_2` | Table-1 features / [`EventKind`] concepts |
-/// | `A_1` | per-video [`LocalMmm::a1`] (temporal) |
+/// | `A_1` | per-video [`LocalMmm::a1`] (temporal, sparse) |
 /// | `A_2` | [`Hmmm::a2`] (co-access, non-temporal) |
 /// | `B_1` | [`Hmmm::b1`] (normalized features per shot) |
 /// | `B_2` | [`Hmmm::b2`] (event counts per video) |
@@ -206,41 +196,105 @@ impl EventTerms {
 /// | `P_{1,2}` | [`Hmmm::p12`] (event × feature importance) |
 /// | `B_1'` | [`Hmmm::b1_prime`] (per-event feature centroids, Eq. 11) |
 /// | `L_{1,2}` | the catalog's shot→video ranges (dense, implicit) |
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// Every field is private. The serialized form holds the sources only
+/// (see the module docs); deserializing one checks its shapes and runs the
+/// numeric Definition-1 audit ([`crate::audit::audit_numeric`]) before the
+/// model exists, so a malformed file is an error, never a panic.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Hmmm {
+    /// The persisted sources.
+    src: Sources,
+    /// Derived: feature-major (SoA) transpose of `B_1`. `B_1` has no writer
+    /// after construction, so this is built once, in `from_sources`.
+    b1_slab: FeatureSlab,
+    /// Derived: per-event packed Eq.-14 terms, folded from `P_{1,2}`/`B_1'`.
+    event_terms: Vec<EventTerms>,
+    /// Derived: the ingest-time coarse index, folded from `B_2`, the
+    /// `Π_1`/`A_1` maxima and the Eq.-14 scores.
+    coarse: CoarseIndex,
+}
+
+/// The sources of a model: everything [`Hmmm`] persists, in its serialized
+/// layout. Construction fills one in; deserialization reads one.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) struct Sources {
     /// One local MMM per video, indexed by `VideoId`.
-    pub locals: Vec<LocalMmm>,
+    pub(crate) locals: Vec<LocalMmm>,
     /// `B_1`: normalized Table-1 features, indexed by global `ShotId`.
-    pub b1: Vec<FeatureVector>,
+    pub(crate) b1: Vec<FeatureVector>,
     /// `A_2`: video-to-video relative affinity.
-    pub a2: StochasticMatrix,
+    pub(crate) a2: StochasticMatrix,
     /// `B_2`: per-video event counts (`B_2[video][event]`).
-    pub b2: Vec<[usize; EventKind::COUNT]>,
+    pub(crate) b2: Vec<[usize; EventKind::COUNT]>,
     /// `Π_2`: initial video distribution.
-    pub pi2: ProbVector,
+    pub(crate) pi2: ProbVector,
     /// `P_{1,2}`: feature-importance weights, one stochastic row per event.
-    pub p12: StochasticMatrix,
+    pub(crate) p12: StochasticMatrix,
     /// `B_1'`: per-event feature centroids over normalized features.
-    pub b1_prime: Vec<FeatureVector>,
+    pub(crate) b1_prime: Vec<FeatureVector>,
     /// The Eq.-(3) normalizer fitted on the raw catalog features.
-    pub normalizer: Normalizer,
-    /// Feature-major (SoA) transpose of [`Hmmm::b1`], so the blocked Eq.-14
-    /// kernel reads each feature's values for a shot block at unit stride.
-    /// Derived cache: rebuilt by [`Hmmm::refresh_derived`] whenever `b1`
-    /// changes, cross-checked bitwise against `b1` by the auditor.
-    pub b1_slab: FeatureSlab,
-    /// Per-event packed Eq.-14 terms (one entry per [`EventKind`]), with
-    /// the memoized self-similarity denominator. Derived cache: rebuilt by
-    /// [`Hmmm::refresh_event_terms`] whenever `p12`/`b1_prime` change (the
-    /// feedback relearning step does).
-    pub event_terms: Vec<EventTerms>,
-    /// The ingest-time coarse index: inverted `B_2` event → video postings
-    /// plus precomputed per-video bound summaries, feeding the two-stage
-    /// coarse-to-fine retrieval ([`crate::coarse::CoarseIndex`]). Derived
-    /// cache: rebuilt by [`Hmmm::refresh_coarse`] whenever any source
-    /// matrix it folds (`Π_1`/`A_1` row maxima, `B_2`, `P_{1,2}`/`B_1'`
-    /// through Eq. 14) changes — construction and every feedback round do.
-    pub coarse: crate::coarse::CoarseIndex,
+    pub(crate) normalizer: Normalizer,
+}
+
+impl Sources {
+    /// The dimension agreements between the sources that building the
+    /// derived caches relies on (it indexes by them): one `B_1` row per
+    /// local shot, `A_2`/`Π_2`/`B_2` sized by the video count, `P_{1,2}`
+    /// and `B_1'` by the event and feature counts. The `Π_1`/`A_1` pairing
+    /// is checked per local as it is read.
+    fn check_shapes(&self) -> Result<(), CoreError> {
+        let shots: usize = self.locals.iter().map(LocalMmm::len).sum();
+        if shots != self.b1.len() {
+            return Err(CoreError::Inconsistent(format!(
+                "B1 has {} rows vs {shots} local shot states",
+                self.b1.len()
+            )));
+        }
+        let m = self.locals.len();
+        if self.a2.rows() != m || self.a2.cols() != m || self.pi2.len() != m {
+            return Err(CoreError::Inconsistent(format!(
+                "A2/Π2 dimensions vs {m} local MMMs"
+            )));
+        }
+        if self.b2.len() != m {
+            return Err(CoreError::Inconsistent(format!(
+                "B2 has {} rows vs {m} local MMMs",
+                self.b2.len()
+            )));
+        }
+        if self.p12.rows() != EventKind::COUNT || self.p12.cols() != FEATURE_COUNT {
+            return Err(CoreError::Inconsistent("P12 dimensions".into()));
+        }
+        if self.b1_prime.len() != EventKind::COUNT {
+            return Err(CoreError::Inconsistent("B1' row count".into()));
+        }
+        Ok(())
+    }
+}
+
+impl Serialize for Hmmm {
+    /// The sources only, borrowed (no copy of the model is made).
+    fn to_value(&self) -> Value {
+        self.src.to_value()
+    }
+}
+
+impl Deserialize for Hmmm {
+    /// Reads the sources, checks their shapes, rebuilds the derived caches
+    /// and runs the numeric Definition-1 audit. Pairing the model with a
+    /// catalog is [`crate::load_model`]'s job.
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let sources = Sources::from_value(v)?;
+        let invalid = |e: CoreError| match e {
+            CoreError::Inconsistent(what) => DeError::new(format!("Hmmm: {what}")),
+            other => DeError::new(format!("Hmmm: {other}")),
+        };
+        sources.check_shapes().map_err(invalid)?;
+        let model = Hmmm::from_sources(sources);
+        crate::audit::audit_numeric(&model).map_err(invalid)?;
+        Ok(model)
+    }
 }
 
 /// Human-readable summary of a model's dimensions.
@@ -262,12 +316,58 @@ impl Hmmm {
     /// The hierarchy depth of this deployment (`d` in Definition 1).
     pub const DEPTH: usize = 2;
 
+    /// Assembles a model from its sources and builds every derived cache.
+    /// The caller guarantees the shapes agree ([`Sources::check_shapes`]).
+    pub(crate) fn from_sources(src: Sources) -> Hmmm {
+        let mut model = Hmmm {
+            b1_slab: FeatureSlab::from_rows(&src.b1),
+            src,
+            event_terms: Vec::new(),
+            coarse: CoarseIndex::default(),
+        };
+        model.refresh();
+        model
+    }
+
+    /// Installs what one feedback round relearned (Eqs. 1–2, 4–6, 8–11):
+    /// the updated local MMMs by video index, `A_2`/`Π_2`, and `P_{1,2}`/
+    /// `B_1'` when the round relearned them. Then rebuilds the caches that
+    /// fold them.
+    pub(crate) fn install_feedback(
+        &mut self,
+        locals: Vec<(usize, LocalMmm)>,
+        a2: StochasticMatrix,
+        pi2: ProbVector,
+        cross: Option<(StochasticMatrix, Vec<FeatureVector>)>,
+    ) {
+        for (v, local) in locals {
+            self.src.locals[v] = local;
+        }
+        self.src.a2 = a2;
+        self.src.pi2 = pi2;
+        if let Some((p12, b1_prime)) = cross {
+            self.src.p12 = p12;
+            self.src.b1_prime = b1_prime;
+        }
+        self.refresh();
+    }
+
+    /// Rebuilds the caches that fold relearnable sources: the packed event
+    /// terms from `P_{1,2}`/`B_1'`, then the coarse index, whose calibrated
+    /// Eq.-14 folds read those terms.
+    fn refresh(&mut self) {
+        self.event_terms = (0..EventKind::COUNT)
+            .map(|e| EventTerms::build(&self.src.p12, &self.src.b1_prime[e], e))
+            .collect();
+        self.coarse = CoarseIndex::build(self);
+    }
+
     /// Dimension summary.
     pub fn summary(&self) -> ModelSummary {
         ModelSummary {
             depth: Self::DEPTH,
-            videos: self.locals.len(),
-            shots: self.b1.len(),
+            videos: self.src.locals.len(),
+            shots: self.src.b1.len(),
             features: FEATURE_COUNT,
             events: EventKind::COUNT,
         }
@@ -275,53 +375,73 @@ impl Hmmm {
 
     /// Number of videos (`M`).
     pub fn video_count(&self) -> usize {
-        self.locals.len()
+        self.src.locals.len()
     }
 
     /// Number of shots (`N`).
     pub fn shot_count(&self) -> usize {
-        self.b1.len()
+        self.src.b1.len()
     }
 
-    /// Rebuilds every model-level derived cache (the `B_1` SoA slab and the
-    /// packed event terms) from the source-of-truth matrices. Construction
-    /// calls this once; mutate `b1` and you must call it again.
-    pub fn refresh_derived(&mut self) {
-        self.b1_slab = FeatureSlab::from_rows(&self.b1);
-        self.refresh_event_terms();
-        // Last: the coarse index folds calibrated Eq.-14 scores, which read
-        // the packed event terms rebuilt just above.
-        self.refresh_coarse();
+    /// The local MMMs (`A_1`, `Π_1` per video), indexed by `VideoId`.
+    pub fn locals(&self) -> &[LocalMmm] {
+        &self.src.locals
     }
 
-    /// Rebuilds only the packed event terms (and their memoized
-    /// self-similarity denominators) from `p12`/`b1_prime`. The feedback
-    /// relearning step calls this after replacing the cross-level matrices;
-    /// `b1` is untouched there, so the slab needs no rebuild.
-    pub fn refresh_event_terms(&mut self) {
-        self.event_terms = (0..EventKind::COUNT)
-            .map(|e| EventTerms::build(&self.p12, &self.b1_prime[e], e))
-            .collect();
+    /// `B_1`: normalized Table-1 features, indexed by global `ShotId`.
+    pub fn b1(&self) -> &[FeatureVector] {
+        &self.src.b1
     }
 
-    /// Rebuilds only the coarse retrieval index
-    /// ([`crate::coarse::CoarseIndex`]) from the current matrices. Feedback
-    /// calls this unconditionally at the end of every apply — `Π_1`/`A_1`
-    /// always move there, and the stored Eq.-12/14 bound summaries fold
-    /// them — while construction gets it through
-    /// [`Hmmm::refresh_derived`]. Must run *after*
-    /// [`Hmmm::refresh_event_terms`] when both fire: the calibrated
-    /// similarity folds read the packed terms.
-    pub fn refresh_coarse(&mut self) {
-        let fresh = crate::coarse::CoarseIndex::build(self);
-        self.coarse = fresh;
+    /// `A_2`: video-to-video relative affinity.
+    pub fn a2(&self) -> &StochasticMatrix {
+        &self.src.a2
     }
 
-    /// Validates the model against the catalog it was built from: per-video
-    /// state counts, global feature rows, matrix dimensions, link ranges,
-    /// and the freshness of every derived cache the retrieval hot path
-    /// trusts (bound factors, sparse `A_1` views, the `B_1` slab, packed
-    /// event terms, coarse postings).
+    /// `B_2`: per-video event counts (`b2()[video][event]`).
+    pub fn b2(&self) -> &[[usize; EventKind::COUNT]] {
+        &self.src.b2
+    }
+
+    /// `Π_2`: initial video distribution.
+    pub fn pi2(&self) -> &ProbVector {
+        &self.src.pi2
+    }
+
+    /// `P_{1,2}`: feature-importance weights, one stochastic row per event.
+    pub fn p12(&self) -> &StochasticMatrix {
+        &self.src.p12
+    }
+
+    /// `B_1'`: per-event feature centroids (Eq. 11).
+    pub fn b1_prime(&self) -> &[FeatureVector] {
+        &self.src.b1_prime
+    }
+
+    /// The Eq.-(3) normalizer fitted on the raw catalog features.
+    pub fn normalizer(&self) -> &Normalizer {
+        &self.src.normalizer
+    }
+
+    /// Feature-major transpose of `B_1` for the blocked Eq.-14 kernel.
+    pub(crate) fn b1_slab(&self) -> &FeatureSlab {
+        &self.b1_slab
+    }
+
+    /// Per-event packed Eq.-14 terms, one entry per [`EventKind`].
+    pub(crate) fn event_terms(&self) -> &[EventTerms] {
+        &self.event_terms
+    }
+
+    /// The coarse index, the first stage of every retrieval.
+    pub fn coarse(&self) -> &CoarseIndex {
+        &self.coarse
+    }
+
+    /// Pairs the model with a catalog: one local MMM per video, each with
+    /// one state per shot of that video, and one `B_1` row per shot. Every
+    /// other agreement (matrix dimensions, fresh derived caches) holds by
+    /// construction.
     ///
     /// On success it returns a [`Validated`] proof borrowing both values.
     /// The proof is what [`crate::Retriever::from_validated`] takes, so a
@@ -335,21 +455,21 @@ impl Hmmm {
         &'a self,
         catalog: &'a Catalog,
     ) -> Result<Validated<'a>, CoreError> {
-        if self.locals.len() != catalog.video_count() {
+        if self.src.locals.len() != catalog.video_count() {
             return Err(CoreError::Inconsistent(format!(
                 "{} local MMMs vs {} videos",
-                self.locals.len(),
+                self.src.locals.len(),
                 catalog.video_count()
             )));
         }
-        if self.b1.len() != catalog.shot_count() {
+        if self.src.b1.len() != catalog.shot_count() {
             return Err(CoreError::Inconsistent(format!(
                 "B1 has {} rows vs {} shots",
-                self.b1.len(),
+                self.src.b1.len(),
                 catalog.shot_count()
             )));
         }
-        for (v, local) in catalog.videos().iter().zip(self.locals.iter()) {
+        for (v, local) in catalog.videos().iter().zip(self.src.locals.iter()) {
             if local.len() != v.shot_count() {
                 return Err(CoreError::Inconsistent(format!(
                     "local MMM of {} has {} states vs {} shots",
@@ -358,114 +478,7 @@ impl Hmmm {
                     v.shot_count()
                 )));
             }
-            if local.a1.rows() != v.shot_count() || local.a1.cols() != v.shot_count() {
-                return Err(CoreError::Inconsistent(format!(
-                    "A1 of {} is {}x{}",
-                    v.id,
-                    local.a1.rows(),
-                    local.a1.cols()
-                )));
-            }
-            // Stale bound factors would make the top-k pruning bounds
-            // inadmissible (silently wrong rankings), so they are checked
-            // here rather than trusted. They are derived by the exact same
-            // fold `refresh_bounds` uses, so fresh values compare equal.
-            if local.a1_row_max != forward_row_maxima(&local.a1)
-                || local.a1_max != max_of(&local.a1_row_max)
-                || local.pi1_max != max_of(local.pi1.as_slice())
-            {
-                return Err(CoreError::Inconsistent(format!(
-                    "stale A1/Π1 bound factors on {} (refresh_bounds not \
-                     called after mutation?)",
-                    v.id
-                )));
-            }
-            // The sparse A1 view is derived the same way: either it mirrors
-            // the dense matrix bitwise, or its absence is justified by the
-            // density threshold. A stale CSR would silently change which
-            // transitions the traversal even considers.
-            let csr_fresh = match &local.a1_sparse {
-                Some(csr) => {
-                    csr.matches(local.a1.as_matrix())
-                        && csr.forward_density() <= A1_CSR_DENSITY_THRESHOLD
-                }
-                None => {
-                    ForwardCsr::from_forward(local.a1.as_matrix()).forward_density()
-                        > A1_CSR_DENSITY_THRESHOLD
-                }
-            };
-            if !csr_fresh {
-                return Err(CoreError::Inconsistent(format!(
-                    "stale sparse A1 view on {} (refresh_bounds not called \
-                     after mutation?)",
-                    v.id
-                )));
-            }
         }
-        let m = catalog.video_count();
-        if self.a2.rows() != m || self.a2.cols() != m || self.pi2.len() != m {
-            return Err(CoreError::Inconsistent("A2/Π2 dimensions".into()));
-        }
-        if self.b2.len() != m {
-            return Err(CoreError::Inconsistent("B2 row count".into()));
-        }
-        if self.p12.rows() != EventKind::COUNT || self.p12.cols() != FEATURE_COUNT {
-            return Err(CoreError::Inconsistent("P12 dimensions".into()));
-        }
-        if self.b1_prime.len() != EventKind::COUNT {
-            return Err(CoreError::Inconsistent("B1' row count".into()));
-        }
-        // Model-level derived caches: the SoA slab must be a bitwise
-        // transpose of B1 and the packed event terms must mirror
-        // P12/B1'. Both checks are NaN-safe bit comparisons, so a poisoned
-        // model still gets its real diagnosis from the numeric audit below.
-        if !self.b1_slab.matches(&self.b1) {
-            return Err(CoreError::Inconsistent(
-                "stale B1 SoA slab (refresh_derived not called after \
-                 mutation?)"
-                    .into(),
-            ));
-        }
-        if self.event_terms.len() != EventKind::COUNT
-            || self
-                .event_terms
-                .iter()
-                .enumerate()
-                .any(|(e, t)| !t.matches(&self.p12, &self.b1_prime[e], e))
-        {
-            return Err(CoreError::Inconsistent(
-                "stale packed event terms (refresh_event_terms not called \
-                 after mutation?)"
-                    .into(),
-            ));
-        }
-        // Coarse-index freshness, cheap half: shapes plus the postings ↔
-        // B_2 signature predicate (O(videos × events), no Eq.-14 work).
-        // The full bitwise re-fold of the stored bound summaries is
-        // `deep_audit`'s job — a stale summary would make the coarse
-        // stage's admission bounds inadmissible (silently wrong rankings).
-        if !self.coarse.matches(self) {
-            return Err(CoreError::Inconsistent(
-                "stale coarse index (refresh_coarse not called after \
-                 mutation?)"
-                    .into(),
-            ));
-        }
-        for (i, f) in self.b1.iter().enumerate() {
-            if !f.is_finite() {
-                return Err(CoreError::Inconsistent(format!(
-                    "B1 row {i} is non-finite"
-                )));
-            }
-        }
-        // Debug builds escalate every shape validation into the full
-        // numeric λ-audit (row-stochastic A_n, unit-mass Π/P_{1,2}, B_1'
-        // ranges), so every proof minted while tests run also re-proves the
-        // invariants: once per `Retriever::new`, and once per (worker,
-        // epoch) inside the server. Release builds keep validation
-        // O(shapes); run `hmmm check` / `deep_audit` explicitly.
-        #[cfg(debug_assertions)]
-        crate::audit::audit_numeric(self)?;
         Ok(Validated {
             model: self,
             catalog,
@@ -494,10 +507,12 @@ impl Hmmm {
 /// let _b = Retriever::from_validated(proof, RetrievalConfig::content_only());
 /// ```
 ///
-/// The model cannot be mutated while a proof of it is alive:
+/// The model cannot be mutated while a proof of it is alive, not even by
+/// its own feedback update:
 ///
-/// ```compile_fail
-/// # use hmmm_core::{build_hmmm, BuildConfig, RetrievalConfig, Retriever};
+/// ```compile_fail,E0502
+/// # use hmmm_core::{build_hmmm, BuildConfig, FeedbackConfig, FeedbackLog};
+/// # use hmmm_core::{RetrievalConfig, Retriever};
 /// # use hmmm_features::FeatureVector;
 /// # use hmmm_media::EventKind;
 /// # use hmmm_storage::Catalog;
@@ -505,7 +520,8 @@ impl Hmmm {
 /// catalog.add_video("v", vec![(vec![EventKind::Goal], FeatureVector::zeros())]);
 /// let mut model = build_hmmm(&catalog, &BuildConfig::default()).unwrap();
 /// let proof = model.validate_against(&catalog).unwrap();
-/// model.locals[0].a1_row_max[0] = 2.0; // stale bound factor: refused
+/// let mut log = FeedbackLog::new();
+/// log.apply(&mut model, &catalog, &FeedbackConfig::default()).unwrap(); // refused
 /// let _r = Retriever::from_validated(proof, RetrievalConfig::default());
 /// ```
 ///
@@ -553,7 +569,7 @@ impl std::fmt::Debug for Validated<'_> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::construct::{build_hmmm, BuildConfig};
     use hmmm_features::FeatureId;
@@ -622,5 +638,42 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: Hmmm = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
+    }
+
+    /// Deserializes the persisted form of `m` after `edit` rewrote the
+    /// value at `path` (object keys, array indices).
+    pub(crate) fn load_edited(
+        m: &Hmmm,
+        path: &[&str],
+        edit: impl FnOnce(&mut Value),
+    ) -> Result<Hmmm, DeError> {
+        let mut persisted = m.to_value();
+        let mut node = &mut persisted;
+        for key in path {
+            node = match node {
+                Value::Object(fields) => &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1,
+                Value::Array(items) => &mut items[key.parse::<usize>().unwrap()],
+                other => panic!("no {key} in {other:?}"),
+            };
+        }
+        edit(node);
+        Hmmm::from_value(&persisted)
+    }
+
+    #[test]
+    fn deserializer_rejects_disagreeing_source_shapes() {
+        let m = build_hmmm(&catalog(), &BuildConfig::default()).unwrap();
+        let grow = |v: &mut Value| match v {
+            Value::Array(items) => items.push(items[0].clone()),
+            _ => panic!("array"),
+        };
+        for (path, expect) in [
+            (&["b1"][..], "B1 has 6 rows vs 5"),
+            (&["b2"], "B2 has 3 rows"),
+            (&["locals", "1", "pi1"], "Π1 has 3 states vs 2 A1 rows"),
+        ] {
+            let err = load_edited(&m, path, grow).unwrap_err();
+            assert!(err.to_string().contains(expect), "{err}");
+        }
     }
 }

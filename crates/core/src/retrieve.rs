@@ -691,14 +691,14 @@ pub struct Retriever<'a> {
 impl<'a> Retriever<'a> {
     /// Validates model/catalog consistency ([`Hmmm::validate_against`]),
     /// then builds the retriever from the proof
-    /// ([`Retriever::from_validated`]). This pays for the full check on
-    /// every call; code that answers many queries against one model
-    /// should validate once and keep the proof, as the server's workers do.
+    /// ([`Retriever::from_validated`]). This pays for the check on every
+    /// call; code that answers many queries against one model should
+    /// validate once and keep the proof, as the server's workers do.
     ///
     /// # Errors
     ///
     /// [`CoreError::Inconsistent`] if the model was not built from (an
-    /// equal-shape) catalog, or a derived cache is stale.
+    /// equal-shape) catalog.
     pub fn new(
         model: &'a Hmmm,
         catalog: &'a Catalog,
@@ -874,7 +874,7 @@ impl<'a> Retriever<'a> {
         let candidates = {
             let _coarse_span = obs.span(m::SPAN_COARSE);
             self.model
-                .coarse
+                .coarse()
                 .candidates(self.model, pattern, &self.config, videos, &mut stats)
         };
 
@@ -1223,7 +1223,7 @@ impl<'a> Retriever<'a> {
             .recorder
             .span_labeled(m::SPAN_VIDEO, video.index() as u64);
         stats.videos_visited += 1;
-        let local = &self.model.locals[video.index()];
+        let local = &self.model.locals()[video.index()];
         let shots = self.catalog.shots_of_video(video);
         let steps_total = pattern.steps.len();
 
@@ -1305,7 +1305,7 @@ impl<'a> Retriever<'a> {
             starts.sort_by(cmp);
         }
         for &(s, event, sim) in starts.iter() {
-            let w = local.pi1.get(s) * sim;
+            let w = local.pi1().get(s) * sim;
             if w > 0.0 {
                 pending.push(BeamNode {
                     parent: NO_PARENT,
@@ -1322,7 +1322,7 @@ impl<'a> Retriever<'a> {
             // hmmm-lint: allow(no-alloc-in-traversal) empty result, no heap
             return Vec::new();
         }
-        if beam_is_hopeless(arena, beam, prune, 0, &local.a1_row_max, stats) {
+        if beam_is_hopeless(arena, beam, prune, 0, local.a1_row_max(), stats) {
             // hmmm-lint: allow(no-alloc-in-traversal) empty result, no heap
             return Vec::new();
         }
@@ -1356,81 +1356,48 @@ impl<'a> Retriever<'a> {
                 }
                 let entry = arena[idx as usize];
                 let from = entry.local as usize;
-                // The admission tail shared by the sparse and dense walks:
-                // annotation filter, same-shot rule, Eq.-13 edge weight,
-                // child push. `a` is already known strictly positive here,
-                // so both walks admit exactly the same transitions in the
-                // same ascending-`to` order — identical beams either way.
-                let admit =
-                    |to: usize, a: f64, pending: &mut Vec<BeamNode>, stats: &mut RetrievalStats| {
-                        let shot = &shots[to];
-                        if step_has_annotation
-                            && !shot
-                                .events
-                                .iter()
-                                .any(|&e| step.alternatives.contains(&e.index()))
-                        {
-                            return;
+                // Only the non-zero forward entries of row `from`, in
+                // ascending column order (so the `max_gap` early-break stays
+                // valid): `transitions_examined` counts real candidate
+                // edges, never structural zeros.
+                let (cols, vals) = local.a1().row(from);
+                for (&to, &a) in cols.iter().zip(vals.iter()) {
+                    let to = to as usize;
+                    if let Some(gap) = step.max_gap {
+                        if to - from > gap {
+                            break;
                         }
-                        if to == from
-                            && !same_shot_revisit_ok(&shot.events, entry.event as usize, step)
-                        {
-                            return;
-                        }
-                        scorer.charge(stats);
-                        let Some((event, sim)) =
-                            scorer.best_alternative(base + to, &step.alternatives)
-                        else {
-                            return;
-                        };
-                        let w = entry.weight * a * sim;
-                        if w <= 0.0 {
-                            return;
-                        }
-                        pending.push(BeamNode {
-                            parent: idx,
-                            local: to as u32,
-                            event: event as u32,
-                            weight: w,
-                            score: entry.score + w,
-                        });
+                    }
+                    stats.transitions_examined += 1;
+                    let shot = &shots[to];
+                    if step_has_annotation
+                        && !shot
+                            .events
+                            .iter()
+                            .any(|&e| step.alternatives.contains(&e.index()))
+                    {
+                        continue;
+                    }
+                    if to == from && !same_shot_revisit_ok(&shot.events, entry.event as usize, step)
+                    {
+                        continue;
+                    }
+                    scorer.charge(stats);
+                    let Some((event, sim)) = scorer.best_alternative(base + to, &step.alternatives)
+                    else {
+                        continue;
                     };
-                match &local.a1_sparse {
-                    // CSR walk: only the non-zero forward entries of row
-                    // `from`, in ascending column order (so the `max_gap`
-                    // early-break stays valid). The dense walk's `a <= 0`
-                    // rejects are exactly the entries the CSR omits, so
-                    // `transitions_examined` now counts real candidate
-                    // edges rather than structural zeros.
-                    Some(csr) => {
-                        let (cols, vals) = csr.row(from);
-                        for (&to, &a) in cols.iter().zip(vals.iter()) {
-                            let to = to as usize;
-                            if let Some(gap) = step.max_gap {
-                                if to - from > gap {
-                                    break;
-                                }
-                            }
-                            stats.transitions_examined += 1;
-                            admit(to, a, pending, stats);
-                        }
+                    let w = entry.weight * a * sim;
+                    if w <= 0.0 {
+                        continue;
                     }
-                    // Dense fallback (forward density above the CSR
-                    // threshold): scan the row as before.
-                    None => {
-                        for to in from..n {
-                            if let Some(gap) = step.max_gap {
-                                if to - from > gap {
-                                    break;
-                                }
-                            }
-                            stats.transitions_examined += 1;
-                            let a = local.a1.get(from, to);
-                            if a > 0.0 {
-                                admit(to, a, pending, stats);
-                            }
-                        }
-                    }
+                    pending.push(BeamNode {
+                        parent: idx,
+                        local: to as u32,
+                        event: event as u32,
+                        weight: w,
+                        score: entry.score + w,
+                    });
                 }
             }
             trim_beam(pending, self.config.beam_width, arena);
@@ -1439,7 +1406,7 @@ impl<'a> Retriever<'a> {
                 // hmmm-lint: allow(no-alloc-in-traversal) empty result
                 return Vec::new();
             }
-            if beam_is_hopeless(arena, beam, prune, j, &local.a1_row_max, stats) {
+            if beam_is_hopeless(arena, beam, prune, j, local.a1_row_max(), stats) {
                 // hmmm-lint: allow(no-alloc-in-traversal) empty result
                 return Vec::new();
             }

@@ -65,15 +65,15 @@ pub const CENTROID_EPSILON: f64 = 1e-9;
 /// assert_eq!(similarity(&model, 0, red), 0.0);
 /// ```
 pub fn similarity(model: &Hmmm, shot: usize, event: usize) -> f64 {
-    let b1 = &model.b1[shot];
-    let centroid = &model.b1_prime[event];
+    let b1 = &model.b1()[shot];
+    let centroid = &model.b1_prime()[event];
     let mut total = 0.0;
     for y in 0..FEATURE_COUNT {
         let c = centroid[y];
         if c <= CENTROID_EPSILON {
             continue;
         }
-        let weight = model.p12.get(event, y);
+        let weight = model.p12().get(event, y);
         let diff = (b1[y] - c).abs();
         total += weight * (1.0 - diff) / c;
     }
@@ -98,14 +98,14 @@ pub fn similarity(model: &Hmmm, shot: usize, event: usize) -> f64 {
 pub fn similarity_into(model: &Hmmm, shots: Range<usize>, event: usize, out: &mut [f64]) {
     assert_eq!(out.len(), shots.len(), "similarity block size mismatch");
     out.fill(0.0);
-    let terms = &model.event_terms[event];
+    let terms = &model.event_terms()[event];
     for ((&y, &c), &w) in terms
         .features
         .iter()
         .zip(terms.centroids.iter())
         .zip(terms.weights.iter())
     {
-        let row = &model.b1_slab.feature_row(y as usize)[shots.clone()];
+        let row = &model.b1_slab().feature_row(y as usize)[shots.clone()];
         for (acc, &b) in out.iter_mut().zip(row.iter()) {
             *acc += w * (1.0 - (b - c).abs()) / c;
         }
@@ -177,7 +177,7 @@ pub fn calibrated_block<'a>(
 ) -> &'a [f64] {
     scratch.clear();
     scratch.resize(shots.len(), 0.0);
-    let denom = model.event_terms[event].self_sim;
+    let denom = model.event_terms()[event].self_sim;
     if denom > 0.0 {
         similarity_into(model, shots.clone(), event, scratch);
         for v in scratch.iter_mut() {
@@ -191,21 +191,20 @@ pub fn calibrated_block<'a>(
 /// `Σ_y P_{1,2}(e, f_y) / B_1'(e, f_y)` over non-zero features — the
 /// maximum attainable similarity for the event.
 ///
-/// This is the *reference* computation; the model memoizes it per event at
-/// build/feedback time ([`crate::model::EventTerms::self_sim`], rebuilt by
-/// `refresh_event_terms`), and the hot paths read the memo instead of
-/// re-folding. The memo's fold walks the same terms in the same ascending
-/// order, so it is bitwise equal to this function — the auditor re-proves
-/// that on every validation.
+/// This is the *reference* computation; the model memoizes it per event
+/// whenever it builds its caches ([`crate::model::EventTerms::self_sim`]),
+/// and the hot paths read the memo instead of re-folding. The memo's fold
+/// walks the same terms in the same ascending order, so it is bitwise equal
+/// to this function (a unit test below pins that).
 pub fn self_similarity(model: &Hmmm, event: usize) -> f64 {
-    let centroid = &model.b1_prime[event];
+    let centroid = &model.b1_prime()[event];
     let mut total = 0.0;
     for y in 0..FEATURE_COUNT {
         let c = centroid[y];
         if c <= CENTROID_EPSILON {
             continue;
         }
-        total += model.p12.get(event, y) / c;
+        total += model.p12().get(event, y) / c;
     }
     total
 }
@@ -223,7 +222,7 @@ pub fn calibrated_similarity(model: &Hmmm, shot: usize, event: usize) -> f64 {
     // The denominator is a per-event constant; read the build-time memo
     // (bitwise equal to `self_similarity` — see there) instead of
     // re-folding Eq. 14 at its own centroid on every call.
-    let denom = model.event_terms[event].self_sim;
+    let denom = model.event_terms()[event].self_sim;
     if denom <= 0.0 {
         0.0
     } else {
@@ -385,7 +384,7 @@ mod tests {
         let m = model();
         for event in 0..EventKind::COUNT {
             assert_eq!(
-                m.event_terms[event].self_sim.to_bits(),
+                m.event_terms()[event].self_sim.to_bits(),
                 self_similarity(&m, event).to_bits()
             );
         }

@@ -105,12 +105,13 @@ impl SimCache {
             }
         }
 
-        // Satellite memo: the denominators were folded once at model build
-        // time (bitwise equal to `sim::self_similarity` — the auditor
-        // re-proves it), so the cache just copies them.
+        // Satellite memo: the denominators were folded once when the model
+        // built its caches (bitwise equal to `sim::self_similarity`, pinned
+        // by `sim::tests::memoized_denominator_matches_reference_bitwise`),
+        // so the cache just copies them.
         let mut self_sims = [0.0; EventKind::COUNT];
         for &e in &event_slots {
-            self_sims[e] = model.event_terms[e].self_sim;
+            self_sims[e] = model.event_terms()[e].self_sim;
         }
 
         let slots = event_slots.len();

@@ -48,13 +48,13 @@ fn content_seeded_a2_binds_similar_videos() {
     // Content seeding: the two goal videos are more affine to each other
     // than to the cards video.
     assert!(
-        content.a2.get(0, 1) > content.a2.get(0, 2),
+        content.a2().get(0, 1) > content.a2().get(0, 2),
         "content A2 should bind goal videos: {} vs {}",
-        content.a2.get(0, 1),
-        content.a2.get(0, 2)
+        content.a2().get(0, 1),
+        content.a2().get(0, 2)
     );
     // Paper-literal: uniform — no preference before training.
-    assert!((literal.a2.get(0, 1) - literal.a2.get(0, 2)).abs() < 1e-12);
+    assert!((literal.a2().get(0, 1) - literal.a2().get(0, 2)).abs() < 1e-12);
 }
 
 #[test]
@@ -74,13 +74,13 @@ fn learned_p12_differs_from_uniform_and_concentrates() {
     let u = 1.0 / FEATURE_COUNT as f64;
     // Uniform config: every weight is 1/K.
     for col in 0..FEATURE_COUNT {
-        assert!((uniform.p12.get(goal, col) - u).abs() < 1e-12);
+        assert!((uniform.p12().get(goal, col) - u).abs() < 1e-12);
     }
     // Learned config: mass concentrates on the features goal shots share
     // (entropy strictly below uniform's).
     let learned_entropy: f64 = (0..FEATURE_COUNT)
         .map(|col| {
-            let p = learned.p12.get(goal, col);
+            let p = learned.p12().get(goal, col);
             if p > 0.0 {
                 -p * p.ln()
             } else {
@@ -123,9 +123,9 @@ fn unannotated_weight_extends_reachability() {
     );
     let literal = build_hmmm(&c, &BuildConfig::paper_literal()).unwrap();
     // Literal: no forward annotation mass → shot 0 is absorbing.
-    assert_eq!(literal.a2.rows(), 1);
-    assert_eq!(literal.locals[0].a1.get(0, 1), 0.0);
-    assert_eq!(literal.locals[0].a1.get(0, 0), 1.0);
+    assert_eq!(literal.a2().rows(), 1);
+    assert_eq!(literal.locals()[0].a1().get(0, 1), 0.0);
+    assert_eq!(literal.locals()[0].a1().get(0, 0), 1.0);
 
     let smoothed = build_hmmm(
         &c,
@@ -136,7 +136,7 @@ fn unannotated_weight_extends_reachability() {
     )
     .unwrap();
     assert!(
-        smoothed.locals[0].a1.get(0, 1) > 0.0,
+        smoothed.locals()[0].a1().get(0, 1) > 0.0,
         "smoothing must make unannotated shots reachable"
     );
 }

@@ -74,7 +74,7 @@ fn pattern() -> impl Strategy<Value = CompiledPattern> {
 /// model's `B_2` rows (not from the coarse postings).
 fn b2_eligible(model: &Hmmm, pattern: &CompiledPattern) -> BTreeSet<usize> {
     (0..model.video_count())
-        .filter(|&v| pattern.steps[0].alternatives.iter().any(|&e| model.b2[v][e] > 0))
+        .filter(|&v| pattern.steps[0].alternatives.iter().any(|&e| model.b2()[v][e] > 0))
         .collect()
 }
 
@@ -113,7 +113,7 @@ proptest! {
         prop_assert_eq!(results.len(), stats.candidates_scored);
         for p in &results {
             let v = p.video.index();
-            let ub = model.coarse.video_bounds(v, &model.locals[v], &pat).video_ub();
+            let ub = model.coarse().video_bounds(v, &model.locals()[v], &pat).video_ub();
             prop_assert!(
                 p.score <= ub,
                 "video {} scored {} above its coarse bound {}", v, p.score, ub
@@ -133,7 +133,7 @@ proptest! {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
         let cfg = regime(content_only);
         let mut stats = RetrievalStats::default();
-        let candidates = model.coarse.candidates(&model, &pat, &cfg, None, &mut stats);
+        let candidates = model.coarse().candidates(&model, &pat, &cfg, None, &mut stats);
         let admitted: BTreeSet<usize> = candidates.iter().map(|(v, _)| v.index()).collect();
         let entered: BTreeSet<usize> = if cfg.require_first_event {
             b2_eligible(&model, &pat)
@@ -148,7 +148,7 @@ proptest! {
             let base = range.start;
             for shot in range {
                 for &e in &pat.steps[0].alternatives {
-                    let w = model.locals[v].pi1.get(shot - base) * calibrated_similarity(&model, shot, e);
+                    let w = model.locals()[v].pi1().get(shot - base) * calibrated_similarity(&model, shot, e);
                     prop_assert_eq!(w, 0.0, "video {} shot {} event {} admits a start", v, shot, e);
                 }
             }
@@ -177,12 +177,12 @@ proptest! {
             valid.intersection(&b2_eligible(&model, &pat)).copied().collect();
 
         let mut stats = RetrievalStats::default();
-        let candidates = model.coarse.candidates(&model, &pat, &cfg, Some(&subset), &mut stats);
+        let candidates = model.coarse().candidates(&model, &pat, &cfg, Some(&subset), &mut stats);
         let admitted: BTreeSet<usize> = candidates.iter().map(|(v, _)| v.index()).collect();
         prop_assert_eq!(admitted.len(), candidates.len(), "a candidate repeats");
         prop_assert!(admitted.is_subset(&expected));
         for &v in expected.difference(&admitted) {
-            let ub = model.coarse.video_bounds(v, &model.locals[v], &pat).video_ub();
+            let ub = model.coarse().video_bounds(v, &model.locals()[v], &pat).video_ub();
             prop_assert_eq!(ub, 0.0, "eligible video {} dropped with bound {}", v, ub);
         }
         prop_assert_eq!(stats.videos_skipped, valid.len() - expected.len());

@@ -164,7 +164,7 @@ proptest! {
         if !prune {
             let mut coarse_stats = RetrievalStats::default();
             let poisoned = model
-                .coarse
+                .coarse()
                 .candidates(&model, &pat, &cfg, None, &mut coarse_stats)
                 .iter()
                 .filter(|(v, _)| fp.panics_on(v.index()))

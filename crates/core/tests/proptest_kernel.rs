@@ -3,14 +3,11 @@
 //! `sim::similarity_block` (and its calibrated variant) exist purely as a
 //! memory-layout optimization — the feature-major `B_1` slab and the packed
 //! per-event term lists must never change a single bit of any score the
-//! scalar Eq.-14 reference produces. Likewise the sparse `A_1` view: the
-//! CSR row maxima must be bitwise equal to the dense forward fold, and the
-//! whole retrieval pipeline must rank identically whether a video's
-//! traversal ran over the CSR rows or the dense fallback.
+//! scalar Eq.-14 reference produces, and the whole retrieval pipeline must
+//! rank identically whichever scorer read them.
 
 use hmmm_core::{build_hmmm, sim, BuildConfig, RetrievalConfig, Retriever};
 use hmmm_features::{FeatureVector, FEATURE_COUNT};
-use hmmm_matrix::ForwardCsr;
 use hmmm_media::EventKind;
 use hmmm_query::{CompiledPattern, CompiledStep};
 use hmmm_storage::Catalog;
@@ -102,38 +99,12 @@ proptest! {
         }
     }
 
-    /// The CSR view agrees with the dense matrix wherever both exist: same
-    /// row maxima (bitwise, same fold), `matches` accepts its own source,
-    /// and the model's `a1_row_max` cache equals the dense fold regardless
-    /// of which representation `refresh_bounds` derived it from.
-    #[test]
-    fn csr_and_dense_row_maxima_agree(cat in catalog()) {
-        let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        for local in &model.locals {
-            let dense = local.a1.as_matrix();
-            let by_dense: Vec<f64> = (0..dense.rows())
-                .map(|s| (s..dense.cols()).map(|t| dense[(s, t)]).fold(0.0, f64::max))
-                .collect();
-            let csr = ForwardCsr::from_forward(dense);
-            prop_assert!(csr.matches(dense));
-            let mut by_csr = vec![0.0; dense.rows()];
-            csr.row_maxima_into(&mut by_csr);
-            for (a, b) in by_csr.iter().zip(by_dense.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-            for (a, b) in local.a1_row_max.iter().zip(by_dense.iter()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
-    }
-
     /// The blocked kernel is invisible end-to-end: across the threads ×
     /// regime × prune grid, rankings are byte-identical to the
     /// single-threaded exhaustive run of the same regime — whether a
     /// video's scores came from the slot-major cache (`similarity_into`
     /// during `SimCache::build`, content-driven) or from per-block direct
-    /// evaluation (annotation-first), and whether its `A_1` walk took the
-    /// CSR rows or the dense fallback.
+    /// evaluation (annotation-first).
     #[test]
     fn kernel_grid_ranks_identically(
         cat in catalog(),

@@ -2,14 +2,17 @@
 //! over randomly generated catalogs.
 
 use hmmm_core::{
-    build_hmmm, BuildConfig, FeedbackConfig, FeedbackLog, PositivePattern, RetrievalConfig,
+    build_hmmm, BuildConfig, FeedbackConfig, FeedbackLog, Hmmm, PositivePattern, RetrievalConfig,
     Retriever,
 };
 use hmmm_features::{FeatureVector, FEATURE_COUNT};
+use hmmm_matrix::dense::ZeroRowPolicy;
+use hmmm_matrix::Matrix;
 use hmmm_media::EventKind;
 use hmmm_query::{CompiledPattern, CompiledStep};
 use hmmm_storage::{Catalog, ShotId, VideoId};
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize, Value};
 
 /// Random feature vector with entries in [0, 1].
 fn feature_vector() -> impl Strategy<Value = FeatureVector> {
@@ -42,6 +45,39 @@ fn catalog() -> impl Strategy<Value = Catalog> {
         }
         c
     })
+}
+
+/// The dense Eqs. (1)–(2) update of one video's `A_1`, the reference the
+/// sparse update must match bit for bit: scale by the retention prior,
+/// accumulate `A_1(m, n) · access` over each pattern's forward shot pairs,
+/// normalize rows (self-loop for a row without mass), then measure the
+/// Frobenius drift from the old matrix.
+fn dense_eq1(old: &Matrix, patterns: &[(Vec<usize>, f64)], retention: f64) -> (Matrix, f64) {
+    let mut counts = old.clone();
+    counts.scale(retention);
+    for (shots, access) in patterns {
+        for (i, &m) in shots.iter().enumerate() {
+            for &n in &shots[i..] {
+                counts[(m, n)] += old[(m, n)] * access;
+            }
+        }
+    }
+    counts.normalize_rows(ZeroRowPolicy::SelfLoop).unwrap();
+    let drift = counts.frobenius_distance(old).unwrap();
+    (counts, drift)
+}
+
+/// Exactly `0.0` half the time, otherwise a draw from `range`.
+fn zero_or(range: std::ops::Range<f64>) -> impl Strategy<Value = f64> {
+    (proptest::sample::select(vec![true, false]), range)
+        .prop_map(|(zero, x)| if zero { 0.0 } else { x })
+}
+
+/// Video `v`'s `A_1` as a dense matrix.
+fn dense_a1(model: &Hmmm, v: usize) -> Matrix {
+    let a1 = model.locals()[v].a1();
+    let n = a1.rows();
+    Matrix::from_vec(n, n, (0..n * n).map(|k| a1.get(k / n, k % n)).collect()).unwrap()
 }
 
 /// Random single-step or two-step pattern over valid event indices.
@@ -77,20 +113,20 @@ proptest! {
         let cfg = BuildConfig { unannotated_weight: unann, ..BuildConfig::default() };
         let model = build_hmmm(&cat, &cfg).unwrap();
         prop_assert!(model.validate_against(&cat).is_ok());
-        for local in &model.locals {
+        for local in model.locals() {
             for i in 0..local.len() {
-                let s: f64 = local.a1.row(i).iter().sum();
+                let s: f64 = local.a1().row(i).1.iter().sum();
                 prop_assert!((s - 1.0).abs() < 1e-8, "A1 row {i} sums to {s}");
             }
-            let mass: f64 = local.pi1.as_slice().iter().sum();
+            let mass: f64 = local.pi1().as_slice().iter().sum();
             prop_assert!((mass - 1.0).abs() < 1e-8);
         }
         for i in 0..model.video_count() {
-            let s: f64 = model.a2.row(i).iter().sum();
+            let s: f64 = model.a2().row(i).iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-8);
         }
         for e in 0..EventKind::COUNT {
-            let s: f64 = model.p12.row(e).iter().sum();
+            let s: f64 = model.p12().row(e).iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-8);
         }
     }
@@ -99,10 +135,10 @@ proptest! {
     #[test]
     fn a1_is_temporal(cat in catalog()) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        for local in &model.locals {
+        for local in model.locals() {
             for i in 0..local.len() {
                 for j in 0..i {
-                    prop_assert_eq!(local.a1.get(i, j), 0.0);
+                    prop_assert_eq!(local.a1().get(i, j), 0.0);
                 }
             }
         }
@@ -166,14 +202,14 @@ proptest! {
         }
         log.apply(&mut model, &cat, &FeedbackConfig::default()).unwrap();
         prop_assert!(model.validate_against(&cat).is_ok());
-        for local in &model.locals {
+        for local in model.locals() {
             for i in 0..local.len() {
-                let s: f64 = local.a1.row(i).iter().sum();
+                let s: f64 = local.a1().row(i).1.iter().sum();
                 prop_assert!((s - 1.0).abs() < 1e-8);
             }
         }
         for i in 0..model.video_count() {
-            let s: f64 = model.a2.row(i).iter().sum();
+            let s: f64 = model.a2().row(i).iter().sum();
             prop_assert!((s - 1.0).abs() < 1e-8);
         }
     }
@@ -212,26 +248,90 @@ proptest! {
         prop_assert!(model.deep_audit(&cat).is_ok(), "audit rejected a feedback-updated model");
     }
 
-    /// …and the audit is not vacuous: perturbing any single A1 row of any
-    /// video past the tolerance is always caught, and the error names A1.
+    /// …and the audit is not vacuous: a persisted model with any single A1
+    /// row of any video perturbed past the tolerance is always refused at
+    /// load, and the error names A1.
     #[test]
-    fn deep_audit_rejects_any_perturbed_a1_row(
+    fn persisted_model_with_any_perturbed_a1_row_is_refused(
         cat in catalog(),
         vsel in 0usize..4,
         rsel in 0usize..12,
         bump in 0.01f64..0.75,
     ) {
-        let mut model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let v = vsel % model.locals.len();
-        let row = rsel % model.locals[v].len();
-        let mut dense: hmmm_matrix::Matrix = model.locals[v].a1.as_matrix().clone();
-        dense[(row, row)] += bump; // row sum now 1 + bump > 1 + tolerance
-        model.locals[v].a1 = hmmm_matrix::StochasticMatrix::new_unchecked(dense);
-        model.locals[v].refresh_bounds(); // keep caches fresh: the row-sum
-                                          // check itself must fire
-        let err = model.deep_audit(&cat).unwrap_err();
+        let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
+        let v = vsel % model.video_count();
+        let a1 = model.locals()[v].a1();
+        let row = rsel % a1.rows();
+        // Every row stores at least one entry; bump its first.
+        let k = a1.position(row, a1.row(row).0[0] as usize).unwrap();
+        let mut persisted = model.to_value();
+        let mut value = &mut persisted;
+        for key in ["locals", &v.to_string(), "a1", "vals", &k.to_string()] {
+            value = match value {
+                Value::Object(fields) => &mut fields.iter_mut().find(|(f, _)| f == key).unwrap().1,
+                Value::Array(items) => &mut items[key.parse::<usize>().unwrap()],
+                _ => unreachable!("the persisted model nests objects and arrays"),
+            };
+        }
+        let Value::Float(entry) = value else { unreachable!("A1 values are floats") };
+        *entry += bump; // row sum now 1 + bump > 1 + tolerance
+        let err = Hmmm::from_value(&persisted).unwrap_err();
         let msg = err.to_string();
         prop_assert!(msg.contains("A1"), "error did not name A1: {msg}");
+    }
+
+    /// Eq. (1) on the sparse `A_1` equals the dense update bit for bit, on
+    /// every entry and on the drift it reports — including a zero
+    /// retention prior and zero access frequencies, where every row the
+    /// feedback leaves without mass becomes a self-loop.
+    #[test]
+    fn sparse_eq1_matches_the_dense_update_bitwise(
+        cat in catalog(),
+        picks in proptest::collection::vec(
+            (0usize..4, proptest::collection::vec(0usize..12, 1..4),
+             zero_or(0.0..5.0)),
+            1..10,
+        ),
+        retention in zero_or(0.0..1.0),
+    ) {
+        let mut model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
+        let mut per_video: Vec<Vec<(Vec<usize>, f64)>> = vec![Vec::new(); cat.video_count()];
+        let mut log = FeedbackLog::new();
+        for (q, (v, shots, access)) in picks.into_iter().enumerate() {
+            let video = VideoId(v % cat.video_count());
+            let record = cat.video(video).unwrap();
+            let n = record.shot_count();
+            let mut locals: Vec<usize> = shots.into_iter().map(|s| s % n).collect();
+            locals.sort_unstable();
+            log.record(PositivePattern {
+                query: q as u64,
+                video,
+                shots: locals.iter().map(|&s| ShotId(record.shot_range.start + s)).collect(),
+                events: locals.iter().map(|_| 0).collect(),
+                access,
+            }).unwrap();
+            per_video[video.index()].push((locals, access));
+        }
+        let expected: Vec<Option<(Matrix, f64)>> = per_video
+            .iter()
+            .enumerate()
+            .map(|(v, ps)| (!ps.is_empty()).then(|| dense_eq1(&dense_a1(&model, v), ps, retention)))
+            .collect();
+        let cfg = FeedbackConfig { retention, ..FeedbackConfig::default() };
+        let report = log.apply(&mut model, &cat, &cfg).unwrap();
+
+        let mut drift_total = 0.0;
+        for (v, want) in expected.iter().enumerate() {
+            let Some((want, drift)) = want else { continue };
+            drift_total += drift;
+            let got = dense_a1(&model, v);
+            for (k, (a, b)) in got.as_slice().iter().zip(want.as_slice()).enumerate() {
+                prop_assert_eq!(a.to_bits(), b.to_bits(), "video {} cell {}", v, k);
+            }
+        }
+        let updated = expected.iter().filter(|e| e.is_some()).count();
+        prop_assert_eq!(report.videos_updated, updated);
+        prop_assert_eq!(report.a1_drift.to_bits(), (drift_total / updated as f64).to_bits());
     }
 
     /// Model serde round-trip is lossless for any catalog.

@@ -163,7 +163,7 @@ fn bounds_are_admissible_on_worked_example() {
     };
     // The bounds exactly as the coarse stage derives them for the fine
     // stage: per-video step maxima and start summaries from the index.
-    let vb = model.coarse.video_bounds(0, &model.locals[0], &pat);
+    let vb = model.coarse().video_bounds(0, &model.locals()[0], &pat);
 
     // Enumerate everything the traversal can produce (wide beam, no
     // prune) and check domination candidate by candidate.
@@ -194,7 +194,7 @@ fn bounds_are_admissible_on_worked_example() {
         let mut prefix = 0.0;
         for (j, (&w, &shot)) in r.weights.iter().zip(r.shots.iter()).enumerate() {
             prefix += w;
-            let row_max = model.locals[0].a1_row_max[shot.0];
+            let row_max = model.locals()[0].a1_row_max()[shot.0];
             assert!(
                 vb.entry_ub(prefix, w, j, row_max) >= r.score,
                 "entry bound at step {j} ({}) must dominate final score {}",

@@ -10,12 +10,11 @@
 //! contiguous row and the kernel's inner loop becomes a unit-stride,
 //! auto-vectorizable sweep.
 //!
-//! The slab is a derived cache, never mutated independently: it is rebuilt
-//! whenever `B_1` changes and cross-checked bitwise against the AoS rows by
-//! the model auditor ([`FeatureSlab::matches`]).
+//! The slab is a derived cache, never persisted and never mutated on its
+//! own: the model builds it from `B_1` once, when the model is built or
+//! loaded, and `B_1` does not change after that.
 
 use crate::vector::{FeatureVector, FEATURE_COUNT};
-use serde::{Deserialize, Serialize};
 
 /// Feature-major transposed copy of a `B_1` block: `FEATURE_COUNT` rows of
 /// `shots` values each, stored contiguously (`data[y * shots + s]`).
@@ -32,23 +31,14 @@ use serde::{Deserialize, Serialize};
 /// let slab = FeatureSlab::from_rows(&rows);
 /// assert_eq!(slab.shots(), 2);
 /// assert_eq!(slab.feature_row(3), &[3.0, 30.0]);
-/// assert!(slab.matches(&rows));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureSlab {
     shots: usize,
     data: Vec<f64>,
 }
 
 impl FeatureSlab {
-    /// Empty slab over zero shots.
-    pub fn empty() -> Self {
-        FeatureSlab {
-            shots: 0,
-            data: Vec::new(),
-        }
-    }
-
     /// Transposes `rows` (shot-major) into the feature-major slab.
     pub fn from_rows(rows: &[FeatureVector]) -> Self {
         let shots = rows.len();
@@ -77,24 +67,6 @@ impl FeatureSlab {
         assert!(y < FEATURE_COUNT, "feature index out of range");
         &self.data[y * self.shots..(y + 1) * self.shots]
     }
-
-    /// Verifies — without allocating — that the slab is a bitwise-exact
-    /// transpose of `rows`. NaN-safe (compares bit patterns, not values), so
-    /// a poisoned-but-fresh slab is reported fresh and the numeric audits get
-    /// to name the real problem.
-    pub fn matches(&self, rows: &[FeatureVector]) -> bool {
-        if self.shots != rows.len() || self.data.len() != rows.len() * FEATURE_COUNT {
-            return false;
-        }
-        for (s, v) in rows.iter().enumerate() {
-            for (y, &x) in v.as_slice().iter().enumerate() {
-                if self.data[y * self.shots + s].to_bits() != x.to_bits() {
-                    return false;
-                }
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -113,40 +85,5 @@ mod tests {
         assert_eq!(slab.shots(), 3);
         assert_eq!(slab.feature_row(0), &[0.0, 100.0, 200.0]);
         assert_eq!(slab.feature_row(19), &[19.0, 119.0, 219.0]);
-    }
-
-    #[test]
-    fn matches_detects_drift_and_shape_mismatch() {
-        let r = rows();
-        let slab = FeatureSlab::from_rows(&r);
-        assert!(slab.matches(&r));
-        let mut drifted = r.clone();
-        drifted[1][4] = -1.0;
-        assert!(!slab.matches(&drifted));
-        assert!(!slab.matches(&r[..2]));
-    }
-
-    #[test]
-    fn matches_is_nan_safe() {
-        let mut r = rows();
-        r[0][0] = f64::NAN;
-        let slab = FeatureSlab::from_rows(&r);
-        assert!(slab.matches(&r));
-    }
-
-    #[test]
-    fn empty_slab() {
-        let slab = FeatureSlab::empty();
-        assert_eq!(slab.shots(), 0);
-        assert!(slab.matches(&[]));
-        assert_eq!(slab.feature_row(5), &[] as &[f64]);
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let slab = FeatureSlab::from_rows(&rows());
-        let json = serde_json::to_string(&slab).unwrap();
-        let back: FeatureSlab = serde_json::from_str(&json).unwrap();
-        assert_eq!(slab, back);
     }
 }

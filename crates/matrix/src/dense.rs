@@ -1,7 +1,7 @@
 //! Row-major dense `f64` matrix.
 
 use crate::MatrixError;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -22,7 +22,7 @@ use std::ops::{Index, IndexMut};
 /// assert_eq!(m.row(0), &[1.0, 2.0]);
 /// assert_eq!(m.row_sum(1), 7.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -63,7 +63,7 @@ impl Matrix {
     ///
     /// Returns [`MatrixError::ShapeMismatch`] if `data.len() != rows * cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Result<Self, MatrixError> {
-        if data.len() != rows * cols {
+        if rows.checked_mul(cols) != Some(data.len()) {
             return Err(MatrixError::ShapeMismatch {
                 rows,
                 cols,
@@ -321,6 +321,21 @@ impl Matrix {
     }
 }
 
+/// The persisted fields of a [`Matrix`], before their shape is checked.
+#[derive(Deserialize)]
+struct MatrixFields {
+    rows: usize,
+    cols: usize,
+    data: Vec<f64>,
+}
+
+impl Deserialize for Matrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let MatrixFields { rows, cols, data } = MatrixFields::from_value(v)?;
+        Matrix::from_vec(rows, cols, data).map_err(|e| DeError::new(format!("Matrix: {e}")))
+    }
+}
+
 /// What [`Matrix::normalize_rows`] should do with an all-zero row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZeroRowPolicy {
@@ -524,5 +539,18 @@ mod tests {
         let json = serde_json::to_string(&m).unwrap();
         let back: Matrix = serde_json::from_str(&json).unwrap();
         assert_eq!(m, back);
+    }
+
+    #[test]
+    fn deserializer_checks_the_shape() {
+        for json in [
+            r#"{"rows":2,"cols":2,"data":[1.0,2.0,3.0]}"#,
+            r#"{"rows":1,"cols":2,"data":[1.0,2.0,3.0]}"#,
+            r#"{"rows":4294967296,"cols":4294967296,"data":[]}"#,
+        ] {
+            assert!(serde_json::from_str::<Matrix>(json).is_err(), "{json}");
+        }
+        let err = Matrix::from_vec(usize::MAX, 2, vec![]).unwrap_err();
+        assert!(matches!(err, MatrixError::ShapeMismatch { .. }));
     }
 }

@@ -56,6 +56,15 @@ pub enum MatrixError {
     /// The matrix is empty (zero rows or zero columns) where a non-empty one
     /// is required.
     Empty,
+    /// A sparse matrix's index arrays do not describe a valid layout: row
+    /// offsets that decrease or do not end at the entry count, or columns
+    /// out of order or outside the forward range.
+    MalformedSparse {
+        /// The first offending row.
+        row: usize,
+        /// What is wrong with it.
+        problem: &'static str,
+    },
 }
 
 impl fmt::Display for MatrixError {
@@ -85,6 +94,9 @@ impl fmt::Display for MatrixError {
                 write!(f, "row {row} sums to zero and cannot be normalized")
             }
             MatrixError::Empty => write!(f, "matrix must be non-empty"),
+            MatrixError::MalformedSparse { row, problem } => {
+                write!(f, "malformed sparse row {row}: {problem}")
+            }
         }
     }
 }

@@ -1,6 +1,6 @@
 //! # hmmm-matrix
 //!
-//! Dense matrix substrate for the Hierarchical Markov Model Mediator (HMMM)
+//! Matrix substrate for the Hierarchical Markov Model Mediator (HMMM)
 //! video-database suite.
 //!
 //! The HMMM model (Zhao, Chen & Shyu, ICDE 2006) is built almost entirely out
@@ -16,12 +16,13 @@
 //!
 //! This crate provides exactly those building blocks: a row-major dense
 //! [`Matrix`], a validated [`StochasticMatrix`] newtype whose rows are
-//! guaranteed to sum to one, an [`AffinityAccumulator`] implementing the
-//! paper's `AF` count matrices (Eqs. 1 and 5), and a [`ProbVector`] for the
-//! `Π` distributions.
+//! guaranteed to sum to one, a [`ForwardCsr`] holding the sparse temporal
+//! `A_1` (its stored entries only, with the Eq.-(2) normalization), an
+//! [`AffinityAccumulator`] implementing the paper's `AF` count matrices
+//! (Eqs. 1 and 5), and a [`ProbVector`] for the `Π` distributions.
 //!
-//! Everything is `f64`, row-major, and allocation-conscious: hot paths
-//! (row normalization, accumulation) never allocate.
+//! Everything is `f64` and allocation-conscious: hot paths
+//! (row normalization, accumulation, row maxima) never allocate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

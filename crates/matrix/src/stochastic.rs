@@ -2,7 +2,7 @@
 
 use crate::dense::{Matrix, ZeroRowPolicy};
 use crate::{MatrixError, STOCHASTIC_TOLERANCE};
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
 
 /// A square or rectangular matrix whose every row sums to one.
 ///
@@ -22,8 +22,10 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(a.get(0, 1), 0.5);
 /// assert_eq!(a.row(1), &[0.0, 1.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(try_from = "Matrix", into = "Matrix")]
+///
+/// It serializes as the wrapped [`Matrix`], borrowed, and deserializing
+/// validates the matrix like [`StochasticMatrix::new`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct StochasticMatrix(Matrix);
 
 impl StochasticMatrix {
@@ -56,17 +58,6 @@ impl StochasticMatrix {
             }
         }
         Ok(StochasticMatrix(m))
-    }
-
-    /// Wraps `m` **without** validating the row-stochastic invariant.
-    ///
-    /// This deliberately punches a hole in the newtype so the λ-invariant
-    /// auditor's negative tests can manufacture invalid models and prove the
-    /// audit rejects them. Never use it on real data: everything downstream
-    /// (Eq. 12–13 traversal weights, the admissible pruning bounds) assumes
-    /// the invariant holds.
-    pub fn new_unchecked(m: Matrix) -> Self {
-        StochasticMatrix(m)
     }
 
     /// Row-normalizes `m` (per the given zero-row policy) and validates.
@@ -184,6 +175,13 @@ impl TryFrom<Matrix> for StochasticMatrix {
 impl From<StochasticMatrix> for Matrix {
     fn from(s: StochasticMatrix) -> Matrix {
         s.0
+    }
+}
+
+impl Deserialize for StochasticMatrix {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        StochasticMatrix::new(Matrix::from_value(v)?)
+            .map_err(|e| DeError::new(format!("StochasticMatrix: {e}")))
     }
 }
 

@@ -1,7 +1,7 @@
 //! Deterministic semantics of the serving layer: admission states, QoS
 //! rejections, audit-gated installs, drain-on-shutdown, validation once per
-//! (worker, epoch) with fail-closed stale snapshots, and the serve metric
-//! counters.
+//! (worker, epoch) with fail-closed mismatched snapshots, and the serve
+//! metric counters.
 
 use hmmm_core::{build_hmmm, metrics as m, BuildConfig, FaultPlan, InMemoryRecorder, RetrievalConfig};
 use hmmm_features::FeatureVector;
@@ -13,6 +13,7 @@ use hmmm_serve::{
 };
 use hmmm_storage::Catalog;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// A small catalog with enough annotated events for every query to match.
@@ -235,12 +236,12 @@ fn snapshot_is_validated_once_per_worker_epoch_not_per_request() {
 }
 
 #[test]
-fn snapshot_with_stale_bound_factors_rejects_every_request() {
+fn snapshot_paired_with_another_catalog_rejects_every_request() {
     let recorder = InMemoryRecorder::shared();
     let mut snapshot = ModelSnapshot::build(fixture_catalog(3), &BuildConfig::default()).unwrap();
-    // Poke a derived cache after build and audit: the bound factor no
-    // longer matches A_1, so rankings pruned against it could be wrong.
-    snapshot.model.locals[0].a1_row_max[0] += 0.25;
+    // Re-pair the audited model with an archive of another shape after the
+    // build: rankings read against it would index the wrong shots.
+    snapshot.catalog = Arc::new(fixture_catalog(4));
     let server = QueryServer::start(
         snapshot,
         ServerConfig {
@@ -252,9 +253,9 @@ fn snapshot_with_stale_bound_factors_rejects_every_request() {
     for _ in 0..6 {
         match server.query(QueryRequest::new(fixture_pattern(), 5)) {
             ServeOutcome::Rejected(RejectReason::Invalid(msg)) => {
-                assert!(msg.contains("stale A1/Π1 bound factors"), "{msg}")
+                assert!(msg.contains("3 local MMMs vs 4 videos"), "{msg}")
             }
-            other => panic!("a stale snapshot must fail closed, got {other:?}"),
+            other => panic!("a mismatched snapshot must fail closed, got {other:?}"),
         }
     }
     server.join();

@@ -84,7 +84,7 @@ fn main() {
     println!("\nthe learned P12 row for 'goal' (top-5 features):");
     let goal = EventKind::Goal.index();
     let mut weights: Vec<(usize, f64)> = (0..hmmm_features::FEATURE_COUNT)
-        .map(|f| (f, model.p12.get(goal, f)))
+        .map(|f| (f, model.p12().get(goal, f)))
         .collect();
     weights.sort_by(|a, b| hmmm_core::order::cmp_f64_desc(a.1, b.1));
     for (f, w) in weights.into_iter().take(5) {

@@ -82,8 +82,8 @@ USAGE:
       cluster videos into categories (the d=3 extension)
   hmmm check <file> [--feedback-rounds N]
       build the HMMM and run the λ-invariant deep audit: A1/A2
-      row-stochastic, Π1/Π2/P12 unit mass, L12 strictly 0/1, B1'
-      centroid sanity, pruning-bound caches exactly fresh; with
+      row-stochastic, Π1/Π2/P12 unit mass, L12 strictly 0/1, B2 equal
+      to the catalog's counts, B1/B1' in range; with
       --feedback-rounds the audit is repeated after N simulated
       feedback/learning updates (exit 1 on any violation)
   hmmm serve <file> [--workers N] [--queue N] [--deadline-ms N]

@@ -120,16 +120,16 @@ fn model_invariants_survive_many_noisy_rounds() {
 
     // After any amount of noisy feedback, every stochastic invariant holds.
     model.validate_against(&catalog).unwrap();
-    for local in &model.locals {
+    for local in model.locals() {
         for i in 0..local.len() {
-            let s: f64 = local.a1.row(i).iter().sum();
+            let s: f64 = local.a1().row(i).1.iter().sum();
             assert!((s - 1.0).abs() < 1e-8, "A1 row sum {s}");
         }
-        let mass: f64 = local.pi1.as_slice().iter().sum();
+        let mass: f64 = local.pi1().as_slice().iter().sum();
         assert!((mass - 1.0).abs() < 1e-8);
     }
     for i in 0..model.video_count() {
-        let s: f64 = model.a2.row(i).iter().sum();
+        let s: f64 = model.a2().row(i).iter().sum();
         assert!((s - 1.0).abs() < 1e-8, "A2 row sum {s}");
     }
 }
