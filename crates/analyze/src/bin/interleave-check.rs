@@ -1,8 +1,7 @@
 //! Protocol model-checker driver. Usage:
 //! `interleave-check [--exhaustive] [--format json]`.
 //!
-//! Runs all five model suites from `hmmm_analyze::mc` — the `SharedTopK`
-//! CAS register (exact schedule counts pinned), the
+//! Runs all four model suites from `hmmm_analyze::mc` — the
 //! `SnapshotCell` RCU install, the admission queue + worker-pool
 //! lifecycle, the crash-state enumeration of the atomic writer, and the
 //! TCP front-end's per-connection request/response lifecycle — asserting
@@ -28,7 +27,7 @@
 use std::process::ExitCode;
 
 use hmmm_analyze::mc::engine::{explore, Counterexample, ExploreConfig, Protocol};
-use hmmm_analyze::mc::{admission, connection, crashwrite, snapshot, topk};
+use hmmm_analyze::mc::{admission, connection, crashwrite, snapshot};
 
 /// Per-scenario state budget for quick mode (see module docs).
 const QUICK_STATE_BUDGET: usize = 100_000;
@@ -225,22 +224,12 @@ fn main() -> ExitCode {
 
     let mut rows = Vec::new();
 
-    // SharedTopK: always the full suite, always exhaustive — the pinned
-    // schedule counts in tests/interleave.rs are its regression gate.
     let result = run_suite(
-        "topk",
-        topk::standard_scenarios(),
-        &ExploreConfig::exhaustive(),
+        "snapshot",
+        snapshot::standard_scenarios(exhaustive),
+        &config,
         &mut rows,
     )
-    .and_then(|()| {
-        run_suite(
-            "snapshot",
-            snapshot::standard_scenarios(exhaustive),
-            &config,
-            &mut rows,
-        )
-    })
     .and_then(|()| {
         run_suite(
             "admission",

@@ -24,12 +24,12 @@
 //!   cannot be vendored): a `Protocol` trait, a memoized DFS explorer
 //!   with sleep-set reduction and minimal-counterexample replay, and
 //!   step-faithful models of every hand-rolled concurrent protocol in
-//!   the repo — the `SharedTopK` CAS register, the `SnapshotCell` RCU
-//!   install, the admission queue + worker-pool lifecycle, and a
-//!   crash-state enumeration of the atomic writer.
+//!   the repo — the `SnapshotCell` RCU install, the admission queue +
+//!   worker-pool lifecycle, a crash-state enumeration of the atomic
+//!   writer, and the TCP front-end's per-connection loop.
 //!
 //! Binaries: `hmmm-lint` (workspace lint pass; violations exit non-zero)
-//! and `interleave-check` (all five model suites). Both run in CI's
+//! and `interleave-check` (all four model suites). Both run in CI's
 //! `analyze` job and speak `--format json`; `cargo test -p hmmm-analyze`
 //! additionally proves every lint fires on seeded violations, that every
 //! seeded protocol mutation is caught with a replayable counterexample,

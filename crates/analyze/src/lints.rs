@@ -128,7 +128,6 @@ const ORDERING_COMMENT_WINDOW: usize = 8;
 /// stale. Same two-way idiom as [`EQUATION_FNS`].
 pub const ATOMIC_FILES: &[&str] = &[
     "crates/core/src/fault.rs",
-    "crates/core/src/topk.rs",
     "crates/serve/src/net.rs",
     "crates/serve/src/server.rs",
     "crates/serve/src/snapshot.rs",

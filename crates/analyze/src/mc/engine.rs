@@ -10,16 +10,15 @@
 //! successor of that step) — and checks the protocol's invariants on every
 //! transition and every terminal state. States are memoized, so the search
 //! visits every reachable configuration once while still counting the
-//! distinct complete schedules the state graph represents (the same
-//! covering argument the PR-4 `SharedTopK` checker made: monotone shared
+//! distinct complete schedules the state graph represents (monotone shared
 //! state ⇒ the graph is a DAG ⇒ memoized DFS terminates and the path-count
 //! DP is exact).
 //!
 //! # Exploration modes
 //!
 //! * [`Reduction::None`] — plain exhaustive exploration. Schedule counts
-//!   are exact (`schedules` = number of distinct complete interleavings),
-//!   which is what the ported `SharedTopK` suite pins against PR 4.
+//!   are exact (`schedules` = number of distinct complete interleavings);
+//!   `tests/mc_engine.rs` pins them against the binomial closed form.
 //! * [`Reduction::SleepSet`] — sleep-set partial-order reduction
 //!   (Godefroid): after exploring thread `t` at a state, sibling branches
 //!   carry `t` in their sleep set for as long as `t`'s pending step is

@@ -1,5 +1,4 @@
-//! A reusable protocol model checker (grown out of the PR-4 `SharedTopK`
-//! interleaving explorer).
+//! A reusable protocol model checker.
 //!
 //! The subsystem has two halves:
 //!
@@ -13,20 +12,19 @@
 //!   words and versioned plain cells, for protocols whose correctness
 //!   depends on Acquire/Release edges rather than mutual exclusion alone.
 //!
-//! Five step-faithful models are checked by `interleave-check`:
+//! Four step-faithful models are checked by `interleave-check`:
 //!
 //! | model | mirrors | proves |
 //! |---|---|---|
-//! | [`topk`] | `hmmm_core::topk::SharedTopK` | threshold monotone + admissible, no lost offers |
 //! | [`snapshot`] | `hmmm_serve::snapshot::SnapshotCell` | epoch monotone, writers serialized, no torn/stale installs |
 //! | [`admission`] | `hmmm_serve::server::QueryServer` | exactly-once serviced-or-rejected, shed-before-work, close() drains |
 //! | [`crashwrite`] | `hmmm_storage::atomic::atomic_write` | a loadable generation survives every crash prefix; no concurrent writer fails |
 //! | [`connection`] | `hmmm_serve::net` per-connection loop | answered-exactly-once-or-dropped, drain leaves no half-written frame |
 //!
 //! Each model also ships deliberately broken variants (a dropped
-//! `Release`, a torn two-step epoch publish, a lost CAS retry, a skipped
-//! fsync, a queue slot reused before drain, a response rewritten after a
-//! torn write); the mutation tests assert the engine catches every one
+//! `Release`, a torn two-step epoch publish, a skipped fsync, a lost
+//! rotate race reported as an error, a queue slot reused before drain, a
+//! response rewritten after a torn write); the mutation tests assert the engine catches every one
 //! with a minimal, replayable counterexample. `docs/ANALYSIS.md`
 //! documents the trait contract and walks through modeling a new
 //! protocol.
@@ -37,4 +35,3 @@ pub mod crashwrite;
 pub mod engine;
 pub mod hb;
 pub mod snapshot;
-pub mod topk;

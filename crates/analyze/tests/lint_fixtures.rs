@@ -89,13 +89,13 @@ fn hash_iteration_does_not_fire_on_btree() {
 #[test]
 fn atomic_ordering_fires_without_rationale() {
     let bad = "fn f(x: &AtomicU64) -> u64 {\n    x.load(Ordering::SeqCst)\n}\n";
-    assert_eq!(fired("crates/core/src/topk.rs", bad, LINT_ATOMIC_ORDERING), 1);
+    assert_eq!(fired("crates/serve/src/snapshot.rs", bad, LINT_ATOMIC_ORDERING), 1);
 }
 
 #[test]
 fn atomic_ordering_satisfied_by_comment() {
     let good = "fn f(x: &AtomicU64) -> u64 {\n    // ordering: SeqCst — fixture rationale\n    x.load(Ordering::SeqCst)\n}\n";
-    assert_eq!(fired("crates/core/src/topk.rs", good, LINT_ATOMIC_ORDERING), 0);
+    assert_eq!(fired("crates/serve/src/snapshot.rs", good, LINT_ATOMIC_ORDERING), 0);
 }
 
 #[test]
@@ -157,11 +157,11 @@ fn relaxed_ordering_respects_allow_marker() {
 
 #[test]
 fn atomic_ordering_flags_stale_atomic_files_entry() {
-    // topk.rs is registered in ATOMIC_FILES; a topk.rs with no atomic
-    // orderings left means the registry lost track of where the
+    // snapshot.rs is registered in ATOMIC_FILES; a snapshot.rs with no
+    // atomic orderings left means the registry lost track of where the
     // weak-memory reasoning lives.
     let empty = "fn f() {}\n";
-    let violations = lint_file("crates/core/src/topk.rs", &scan(empty));
+    let violations = lint_file("crates/serve/src/snapshot.rs", &scan(empty));
     assert!(violations
         .iter()
         .any(|v| v.lint == LINT_ATOMIC_ORDERING && v.line == 1 && v.message.contains("ATOMIC_FILES")));

@@ -1,7 +1,8 @@
 //! Engine contracts, proven on toy protocols small enough to reason about
-//! by hand: exhaustive enumeration really is exhaustive, sleep-set
-//! reduction reaches the same verdict and the same states with fewer
-//! schedules, counterexamples are *minimal* and replay deterministically,
+//! by hand: exhaustive enumeration really is exhaustive (the path-count DP
+//! matches the binomial closed form for two threads of local steps),
+//! sleep-set reduction reaches the same verdict and the same states with
+//! fewer schedules, counterexamples are *minimal* and replay deterministically,
 //! nondeterministic successors each get their own branch, and the state
 //! budget degrades to a reported truncation instead of a wrong verdict.
 
@@ -316,4 +317,103 @@ fn sleep_sets_prune_commuting_schedules_only() {
     // state is visited before its sleeping successor is cut), so the
     // invariant coverage is identical.
     assert_eq!(sleep.states, none.states);
+}
+
+/// Two threads of `lens[0]` and `lens[1]` purely local steps. Nothing is
+/// shared, so every interleaving is a distinct complete schedule and the
+/// exhaustive count has a closed form: `C(m + n, m)` for lengths `m` and
+/// `n`. The state graph is the `(m + 1) × (n + 1)` grid of program-counter
+/// pairs, which memoization collapses while the path-count DP still has to
+/// sum every path through it.
+struct LocalSteps {
+    lens: [u8; 2],
+}
+
+impl Protocol for LocalSteps {
+    /// Each thread's program counter (steps taken so far).
+    type State = [u8; 2];
+
+    fn threads(&self) -> usize {
+        2
+    }
+
+    fn initial(&self) -> [u8; 2] {
+        [0; 2]
+    }
+
+    fn step(&self, s: &[u8; 2], tid: usize) -> Vec<[u8; 2]> {
+        if s[tid] == self.lens[tid] {
+            return vec![];
+        }
+        let mut n = *s;
+        n[tid] += 1;
+        vec![n]
+    }
+
+    fn access(&self, _s: &[u8; 2], _tid: usize) -> Option<Access> {
+        None
+    }
+
+    fn check_step(&self, _b: &[u8; 2], _a: &[u8; 2], _tid: usize) -> Result<(), String> {
+        Ok(())
+    }
+
+    fn check_final(&self, s: &[u8; 2]) -> Result<(), String> {
+        if *s != self.lens {
+            return Err(format!("terminal state {s:?} before both threads finished"));
+        }
+        Ok(())
+    }
+}
+
+/// `C(n, k)` by the multiplicative formula (exact at every step).
+fn binomial(n: u128, k: u128) -> u128 {
+    (1..=k).fold(1, |acc, i| acc * (n - k + i) / i)
+}
+
+#[test]
+fn local_step_schedules_match_the_binomial_closed_form() {
+    for (m, n, pinned) in [
+        (3u8, 5u8, 56u128),
+        (12, 12, 2_704_156),
+        (1, 1, 2),
+        (0, 4, 1),
+    ] {
+        assert_eq!(
+            binomial(u128::from(m) + u128::from(n), u128::from(m)),
+            pinned
+        );
+        let r = explore(&LocalSteps { lens: [m, n] }, &ExploreConfig::exhaustive()).unwrap();
+        assert_eq!(r.schedules, pinned, "C({}, {m})", m + n);
+        let (m, n) = (usize::from(m), usize::from(n));
+        // The grid of program-counter pairs, each entered once; one edge
+        // per enabled thread per state; one terminal state.
+        assert_eq!(r.states, (m + 1) * (n + 1));
+        assert_eq!(r.transitions, m * (n + 1) + n * (m + 1));
+        assert_eq!(r.memo_hits, r.transitions + 1 - r.states);
+        assert_eq!(r.finals, 1);
+        assert!(!r.truncated);
+    }
+}
+
+#[test]
+fn sleep_sets_keep_one_representative_of_local_steps() {
+    // Local steps commute with everything, so all C(m + n, m) orders are
+    // one equivalence class: the reduction explores a single complete
+    // schedule, yet still enters every state of the grid.
+    for (m, n) in [(3u8, 5u8), (12, 12)] {
+        let p = LocalSteps { lens: [m, n] };
+        let none = explore(&p, &ExploreConfig::exhaustive()).unwrap();
+        let sleep = explore(
+            &p,
+            &ExploreConfig {
+                reduction: Reduction::SleepSet,
+                max_states: None,
+            },
+        )
+        .unwrap();
+        assert_eq!(sleep.schedules, 1, "lengths ({m}, {n})");
+        assert_eq!(sleep.states, none.states);
+        assert_eq!(sleep.finals, 1);
+    }
 }

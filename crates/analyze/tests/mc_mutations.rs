@@ -1,4 +1,4 @@
-//! Mutation tests: five seeded protocol bugs — each a real bug class the
+//! Mutation tests: six seeded protocol bugs — each a real bug class the
 //! modeled implementations guard against — must every one be *caught* by
 //! the checker, with a minimal counterexample whose replay
 //! deterministically reproduces the same violation and whose every proper
@@ -8,14 +8,13 @@
 //! |-------------------|------------|------------------------------------------|
 //! | `DropRelease`     | snapshot   | epoch published with `Relaxed`, not `Release` |
 //! | `TornEpoch`       | snapshot   | epoch published as two half-word stores  |
-//! | `LostCasRetry`    | topk       | failed threshold CAS gives up, no retry  |
 //! | `SkipFsync`       | crashwrite | data rename without the preceding fsync  |
 //! | `FailOnRotateRace`| crashwrite | rotate's `NotFound` after a rival's rotate returned as an error |
 //! | `UnlockedDequeue` | admission  | queue slot read outside the lock, then removed blindly |
 //! | `DoubleRespond`   | connection | torn response write retried on the same connection |
 
 use hmmm_analyze::mc::engine::{explore, replay, Counterexample, ExploreConfig, Protocol};
-use hmmm_analyze::mc::{admission, connection, crashwrite, snapshot, topk};
+use hmmm_analyze::mc::{admission, connection, crashwrite, snapshot};
 
 /// The shared contract every caught mutation must satisfy.
 fn assert_caught<P: Protocol>(p: &P, what: &str) -> Counterexample {
@@ -80,23 +79,6 @@ fn torn_two_step_epoch_publish_is_caught() {
         "unexpected violation: {}",
         cx.message
     );
-}
-
-#[test]
-fn lost_cas_retry_is_caught() {
-    let mut p = topk::TopK::new(1, [vec![0.9f64.to_bits()], vec![0.5f64.to_bits()]]);
-    p.mutation = Some(topk::Mutation::LostCasRetry);
-    let cx = assert_caught(&p, "LostCasRetry");
-    // Giving up on a failed raise-CAS loses exactly the update whose
-    // absence the exactness invariant measures.
-    assert!(
-        cx.message.contains("exact k-th best"),
-        "unexpected violation: {}",
-        cx.message
-    );
-
-    let clean = topk::TopK::new(1, [vec![0.9f64.to_bits()], vec![0.5f64.to_bits()]]);
-    explore(&clean, &ExploreConfig::exhaustive()).expect("unmutated register is correct");
 }
 
 #[test]

@@ -2,7 +2,7 @@
 
 use hmmm_core::{
     CoreError, DeadlineConfig, Degraded, DegradedReason, Hmmm, QueryBounds, RankedPattern,
-    RetrievalStats, SharedTopK, SimCache,
+    RetrievalStats, SimCache, TopKThreshold,
 };
 use hmmm_query::CompiledPattern;
 use hmmm_storage::{Catalog, ShotId};
@@ -107,7 +107,7 @@ impl<'a> ExhaustiveRetriever<'a> {
 
         // Running k-th-best register for the optional branch-and-bound cut
         // (same primitive the beam traversal prunes against).
-        let register = self.config.prune.then(|| SharedTopK::new(limit));
+        let mut register = self.config.prune.then(|| TopKThreshold::new(limit));
 
         // Deadline is read once per video — the coarsest anytime
         // granularity, matching how this scan admits work.
@@ -197,7 +197,7 @@ impl<'a> ExhaustiveRetriever<'a> {
                 if depth == pattern.steps.len() {
                     budget -= 1;
                     stats.candidates_scored += 1;
-                    if let Some(reg) = register.as_ref() {
+                    if let Some(reg) = register.as_mut() {
                         if reg.offer(score) {
                             stats.threshold_raises += 1;
                         }

@@ -69,37 +69,5 @@ fn bench_pattern_length(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_threads(c: &mut Criterion) {
-    // Large enough that per-video traversal dominates thread setup.
-    let (_, catalog) = standard_catalog(DataConfig {
-        videos: 40,
-        shots_per_video: 250,
-        event_rate: 0.08,
-        seed: 0xB3,
-    });
-    let model = build_hmmm(&catalog, &BuildConfig::default()).expect("non-empty");
-    let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
-    let pattern = translator.compile("goal -> free_kick").expect("valid");
-
-    let mut group = c.benchmark_group("retrieval_threads");
-    group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
-        let cfg = RetrievalConfig {
-            threads: Some(threads),
-            ..RetrievalConfig::default()
-        };
-        let r = Retriever::new(&model, &catalog, cfg).unwrap();
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &pattern, |b, p| {
-            b.iter(|| black_box(r.retrieve(black_box(p), 10).unwrap()))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_engines,
-    bench_pattern_length,
-    bench_threads
-);
+criterion_group!(benches, bench_engines, bench_pattern_length);
 criterion_main!(benches);

@@ -1,7 +1,6 @@
 //! Emits `BENCH_retrieval.json` — the machine-readable retrieval perf
-//! snapshot tracked across PRs: shots/sec per thread count, speedup vs one
-//! thread, the exact top-k prune's serial win, and the coarse candidate
-//! cut's latency.
+//! snapshot tracked across PRs: shots/sec with the exact top-k prune off
+//! and on, the prune's win, and the coarse candidate cut's latency.
 //!
 //! Timings come from the same observability layer a live `hmmm query
 //! --metrics-json` run uses: each measured configuration attaches an
@@ -14,8 +13,8 @@
 //! ```
 //!
 //! `--check` additionally runs the exactness smoke for CI: pruned rankings
-//! must match unpruned rankings across threads × regime configurations, and
-//! the pruned serial run on the skewed fixture must actually prune
+//! must match unpruned rankings in both regimes, and the pruned
+//! content-driven run on the skewed fixture must actually prune
 //! (nonzero `entries_pruned + videos_skipped_by_bound`) — a silent no-op
 //! prune is as much a regression as a wrong one. Exits nonzero on failure.
 
@@ -31,18 +30,12 @@ use serde::Serialize;
 /// One measured configuration.
 #[derive(Debug, Serialize)]
 struct Sample {
-    threads: usize,
     /// Exact top-k threshold pruning on (`RetrievalConfig::prune`).
     prune: bool,
     /// Best-of-N wall clock, seconds (min of the latency histogram).
     seconds: f64,
     /// Archive shots scanned per second at that wall clock.
     shots_per_sec: f64,
-    /// Wall-clock speedup vs the serial pruned run.
-    speedup_vs_serial: f64,
-    /// Worker busy-time / (fan-out wall × workers) from the last repeat
-    /// (1.0 for serial runs).
-    thread_utilization: f64,
     /// Cache-served share of hot-path scoring lookups across the repeats
     /// (absent when no scoring lookups happened).
     cache_hit_ratio: Option<f64>,
@@ -60,10 +53,6 @@ struct Sample {
     videos_failed: u64,
     /// Queries whose deadline expired across repeats — likewise 0 here.
     deadline_expired: u64,
-    /// `true` when this sample fanned out over more than one worker on a
-    /// single-core host: the wall clock then measures scheduling overhead,
-    /// not parallelism, and `speedup_vs_serial` must not be read as one.
-    parallelism_unmeasurable: bool,
 }
 
 /// One similarity-kernel / bound-refresh micro-measurement, so the snapshot
@@ -173,12 +162,13 @@ struct Report {
     query: &'static str,
     /// Retrieval mode: content-driven ("similarity-bound") traversal.
     regime: &'static str,
-    /// Cores the host reported — `speedup_vs_serial` cannot exceed this.
+    /// Cores the host reported (the serve and net sweeps share them
+    /// among 4 server workers and the clients).
     host_cpus: usize,
     repeats: u32,
     samples: Vec<Sample>,
-    /// Serial speedup from the exact top-k prune alone
-    /// (unpruned / pruned seconds).
+    /// Speedup from the exact top-k prune alone (unpruned / pruned
+    /// seconds).
     prune_speedup_serial: f64,
     /// Crash-safe persistence round trip of the bench catalog.
     persistence: PersistenceSample,
@@ -216,7 +206,7 @@ fn main() {
     // Content-driven traversal ("or similar to e_j", §5 Step 3) is the
     // similarity-bound regime: every video is traversed and every reachable
     // shot is scored by the model, so Eq.-(14) work dominates. That is the
-    // path the cache and the fan-out optimize (annotation-first queries are
+    // path the cache optimizes (annotation-first queries are
     // annotation-bound and score directly, see DESIGN.md §4). The
     // query is a goal followed by its replay — steps that reuse an event
     // share one cache row, which is where the dense build pays best.
@@ -257,22 +247,12 @@ fn main() {
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let sample = |threads: usize,
-                  prune: bool,
-                  metrics: &MetricsReport,
-                  serial_secs: f64| {
+    let sample = |prune: bool, metrics: &MetricsReport| {
         let secs = best_seconds(metrics);
         Sample {
-            threads,
             prune,
             seconds: secs,
             shots_per_sec: total_shots as f64 / secs,
-            speedup_vs_serial: serial_secs / secs,
-            thread_utilization: metrics
-                .gauges
-                .get(m::GAUGE_THREAD_UTILIZATION)
-                .copied()
-                .unwrap_or(1.0),
             cache_hit_ratio: metrics.derived.get("cache_hit_ratio").copied(),
             stage_total_ns: metrics
                 .stages
@@ -284,7 +264,6 @@ fn main() {
             threshold_raises: metrics.counter(m::CTR_THRESHOLD_RAISES),
             videos_failed: metrics.counter(m::CTR_VIDEOS_FAILED),
             deadline_expired: metrics.counter(m::CTR_DEADLINE_EXPIRED),
-            parallelism_unmeasurable: threads > 1 && host_cpus == 1,
         }
     };
 
@@ -292,33 +271,19 @@ fn main() {
         check_pruning_exactness(&model, &catalog, &pattern);
     }
 
-    // Serial runs, pruned (the default) and unpruned, anchor the prune
-    // speedup; the thread sweep runs with pruning on because that is the
-    // production configuration.
-    let serial_cfg = RetrievalConfig {
-        threads: Some(1),
-        ..RetrievalConfig::content_only()
-    };
-    let serial_metrics = time(serial_cfg.clone());
-    let serial_secs = best_seconds(&serial_metrics);
+    // The pruned run (the default) and the unpruned one anchor the prune
+    // speedup.
+    let pruned_metrics = time(RetrievalConfig::content_only());
+    let pruned_secs = best_seconds(&pruned_metrics);
     let unpruned_metrics = time(RetrievalConfig {
         prune: false,
-        ..serial_cfg.clone()
+        ..RetrievalConfig::content_only()
     });
     let unpruned_secs = best_seconds(&unpruned_metrics);
-
-    let mut samples = vec![sample(1, false, &unpruned_metrics, serial_secs)];
-    for threads in [1usize, 2, 4, 8] {
-        let metrics = if threads == 1 {
-            serial_metrics.clone()
-        } else {
-            time(RetrievalConfig {
-                threads: Some(threads),
-                ..RetrievalConfig::content_only()
-            })
-        };
-        samples.push(sample(threads, true, &metrics, serial_secs));
-    }
+    let samples = vec![
+        sample(false, &unpruned_metrics),
+        sample(true, &pruned_metrics),
+    ];
 
     // One observed save+load round trip through the crash-safe path: the
     // retry/fallback counters belong in the snapshot so a flaky disk or a
@@ -344,7 +309,7 @@ fn main() {
         }
     };
 
-    // Coarse-stage rows: the exact serial run above, and the same query
+    // Coarse-stage rows: the exact pruned run above, and the same query
     // with the fine stage cut to the 16 highest-bound candidates.
     let coarse_row = |cut: Option<usize>, metrics: &MetricsReport| {
         let secs = best_seconds(metrics);
@@ -359,15 +324,15 @@ fn main() {
                 .unwrap_or(0),
             bound_lookups_per_query: metrics.counter(m::CTR_COARSE_LOOKUPS) / u64::from(REPEATS),
             seconds: secs,
-            speedup_vs_exact: serial_secs / secs,
+            speedup_vs_exact: pruned_secs / secs,
         }
     };
     let cut_metrics = time(RetrievalConfig {
         candidate_cut: Some(16),
-        ..serial_cfg
+        ..RetrievalConfig::content_only()
     });
     let coarse = vec![
-        coarse_row(None, &serial_metrics),
+        coarse_row(None, &pruned_metrics),
         coarse_row(Some(16), &cut_metrics),
     ];
 
@@ -381,7 +346,7 @@ fn main() {
         regime: "content_only",
         host_cpus,
         repeats: REPEATS,
-        prune_speedup_serial: unpruned_secs / serial_secs,
+        prune_speedup_serial: unpruned_secs / pruned_secs,
         persistence,
         kernel,
         serve,
@@ -392,14 +357,10 @@ fn main() {
 
     for s in &report.samples {
         println!(
-            "threads {} prune {:<3}: {:>8.2} ms, {:>12.0} shots/s, {:.2}x vs serial, \
-             util {:.2}, {} bound-skips, {} pruned",
-            s.threads,
+            "prune {:<3}: {:>8.2} ms, {:>12.0} shots/s, {} bound-skips, {} pruned",
             if s.prune { "on" } else { "off" },
             s.seconds * 1e3,
             s.shots_per_sec,
-            s.speedup_vs_serial,
-            s.thread_utilization,
             s.videos_skipped_by_bound,
             s.entries_pruned,
         );
@@ -427,10 +388,7 @@ fn main() {
             s.give_ups,
         );
     }
-    println!(
-        "top-k prune alone (serial): {:.2}x",
-        report.prune_speedup_serial
-    );
+    println!("top-k prune alone: {:.2}x", report.prune_speedup_serial);
     for s in &report.coarse {
         let cut = s.candidate_cut.map_or("exact".to_string(), |c| format!("cut {c}"));
         println!(
@@ -449,15 +407,7 @@ fn main() {
         report.persistence.atomic_write_retries,
         report.persistence.bak_fallbacks,
     );
-    println!(
-        "host cpus: {host_cpus}{}",
-        if host_cpus == 1 {
-            " — single-core host: thread fan-out cannot speed up here; \
-             speedups reflect scheduling overhead only"
-        } else {
-            ""
-        }
-    );
+    println!("host cpus: {host_cpus}");
 
     let json = serde_json::to_string_pretty(&report).expect("serializable");
     std::fs::write(&out, json + "\n").expect("write report");
@@ -658,9 +608,9 @@ fn kernel_microbench(model: &hmmm_core::Hmmm) -> Vec<KernelSample> {
 }
 
 /// CI smoke for the exact top-k prune: pruned rankings must equal unpruned
-/// rankings on this fixture across threads × regime, and the
-/// serial pruned run must show nonzero pruning work. Aborts the process
-/// with exit code 1 on any violation.
+/// rankings on this fixture in both regimes, and the content-driven pruned
+/// run must show nonzero pruning work. Aborts the process with exit code 1
+/// on any violation.
 fn check_pruning_exactness(
     model: &hmmm_core::Hmmm,
     catalog: &hmmm_storage::Catalog,
@@ -669,52 +619,46 @@ fn check_pruning_exactness(
     eprintln!("checking pruned vs unpruned rankings…");
     let mut failures = 0usize;
     for content_only in [true, false] {
-        for threads in [1usize, 4] {
-            let base = if content_only {
-                RetrievalConfig::content_only()
-            } else {
-                RetrievalConfig::default()
-            };
-            let pruned_cfg = RetrievalConfig {
-                threads: Some(threads),
-                prune: true,
-                ..base
-            };
-            let unpruned_cfg = RetrievalConfig {
-                prune: false,
-                ..pruned_cfg.clone()
-            };
-            let (pruned, p_stats) = Retriever::new(model, catalog, pruned_cfg)
-                .expect("consistent")
-                .retrieve(pattern, 10)
-                .expect("valid");
-            let (unpruned, _) = Retriever::new(model, catalog, unpruned_cfg)
-                .expect("consistent")
-                .retrieve(pattern, 10)
-                .expect("valid");
-            if pruned != unpruned {
-                eprintln!(
-                    "FAIL: pruned ranking differs (content_only={content_only} \
-                     threads={threads})"
-                );
+        let base = if content_only {
+            RetrievalConfig::content_only()
+        } else {
+            RetrievalConfig::default()
+        };
+        let pruned_cfg = RetrievalConfig {
+            prune: true,
+            ..base
+        };
+        let unpruned_cfg = RetrievalConfig {
+            prune: false,
+            ..pruned_cfg.clone()
+        };
+        let (pruned, p_stats) = Retriever::new(model, catalog, pruned_cfg)
+            .expect("consistent")
+            .retrieve(pattern, 10)
+            .expect("valid");
+        let (unpruned, _) = Retriever::new(model, catalog, unpruned_cfg)
+            .expect("consistent")
+            .retrieve(pattern, 10)
+            .expect("valid");
+        if pruned != unpruned {
+            eprintln!("FAIL: pruned ranking differs (content_only={content_only})");
+            failures += 1;
+        }
+        // The skewed fixture is adversarial by construction: far more
+        // candidates than k and half the videos nearly bare of events,
+        // so a healthy prune must fire somewhere.
+        if content_only {
+            let work = p_stats.entries_pruned + p_stats.videos_skipped_by_bound as u64;
+            if work == 0 {
+                eprintln!("FAIL: pruned run pruned nothing (prune is a no-op?)");
                 failures += 1;
-            }
-            // The skewed fixture is adversarial by construction: far more
-            // candidates than k and half the videos nearly bare of events,
-            // so a healthy prune must fire somewhere.
-            if content_only && threads == 1 {
-                let work = p_stats.entries_pruned + p_stats.videos_skipped_by_bound as u64;
-                if work == 0 {
-                    eprintln!("FAIL: serial pruned run pruned nothing (prune is a no-op?)");
-                    failures += 1;
-                } else {
-                    eprintln!(
-                        "  serial prune work: {} entries, {} video skips, {} raises",
-                        p_stats.entries_pruned,
-                        p_stats.videos_skipped_by_bound,
-                        p_stats.threshold_raises
-                    );
-                }
+            } else {
+                eprintln!(
+                    "  prune work: {} entries, {} video skips, {} raises",
+                    p_stats.entries_pruned,
+                    p_stats.videos_skipped_by_bound,
+                    p_stats.threshold_raises
+                );
             }
         }
     }

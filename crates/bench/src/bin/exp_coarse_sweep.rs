@@ -71,11 +71,8 @@ fn main() {
     let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
     let pattern = translator.compile("goal -> goal").expect("valid");
 
-    // The serving path: serial, content-driven (sim cache built).
-    let base = RetrievalConfig {
-        threads: Some(1),
-        ..RetrievalConfig::content_only()
-    };
+    // The serving path: content-driven (sim cache built).
+    let base = RetrievalConfig::content_only();
 
     // One measured row: best-of-N latency, the coarse candidate count, and
     // recall against `truth` (empty truth = trivially recall 1).

@@ -16,30 +16,10 @@ const QUERIES: [&str; 4] = [
     "foul -> free_kick -> goal -> player_change",
 ];
 
-/// `--threads N` from the command line: 0 = all cores, 1 = serial (the
-/// default here, so sweeps measure algorithmic cost, not the machine).
-fn threads_arg() -> Option<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let t: usize = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-    if t == 0 {
-        None
-    } else {
-        Some(t)
-    }
-}
-
 fn main() {
     println!("E5 / Figures 2–3 — retrieval cost: HMMM vs baselines\n");
     let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
-    let base = RetrievalConfig {
-        threads: threads_arg(),
-        ..RetrievalConfig::default()
-    };
+    let base = RetrievalConfig::default();
 
     // --- Sweep 1: database size (shots), fixed 2-event query.
     println!("## cost vs database size (query: 'goal -> free_kick')\n");
@@ -77,38 +57,14 @@ fn main() {
     }
     println!("{t}");
 
-    // --- Sweep 3: worker threads, fixed database and query. Content-driven
-    // traversal is the similarity-bound regime, which scores through the
-    // query-scoped sim cache.
-    println!("\n## cost vs threads (20 videos × 200 shots, content-only 'goal -> free_kick')\n");
-    let two_step = translator.compile("goal -> free_kick").expect("valid");
-    let mut t = Table::new(&["threads", "latency", "sim evals", "top score"]);
-    for threads in [Some(1), Some(2), Some(4), None] {
-        let cfg = RetrievalConfig {
-            threads,
-            ..RetrievalConfig::content_only()
-        };
-        let r = Retriever::new(&model, &catalog, cfg).expect("consistent");
-        let t0 = Instant::now();
-        let (results, stats) = r.retrieve(&two_step, 10).expect("valid");
-        let dt = t0.elapsed();
-        t.row_owned(vec![
-            threads.map_or("auto".into(), |n| n.to_string()),
-            format!("{dt:.2?}"),
-            stats.total_sim_evaluations().to_string(),
-            results
-                .first()
-                .map_or("—".into(), |r| format!("{:.5}", r.score)),
-        ]);
-    }
-    println!("{t}");
-
-    // --- Sweep 4: exact top-k pruning on/off across threads. Rankings are identical by construction (the prune is exact);
-    // the table shows what the admissible bounds buy in raw work.
+    // --- Sweep 3: exact top-k pruning on/off. Content-driven traversal is
+    // the similarity-bound regime, which scores through the query-scoped
+    // sim cache. Rankings are identical by construction (the prune is
+    // exact); the table shows what the admissible bounds buy in raw work.
     println!("\n## cost vs top-k pruning (20 videos × 200 shots, content-only 'goal -> free_kick', top-10)\n");
+    let two_step = translator.compile("goal -> free_kick").expect("valid");
     let mut t = Table::new(&[
         "prune",
-        "threads",
         "latency",
         "sim evals",
         "transitions",
@@ -116,14 +72,8 @@ fn main() {
         "pruned",
         "top score",
     ]);
-    for (prune, threads) in [
-        (false, Some(1)),
-        (true, Some(1)),
-        (false, Some(4)),
-        (true, Some(4)),
-    ] {
+    for prune in [false, true] {
         let cfg = RetrievalConfig {
-            threads,
             prune,
             ..RetrievalConfig::content_only()
         };
@@ -133,7 +83,6 @@ fn main() {
         let dt = t0.elapsed();
         t.row_owned(vec![
             if prune { "on" } else { "off" }.to_string(),
-            threads.map_or("auto".into(), |n| n.to_string()),
             format!("{dt:.2?}"),
             stats.total_sim_evaluations().to_string(),
             stats.transitions_examined.to_string(),

@@ -56,12 +56,7 @@ fn main() {
     let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
     let pattern = translator.compile("goal -> goal").expect("valid");
 
-    // Serial keeps the visit order (and so the recall curve's shape)
-    // deterministic; parallel runs only shift the curve left.
-    let base = RetrievalConfig {
-        threads: Some(1),
-        ..RetrievalConfig::content_only()
-    };
+    let base = RetrievalConfig::content_only();
 
     // Reference: the unbounded exact top-k, and its best-of-N latency.
     let reference = Retriever::new(&model, &catalog, base.clone()).expect("consistent");

@@ -11,15 +11,6 @@ use std::time::Instant;
 fn main() {
     println!("E4 / Figure 4 — temporal pattern query 'goal -> free_kick'\n");
 
-    // `--threads N`: 0 = all cores (default), 1 = serial, n = n workers.
-    let args: Vec<String> = std::env::args().collect();
-    let threads = args
-        .iter()
-        .position(|a| a == "--threads")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-        .and_then(|t| if t == 0 { None } else { Some(t) });
-
     let (_, catalog) = standard_catalog(DataConfig::paper_scale());
     let model = build_hmmm(&catalog, &BuildConfig::default()).expect("non-empty");
     let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
@@ -29,11 +20,8 @@ fn main() {
     println!("MATN query model: {}\n", Matn::from_pattern(&ast));
 
     let pattern = translator.translate(&ast).expect("known events");
-    let config = RetrievalConfig {
-        threads,
-        ..RetrievalConfig::default()
-    };
-    let retriever = Retriever::new(&model, &catalog, config).expect("consistent");
+    let retriever =
+        Retriever::new(&model, &catalog, RetrievalConfig::default()).expect("consistent");
     let t = Instant::now();
     let (results, stats) = retriever.retrieve(&pattern, 8).expect("valid");
     let elapsed = t.elapsed();

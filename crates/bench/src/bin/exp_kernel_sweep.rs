@@ -158,11 +158,8 @@ fn main() {
         let model = build_hmmm(&catalog, &BuildConfig::default()).expect("non-empty");
         let nnz: usize = model.locals().iter().map(|l| l.a1().nnz()).sum();
         let slots: usize = model.locals().iter().map(|l| l.len() * (l.len() + 1) / 2).sum();
-        let cfg = RetrievalConfig {
-            threads: Some(1),
-            ..RetrievalConfig::content_only()
-        };
-        let retriever = Retriever::new(&model, &catalog, cfg).expect("consistent");
+        let retriever = Retriever::new(&model, &catalog, RetrievalConfig::content_only())
+            .expect("consistent");
         let secs = best_secs(rounds, || {
             let (results, _) = retriever.retrieve(&pattern, 10).expect("valid");
             std::hint::black_box(results);

@@ -280,8 +280,8 @@ impl FaultHandle {
 
     /// Hook at the entry of one video's traversal. Panics (with a
     /// recognizable payload) when the plan schedules this video to fail —
-    /// the per-video `catch_unwind` in the retrieval fan-out turns that
-    /// into a `videos_failed` entry instead of a crashed query.
+    /// the per-video `catch_unwind` in the retrieval loop turns that into
+    /// a `videos_failed` entry instead of a crashed query.
     #[inline]
     pub fn on_video_enter(&self, video: usize) {
         if let Some(state) = &self.inner {

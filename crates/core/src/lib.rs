@@ -27,11 +27,11 @@
 //!   hot-path Eq.-14 scoring into array reads.
 //! * [`retrieve`] — the §5 nine-step retrieval: per-video lattice beam
 //!   traversal (Figure 3) with edge weights (Eqs. 12–13), pattern scores
-//!   (Eq. 15), `A_2`-guided video ordering (optionally fanned across a
-//!   scoped-thread worker pool), and cost accounting.
+//!   (Eq. 15), candidate videos visited one at a time on the calling
+//!   thread (Step 7), and cost accounting.
 //! * [`bounds`] / [`topk`] — the exact top-k pruning machinery: admissible
-//!   Eq.-13 completion bounds and the lock-free shared k-th-best-score
-//!   register the traversal prunes against.
+//!   Eq.-13 completion bounds and the running k-th-best-score register the
+//!   traversal prunes against.
 //! * [`coarse`] — the ingest-time coarse index (inverted `B_2` event →
 //!   video postings + precomputed per-video bound summaries): the first
 //!   stage of every retrieval, which picks the candidate videos and their
@@ -92,5 +92,5 @@ pub use retrieve::{
 };
 pub use sim::{similarity, similarity_block};
 pub use simcache::SimCache;
-pub use topk::SharedTopK;
+pub use topk::TopKThreshold;
 pub use simulate::{FeedbackSimulator, OracleConfig};

@@ -23,10 +23,8 @@ pub const SPAN_VIDEO_ORDER: &str = "retrieve/video_order";
 /// Coarse candidate stage (postings union + per-video bound lookups from
 /// the ingest-time [`crate::CoarseIndex`]).
 pub const SPAN_COARSE: &str = "retrieve/coarse";
-/// The whole per-video fan-out (serial loop or scoped worker pool).
+/// The per-video loop over the coarse candidates (Steps 3–7).
 pub const SPAN_TRAVERSE: &str = "retrieve/traverse";
-/// One worker thread's share of the fan-out (label = worker index).
-pub const SPAN_WORKER: &str = "retrieve/traverse/worker";
 /// One video's Figure-3 lattice traversal (label = video index).
 pub const SPAN_VIDEO: &str = "retrieve/traverse/video";
 /// Step 8–9 final ranking (total-order sort + truncate).
@@ -51,15 +49,15 @@ pub const CTR_RESULTS: &str = "retrieve.results_returned";
 // --- Exact top-k pruning ---------------------------------------------------
 
 /// Videos skipped whole because their admissible upper bound fell below the
-/// shared top-k threshold (`RetrievalStats::videos_skipped_by_bound`).
+/// top-k threshold (`RetrievalStats::videos_skipped_by_bound`).
 pub const CTR_VIDEOS_SKIPPED_BY_BOUND: &str = "retrieve.videos_skipped_by_bound";
 /// Beam entries and selected candidates dropped by the threshold cut
 /// (`RetrievalStats::entries_pruned`).
 pub const CTR_ENTRIES_PRUNED: &str = "retrieve.entries_pruned";
-/// Times an emitted candidate raised the shared k-th-best threshold
+/// Times an emitted candidate raised the k-th-best threshold
 /// (`RetrievalStats::threshold_raises`).
 pub const CTR_THRESHOLD_RAISES: &str = "retrieve.threshold_raises";
-/// Final value of the shared k-th-best threshold after the last pruned
+/// Final value of the k-th-best threshold after the last pruned
 /// retrieve (0.0 until `limit` positive-score candidates were found).
 pub const GAUGE_PRUNE_THRESHOLD: &str = "retrieve.prune_threshold";
 
@@ -89,12 +87,6 @@ pub const CTR_COARSE_ZERO_UB: &str = "coarse.zero_ub_skips";
 /// (`RetrievalStats::coarse_bound_lookups`).
 pub const CTR_COARSE_LOOKUPS: &str = "coarse.bound_lookups";
 pub use hmmm_storage::{CTR_ATOMIC_WRITE_RETRIES, CTR_BAK_FALLBACKS};
-
-/// Worker threads used by the last retrieve call.
-pub const GAUGE_THREADS: &str = "retrieve.threads";
-/// Busy-time / (fan-out wall × workers) of the last parallel retrieve:
-/// 1.0 = perfectly balanced chunks, lower = stragglers.
-pub const GAUGE_THREAD_UTILIZATION: &str = "retrieve.thread_utilization";
 
 // --- Eq.-(14) similarity & the query-scoped cache -------------------------
 

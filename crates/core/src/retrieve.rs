@@ -21,8 +21,8 @@
 //! # Exact top-k pruning
 //!
 //! With [`RetrievalConfig::prune`] on (the default), retrieval runs a
-//! Fagin-style threshold cut: a lock-free [`SharedTopK`] register tracks the
-//! running k-th best Eq.-15 score across *all* traversal workers, and
+//! Fagin-style threshold cut: a [`TopKThreshold`] register tracks the
+//! running k-th best Eq.-15 score over the videos traversed so far, and
 //! admissible completion bounds ([`crate::bounds`]) skip work that provably
 //! cannot reach the returned top-`limit` prefix. The rankings are
 //! **byte-identical** to `prune: false` (proptest-enforced); only the work
@@ -47,12 +47,13 @@
 //!    below the threshold are dropped instead of offered to the global rank
 //!    (anything their removal pulls up scores even lower).
 //!
-//! Dropped candidates are strictly below the threshold, the threshold never
-//! exceeds the settled k-th best score (see [`crate::topk`]), and ties at
-//! the k-th score are never dropped (strict `<`) — so the top-`limit`
-//! prefix, including its deterministic tie-breaks, is unchanged. In
-//! parallel runs the *counters* are timing-dependent (workers race the
-//! threshold); the rankings are not.
+//! Dropped candidates are strictly below the threshold, the threshold is
+//! the exact k-th best score emitted so far (see [`crate::topk`]), and ties
+//! at the k-th score are never dropped (strict `<`) — so the top-`limit`
+//! prefix, including its deterministic tie-breaks, is unchanged. Candidate
+//! videos are visited one at a time on the calling thread (the paper's
+//! Step 7 advances `k` once per video), so the work counters are
+//! deterministic too.
 //!
 //! Every bound comes from one place: the coarse stage derives each
 //! candidate's [`VideoBounds`] (per-video step maxima and a whole-video
@@ -60,7 +61,7 @@
 //! stage starts, and hands the table to the fine stage by move. Neither
 //! scorer — the query cache or direct Eq.-14 evaluation — pays for bounds,
 //! and both prune against the same numbers. Candidates arrive in
-//! bound-descending order, so the videos most likely to raise the shared
+//! bound-descending order, so the videos most likely to raise the
 //! threshold are traversed first. Entry bounds charge the entry's own
 //! shot's forward row maximum ([`crate::LocalMmm::a1_row_max`]) for the
 //! next hop rather than the whole-matrix maximum, which a trailing
@@ -73,7 +74,7 @@ use crate::metrics as m;
 use crate::model::{Hmmm, Validated};
 use crate::sim::best_alternative;
 use crate::simcache::SimCache;
-use crate::topk::SharedTopK;
+use crate::topk::TopKThreshold;
 use hmmm_media::EventKind;
 use hmmm_obs::RecorderHandle;
 use hmmm_query::CompiledPattern;
@@ -114,23 +115,22 @@ pub struct RetrievalConfig {
     /// "or similar to event e_j" reading, where the learned `P_{1,2}` and
     /// `B_1'` decide everything (used by the feedback experiments).
     pub annotated_first: bool,
-    /// Worker threads for the per-video traversal fan-out. `None` uses
-    /// [`std::thread::available_parallelism`], `Some(1)` runs serially on
-    /// the calling thread. The ranking is byte-identical at every setting:
-    /// videos are traversed independently and merged under a total order.
+    /// Ignored: retrieval always runs on the calling thread, visiting the
+    /// candidate videos one at a time. Nothing in the engine reads this
+    /// field; it remains only so configurations that still set it keep
+    /// compiling.
     pub threads: Option<usize>,
-    /// Exact top-k pruning (`true`, the default): share the running k-th
-    /// best Eq.-15 score across workers and skip videos/beams whose
-    /// admissible upper bound falls strictly below it. Rankings are
-    /// byte-identical at either setting; only the work counters differ
-    /// (and, in parallel runs, the pruning counters are timing-dependent).
+    /// Exact top-k pruning (`true`, the default): track the running k-th
+    /// best Eq.-15 score and skip videos/beams whose admissible upper
+    /// bound falls strictly below it. Rankings are byte-identical at
+    /// either setting; only the work counters differ.
     /// `false` forces the exhaustive traversal — the pruning on/off sweep
     /// and the exactness proptests use it as ground truth. Pruning
     /// auto-disables for `limit > 65 536`: the threshold register scales
     /// with `limit`, and a cut that deep could never pay for itself.
     pub prune: bool,
     /// Deadline budget for anytime retrieval (`None` = unbounded, the
-    /// default). When set, workers stop admitting new videos once the
+    /// default). When set, retrieval stops admitting new videos once the
     /// budget elapses (checked at video granularity and every
     /// [`DeadlineConfig::check_interval`] beam expansions inside a
     /// traversal), the current beam is abandoned whole, and the engine
@@ -141,8 +141,8 @@ pub struct RetrievalConfig {
     /// surviving candidates.
     pub deadline: Option<DeadlineConfig>,
     /// Observability sink for every retrieval this config drives: spans
-    /// (per-stage and per-video timings), counters, and the cache/thread
-    /// gauges — see [`crate::metrics`] for the emitted names. The default
+    /// (per-stage and per-video timings), counters, and the prune-threshold
+    /// gauge — see [`crate::metrics`] for the emitted names. The default
     /// [`RecorderHandle::noop`] is near-zero-cost; attach an
     /// [`hmmm_obs::InMemoryRecorder`] to collect a
     /// [`hmmm_obs::MetricsReport`].
@@ -188,7 +188,7 @@ impl DeadlineConfig {
     }
 }
 
-/// The per-worker deadline clock: a cheap tick counter in front of the
+/// The deadline clock: a cheap tick counter in front of the
 /// actual `Instant::now()` read. Once expired, stays expired (the budget
 /// never un-elapses), so every check after the first hit is branch-only.
 struct DeadlineClock {
@@ -308,10 +308,10 @@ pub struct RankedPattern {
 
 /// Work counters for the cost experiments (E5).
 ///
-/// A mergeable value type: every traversal worker accumulates its own
-/// `RetrievalStats` and the results are combined with [`RetrievalStats::merge`]
-/// at join time. All counters are commutative sums, so the merged totals are
-/// independent of worker count and scheduling.
+/// A mergeable value type: each video's traversal accumulates its own
+/// `RetrievalStats`, which [`RetrievalStats::merge`] folds into the query's
+/// totals once the video finished without panicking. All counters are
+/// commutative sums.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RetrievalStats {
     /// Videos whose lattices were traversed.
@@ -338,16 +338,15 @@ pub struct RetrievalStats {
     /// Candidate sequences scored (`k − 1` in Step 8).
     pub candidates_scored: usize,
     /// Videos skipped whole because their admissible upper bound fell below
-    /// the shared top-k threshold — before any traversal work was spent.
-    /// Timing-dependent in parallel runs (see the module docs); zero with
+    /// the top-k threshold — before any traversal work was spent. Zero with
     /// [`RetrievalConfig::prune`] off.
     pub videos_skipped_by_bound: usize,
     /// Beam entries and selected candidates dropped by the threshold cut
-    /// (whole-beam abandons plus emission filtering). Timing-dependent in
-    /// parallel runs; zero with pruning off.
+    /// (whole-beam abandons plus emission filtering). Zero with pruning
+    /// off.
     pub entries_pruned: u64,
-    /// Times an emitted candidate raised the shared k-th-best threshold.
-    /// Timing-dependent in parallel runs; zero with pruning off.
+    /// Times an emitted candidate raised the k-th-best threshold. Zero with
+    /// pruning off.
     pub threshold_raises: u64,
     /// Eq.-(14) evaluations spent deriving prune bounds. Always zero: the
     /// coarse stage reads every bound from the ingest-time summaries
@@ -367,13 +366,11 @@ pub struct RetrievalStats {
     /// Whether the [`RetrievalConfig::deadline`] budget elapsed during
     /// this query.
     pub deadline_expired: bool,
-    /// Panic payloads of failed videos, rendered to strings and sorted
-    /// (so parallel runs report deterministically regardless of which
-    /// worker hit which failure first).
+    /// Panic payloads of failed videos, rendered to strings and sorted.
     pub panic_payloads: Vec<String>,
     /// `Some` when this query returned less than a full ranking —
-    /// deadline expiry, worker panics, or both. `None` means the ranking
-    /// is the complete (exact) answer.
+    /// deadline expiry, video traversal panics, or both. `None` means the
+    /// ranking is the complete (exact) answer.
     pub degraded: Option<Degraded>,
     /// Candidate videos the coarse stage admitted to the fine stage.
     pub coarse_candidates: usize,
@@ -433,7 +430,8 @@ impl std::fmt::Display for DegradedReason {
 }
 
 impl RetrievalStats {
-    /// Folds another worker's counters into this one (commutative).
+    /// Folds another set of counters (one video's traversal) into this one
+    /// (commutative).
     pub fn merge(&mut self, other: RetrievalStats) {
         self.videos_visited += other.videos_visited;
         self.videos_skipped += other.videos_skipped;
@@ -570,13 +568,12 @@ impl Scorer<'_> {
     }
 }
 
-/// Reusable per-worker traversal buffers: the beam arena, the beam/pending
-/// node lists, the start-candidate list, and the blocked-scoring scratch
-/// rows. One instance lives per [`Retriever::run_video_set`] call (one per
-/// worker on the parallel path) and is recycled across that worker's videos,
-/// so the per-video traversal allocates nothing once the buffers have grown
-/// to the worker's largest video — the hmmm-lint `no-alloc-in-traversal`
-/// rule keeps it that way.
+/// Reusable traversal buffers: the beam arena, the beam/pending node lists,
+/// the start-candidate list, and the blocked-scoring scratch rows. One
+/// instance serves a whole query (the caller's [`QueryScratch`], or a
+/// call-local one) and is recycled across its videos, so the per-video
+/// traversal allocates nothing once the buffers have grown to the largest
+/// video — the hmmm-lint `no-alloc-in-traversal` rule keeps it that way.
 ///
 /// Contents are garbage between videos by design: every user clears before
 /// use ([`Retriever::traverse_video`] clears defensively at entry, which
@@ -602,17 +599,13 @@ struct TraversalScratch {
 
 /// A reusable traversal arena for callers that serve many queries from one
 /// thread — the in-process `QueryServer` worker pool (`hmmm-serve`) above
-/// all. Wraps the per-worker `TraversalScratch` (beam arenas, blocked
+/// all. Wraps the `TraversalScratch` (beam arenas, blocked
 /// Eq.-14 scoring rows, start-candidate buffers) so the buffers grow to the
 /// largest video once and are then recycled across *queries*, not just
 /// across one query's videos. Pass it to
 /// [`Retriever::retrieve_with_scratch`]; contents between calls are
 /// garbage by design (every traversal clears before use), so a scratch can
 /// be reused freely after errors or degraded runs.
-///
-/// Only the serial path (effective `threads <= 1`) draws from an external
-/// scratch: a parallel fan-out gives each scoped worker its own arenas,
-/// which cannot outlive the call.
 #[derive(Default)]
 pub struct QueryScratch {
     inner: TraversalScratch,
@@ -625,7 +618,7 @@ impl QueryScratch {
     }
 }
 
-/// Pruning auto-disables above this `limit`: the [`SharedTopK`] register
+/// Pruning auto-disables above this `limit`: the [`TopKThreshold`] register
 /// scales with `limit`, and a threshold that deep could never pay.
 const PRUNE_LIMIT_CAP: usize = 65_536;
 
@@ -795,9 +788,9 @@ impl<'a> Retriever<'a> {
     /// [`Retriever::retrieve`] drawing its traversal buffers from a
     /// caller-owned [`QueryScratch`] instead of allocating fresh arenas:
     /// the long-lived-server hot path, where one worker thread answers a
-    /// stream of queries serially (`threads = 1`) and the beam/scoring
-    /// buffers should be paid for once, not once per query. Rankings and
-    /// stats are byte-identical to [`Retriever::retrieve`].
+    /// stream of queries and the beam/scoring buffers should be paid for
+    /// once, not once per query. Rankings and stats are byte-identical to
+    /// [`Retriever::retrieve`].
     ///
     /// # Errors
     ///
@@ -812,8 +805,7 @@ impl<'a> Retriever<'a> {
     }
 
     /// The shared body of every retrieve entry point; `scratch` is the
-    /// optional caller-owned arena (serial path only — parallel workers
-    /// own per-thread arenas scoped to the call).
+    /// optional caller-owned arena (`None` = a call-local one).
     fn retrieve_scratched(
         &self,
         pattern: &CompiledPattern,
@@ -842,7 +834,6 @@ impl<'a> Retriever<'a> {
         let obs = &self.config.recorder;
         let root_span = obs.span(m::SPAN_RETRIEVE);
         let mut stats = RetrievalStats::default();
-        let requested_threads = self.requested_threads();
 
         // Anytime-retrieval budget: the clock starts here, so the cache
         // build and the coarse stage below draw from the same budget as
@@ -851,12 +842,11 @@ impl<'a> Retriever<'a> {
 
         // The regime picks the scorer (see `RetrievalConfig`): one dense
         // shots × query-events scoring pass for content-driven traversal,
-        // shared read-only by every traversal worker, with the build
-        // sharded across the same worker budget; direct Eq.-14 evaluation
-        // for annotation-first traversal.
+        // read by every candidate video's traversal; direct Eq.-14
+        // evaluation for annotation-first traversal.
         let cache = (!self.config.annotated_first).then(|| {
             let _build_span = obs.span(m::SPAN_SIM_CACHE_BUILD);
-            SimCache::build_with_threads(self.model, pattern, requested_threads)
+            SimCache::build(self.model, pattern)
         });
         let scorer = match &cache {
             Some(c) => {
@@ -878,88 +868,29 @@ impl<'a> Retriever<'a> {
                 .candidates(self.model, pattern, &self.config, videos, &mut stats)
         };
 
-        // The exact top-k threshold cut: one shared register holds the
-        // running k-th best score, which the candidates' bounds are checked
-        // against at the three exact prune sites (see the module docs).
-        let register = (self.config.prune && limit <= PRUNE_LIMIT_CAP)
-            .then(|| SharedTopK::new(limit));
-        let threads = requested_threads.min(candidates.len().max(1));
+        // The exact top-k threshold cut: one register holds the running
+        // k-th best score, which the candidates' bounds are checked against
+        // at the three exact prune sites (see the module docs).
+        let mut register = (self.config.prune && limit <= PRUNE_LIMIT_CAP)
+            .then(|| TopKThreshold::new(limit));
 
-        // Fan the per-video traversals across a scoped worker pool. Each
-        // video's traversal depends only on (model, catalog, pattern,
-        // config, video, bounds), each worker owns its results and stats,
-        // and the merge below is a commutative fold + total-order sort — so
-        // the ranking is byte-identical to the serial path.
-        //
-        // Observability stays off the per-transition hot path: workers batch
-        // counts in their local `RetrievalStats` and everything is flushed to
-        // the recorder once, below. Only the per-worker/per-video spans (and
-        // the busy-time sum feeding the utilization gauge) touch the clock,
+        // Steps 3–7, one candidate video at a time on the calling thread.
+        // Observability stays off the per-transition hot path: the loop
+        // batches counts in `stats` and everything is flushed to the
+        // recorder once, below. Only the per-video spans touch the clock,
         // and only when a recorder is attached.
-        let mut results: Vec<RankedPattern> = Vec::new();
         let traverse_span = obs.span(m::SPAN_TRAVERSE);
-        let mut workers_busy_ns: u64 = 0;
-        if threads <= 1 {
-            // Serial path: draw from the caller's reusable arena when one
-            // was provided (the serving hot path), else a call-local one.
-            let mut local_scratch;
-            let scratch = match scratch {
-                Some(s) => s,
-                None => {
-                    local_scratch = TraversalScratch::default();
-                    &mut local_scratch
-                }
-            };
-            results = self.run_video_set(
-                &candidates,
-                pattern,
-                &scorer,
-                register.as_ref(),
-                deadline,
-                scratch,
-                &mut stats,
-            );
-        } else {
-            let chunk = candidates.len().div_ceil(threads);
-            crossbeam::thread::scope(|s| {
-                let scorer = &scorer;
-                let register = register.as_ref();
-                let handles: Vec<_> = candidates
-                    .chunks(chunk)
-                    .enumerate()
-                    .map(|(w, share)| {
-                        s.spawn(move || {
-                            let worker_span =
-                                self.config.recorder.span_labeled(m::SPAN_WORKER, w as u64);
-                            let mut local = RetrievalStats::default();
-                            // One scratch per scoped worker: recycled
-                            // across this worker's videos, dropped at join
-                            // (a caller-owned arena cannot be shared
-                            // across workers).
-                            let mut scratch = TraversalScratch::default();
-                            let found = self.run_video_set(
-                                share, pattern, scorer, register, deadline, &mut scratch,
-                                &mut local,
-                            );
-                            let busy_ns = worker_span.elapsed_ns();
-                            (found, local, busy_ns)
-                        })
-                    })
-                    .collect();
-                for handle in handles {
-                    // Worker-level panics can no longer originate in a
-                    // traversal (those are caught per video inside
-                    // `run_video_set`); anything reaching here is a bug in
-                    // the harness itself and should propagate.
-                    let (found, local, busy_ns) =
-                        handle.join().expect("retrieval worker panicked");
-                    results.extend(found);
-                    stats.merge(local);
-                    workers_busy_ns += busy_ns;
-                }
-            });
-        }
-        let traverse_wall_ns = traverse_span.elapsed_ns();
+        let mut local_scratch = TraversalScratch::default();
+        let scratch = scratch.unwrap_or(&mut local_scratch);
+        let mut results = self.run_video_set(
+            &candidates,
+            pattern,
+            &scorer,
+            register.as_mut(),
+            deadline,
+            scratch,
+            &mut stats,
+        );
         drop(traverse_span);
 
         stats.candidates_scored = results.len();
@@ -969,9 +900,9 @@ impl<'a> Retriever<'a> {
             results.truncate(limit);
         }
 
-        // Degradation summary: payloads sorted so parallel runs report
-        // deterministically, then one canonical `Degraded` for callers to
-        // branch on (None = the ranking is the complete exact answer).
+        // Degradation summary: payloads sorted, then one canonical
+        // `Degraded` for callers to branch on (None = the ranking is the
+        // complete exact answer).
         stats.panic_payloads.sort();
         stats.degraded = match (stats.deadline_expired, stats.videos_failed > 0) {
             (false, false) => None,
@@ -997,34 +928,28 @@ impl<'a> Retriever<'a> {
                 &stats,
                 results.len(),
                 cache.is_some(),
-                threads,
-                traverse_wall_ns,
-                workers_busy_ns,
-                register.as_ref().map(SharedTopK::threshold),
+                register.as_ref().map(TopKThreshold::threshold),
             );
             obs.observe_ns(m::HIST_RETRIEVE_LATENCY, root_span.elapsed_ns());
         }
         Ok((results, stats))
     }
 
-    /// One worker's share of the fan-out: the per-video loop with its
-    /// deadline checkpoints, the panic-isolation boundary, the whole-video
-    /// bound check, and the post-traversal threshold offers. Shared
-    /// verbatim by the serial path and every parallel worker, so serial
-    /// and parallel runs degrade (and stay byte-identical when nothing
-    /// fires) the same way.
+    /// The per-video loop over the coarse candidates: deadline
+    /// checkpoints, the panic-isolation boundary, the whole-video bound
+    /// check, and the post-traversal threshold offers.
     #[allow(clippy::too_many_arguments)]
     fn run_video_set(
         &self,
         videos: &[(VideoId, VideoBounds)],
         pattern: &CompiledPattern,
         scorer: &Scorer<'_>,
-        register: Option<&SharedTopK>,
+        mut register: Option<&mut TopKThreshold>,
         deadline: Option<(DeadlineConfig, Instant)>,
-        // One scratch per worker, recycled across its videos (and, through
-        // [`QueryScratch`], across a serving worker's queries): beam arenas
-        // and blocked-scoring rows grow to the largest video once and are
-        // then reused, so the traversal hot path stops allocating.
+        // Recycled across the videos (and, through [`QueryScratch`], across
+        // a serving worker's queries): beam arenas and blocked-scoring rows
+        // grow to the largest video once and are then reused, so the
+        // traversal hot path stops allocating.
         scratch: &mut TraversalScratch,
         stats: &mut RetrievalStats,
     ) -> Vec<RankedPattern> {
@@ -1032,8 +957,8 @@ impl<'a> Retriever<'a> {
         let mut results = Vec::new();
         for (i, &(video, ref bounds)) in videos.iter().enumerate() {
             // Deadline checkpoint (video granularity): once the budget has
-            // elapsed, stop admitting new videos — everything not yet
-            // admitted in this worker's share is reported unvisited.
+            // elapsed, stop admitting new videos — every candidate not yet
+            // admitted is reported unvisited.
             if let Some(c) = clock.as_mut() {
                 if c.check_now() {
                     stats.deadline_expired = true;
@@ -1050,15 +975,14 @@ impl<'a> Retriever<'a> {
             //   observed after an unwind.
             // * `scorer` — read-only table/model reads.
             // * `bounds` — this candidate's read-only coarse bounds.
-            // * `register` (`SharedTopK`) — lock-free; every update is a
-            //   single CAS that installs a complete value, so a panicking
-            //   thread can never leave it mid-update. Threshold offers for
-            //   this video happen *below, after* the boundary: a panic
-            //   mid-traversal therefore cannot have raised the threshold
-            //   with a score whose candidate was then lost — every raise
-            //   corresponds to a candidate that safely escaped, keeping the
-            //   bound admissible for all surviving videos (acceptance
-            //   criterion: the degraded ranking is exact over survivors).
+            // * `threshold` — a copy of the register's value at video
+            //   entry; the register itself stays outside the boundary.
+            //   Threshold offers for this video happen *below, after* the
+            //   boundary: a panic mid-traversal therefore cannot have
+            //   raised the threshold with a score whose candidate was then
+            //   lost — every raise corresponds to a candidate that safely
+            //   escaped, keeping the bound admissible for all surviving
+            //   videos (the degraded ranking is exact over survivors).
             // * `clock` (`&mut`) — plain scalar fields; a partial tick is
             //   at worst a deferred clock read, never an inconsistency.
             // * `scratch` (`&mut`) — the reusable traversal buffers. An
@@ -1071,17 +995,18 @@ impl<'a> Retriever<'a> {
             // * the recorder — its sinks are `Sync` and poison-safe at this
             //   boundary: the per-video span guard dropped during unwind
             //   records through a short, panic-free critical section.
+            let threshold = register.as_deref().map(TopKThreshold::threshold);
             let clock_ref = clock.as_mut();
             let scratch_ref = &mut *scratch;
             let outcome = catch_unwind(AssertUnwindSafe(|| {
                 self.config.fault.on_video_enter(video.index());
                 let mut attempt = RetrievalStats::default();
-                let found = match register {
+                let found = match threshold {
                     // Exact prune site 1: a video whose admissible upper
-                    // bound falls strictly below the shared threshold
-                    // cannot contribute to the top-`limit` prefix and is
-                    // skipped before any traversal work.
-                    Some(r) if bounds.video_ub() < r.threshold() => {
+                    // bound falls strictly below the threshold cannot
+                    // contribute to the top-`limit` prefix and is skipped
+                    // before any traversal work.
+                    Some(t) if bounds.video_ub() < t => {
                         attempt.videos_skipped_by_bound += 1;
                         Vec::new()
                     }
@@ -1089,7 +1014,7 @@ impl<'a> Retriever<'a> {
                         video,
                         pattern,
                         scorer,
-                        register.map(|r| (r, bounds)),
+                        threshold.map(|t| (t, bounds)),
                         clock_ref,
                         scratch_ref,
                         &mut attempt,
@@ -1105,7 +1030,7 @@ impl<'a> Retriever<'a> {
                     // offered so later videos prune against the best
                     // results found anywhere. Sits after the catch_unwind
                     // boundary — see the audit above.
-                    if let Some(register) = register {
+                    if let Some(register) = register.as_deref_mut() {
                         for c in &found {
                             if register.offer(c.score) {
                                 stats.threshold_raises += 1;
@@ -1128,15 +1053,11 @@ impl<'a> Retriever<'a> {
     /// Flushes one query's batched counters and gauges to the recorder.
     /// Called once per retrieve, and only when a recorder is attached — the
     /// hot loops never touch the handle directly.
-    #[allow(clippy::too_many_arguments)]
     fn flush_metrics(
         &self,
         stats: &RetrievalStats,
         results_returned: usize,
         cache_built: bool,
-        threads: usize,
-        traverse_wall_ns: u64,
-        workers_busy_ns: u64,
         prune_threshold: Option<f64>,
     ) {
         let obs = &self.config.recorder;
@@ -1173,38 +1094,20 @@ impl<'a> Retriever<'a> {
         } else {
             obs.counter(m::CTR_CACHE_REGIME_SKIPPED_QUERIES, 1);
         }
-        obs.gauge(m::GAUGE_THREADS, threads as f64);
-        let utilization = if threads <= 1 {
-            1.0
-        } else if traverse_wall_ns == 0 {
-            0.0
-        } else {
-            workers_busy_ns as f64 / (traverse_wall_ns as f64 * threads as f64)
-        };
-        obs.gauge(m::GAUGE_THREAD_UTILIZATION, utilization);
-    }
-
-    /// The configured worker budget (`None` = all available cores).
-    fn requested_threads(&self) -> usize {
-        match self.config.threads {
-            Some(t) => t.max(1),
-            None => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
-        }
     }
 
     /// Steps 3–6 for one video: beam traversal of the Figure-3 lattice,
-    /// arena-backed (buffers recycled across videos via the worker's
+    /// arena-backed (buffers recycled across videos via the query's
     /// [`TraversalScratch`]), with the exact-safe threshold cuts (sites 2
-    /// and 3 of the module docs) when `prune` carries the shared register.
+    /// and 3 of the module docs) when `prune` carries the threshold, which
+    /// stays fixed for the whole video.
     #[allow(clippy::too_many_arguments)]
     fn traverse_video(
         &self,
         video: VideoId,
         pattern: &CompiledPattern,
         scorer: &Scorer<'_>,
-        prune: Option<(&SharedTopK, &VideoBounds)>,
+        prune: Option<(f64, &VideoBounds)>,
         mut clock: Option<&mut DeadlineClock>,
         scratch: &mut TraversalScratch,
         stats: &mut RetrievalStats,
@@ -1230,7 +1133,7 @@ impl<'a> Retriever<'a> {
         // Trim survivors are the only nodes the arena ever holds, so it
         // tops out at beam_width × steps — paths, events and weights are
         // materialized from parent chains only for emitted candidates.
-        // All buffers are the worker's recycled scratch; clearing at entry
+        // All buffers are the query's recycled scratch; clearing at entry
         // (rather than trusting the previous video) also wipes anything a
         // panic-interrupted predecessor left behind.
         let TraversalScratch {
@@ -1432,10 +1335,9 @@ impl<'a> Retriever<'a> {
         // prefix (anything its removal pulls up ranks — and scores — below
         // it). The matching threshold *offers* live in `run_video_set`,
         // outside the panic-isolation boundary, so a traversal that
-        // panics after this point can never have raised the shared
-        // threshold with a score that then fails to escape.
-        if let Some((register, _)) = prune {
-            let threshold = register.threshold();
+        // panics after this point can never have raised the threshold
+        // with a score that then fails to escape.
+        if let Some((threshold, _)) = prune {
             let before = finals.len();
             finals.retain(|c| c.score >= threshold);
             stats.entries_pruned += (before - finals.len()) as u64;
@@ -1508,15 +1410,14 @@ fn settle(pending: &mut Vec<BeamNode>, arena: &mut Vec<BeamNode>, beam: &mut Vec
 fn beam_is_hopeless(
     arena: &[BeamNode],
     beam: &[u32],
-    prune: Option<(&SharedTopK, &VideoBounds)>,
+    prune: Option<(f64, &VideoBounds)>,
     step: usize,
     row_max: &[f64],
     stats: &mut RetrievalStats,
 ) -> bool {
-    let Some((register, video_bounds)) = prune else {
+    let Some((threshold, video_bounds)) = prune else {
         return false;
     };
-    let threshold = register.threshold();
     if threshold <= 0.0 {
         return false;
     }
@@ -1560,8 +1461,8 @@ fn panic_message(video: VideoId, payload: &(dyn std::any::Any + Send)) -> String
 
 /// Total order on final candidates: score desc, then video asc, then shot
 /// sequence asc. Strictness matters — with a partial order, equal-scored
-/// candidates from different videos would rank by arrival order, which the
-/// parallel merge does not preserve.
+/// candidates from different videos would rank by arrival order, which is
+/// the coarse stage's visit order rather than a property of the candidates.
 fn rank_order(a: &RankedPattern, b: &RankedPattern) -> Ordering {
     crate::order::cmp_f64_desc(a.score, b.score)
         .then_with(|| a.video.cmp(&b.video))

@@ -8,10 +8,9 @@
 //! `shots × query-events` table plus one memoized self-similarity per event —
 //! turns every score lookup on the hot path into an array read.
 //!
-//! The cache is *query-scoped*: it is built per `retrieve_within` call from
-//! the union of event alternatives across the pattern's steps, and shared
-//! read-only by all traversal workers (it is `Sync`), so the parallel path
-//! pays the build cost once, not per thread.
+//! The cache is *query-scoped*: it is built once per `retrieve_within` call
+//! from the union of event alternatives across the pattern's steps, and
+//! read by the traversal of every candidate video.
 
 use crate::model::Hmmm;
 use hmmm_media::EventKind;
@@ -27,8 +26,7 @@ pub struct SimCache {
     /// Calibrated scores, **slot-major**: `scores[slot * shot_count + shot]`
     /// — each event's scores for the whole archive sit in one contiguous
     /// row, so the blocked Eq.-14 kernel fills a row per sweep, per-video
-    /// range reads ([`SimCache::calibrated_range`]) are unit-stride, and
-    /// the parallel build hands each worker contiguous row segments.
+    /// range reads ([`SimCache::calibrated_range`]) are unit-stride.
     scores: Vec<f64>,
     /// Number of shots per row (the archive size at build time).
     shot_count: usize,
@@ -85,14 +83,6 @@ impl SimCache {
     /// assert_eq!(cache.build_evaluations(), 6);
     /// ```
     pub fn build(model: &Hmmm, pattern: &CompiledPattern) -> Self {
-        Self::build_with_threads(model, pattern, 1)
-    }
-
-    /// Like [`SimCache::build`], splitting the shot dimension across up to
-    /// `threads` scoped workers. Every cell is an independent pure function
-    /// of (model, shot, event), so the table is identical at any thread
-    /// count.
-    pub fn build_with_threads(model: &Hmmm, pattern: &CompiledPattern, threads: usize) -> Self {
         let shot_count = model.shot_count();
         let mut slot_of_event = [None; EventKind::COUNT];
         let mut event_slots = Vec::new();
@@ -114,12 +104,8 @@ impl SimCache {
             self_sims[e] = model.event_terms()[e].self_sim;
         }
 
-        let slots = event_slots.len();
-        let mut scores = vec![0.0; slots * shot_count];
-
-        // Fills one segment of a slot's row — the calibrated scores of that
-        // slot's event against shots `first_shot ..` — via the blocked SoA
-        // kernel, and returns the Eq.-(14) evaluations spent. The kernel
+        // Each slot's row holds the calibrated scores of that slot's event
+        // against every shot, filled by the blocked SoA kernel. The kernel
         // accumulates each cell with the exact operation sequence of the
         // scalar `similarity`, and `cell / denom` is the same single
         // division `calibrated_similarity` performs, so cached scores are
@@ -127,71 +113,21 @@ impl SimCache {
         // depends on that). Events with no feature support keep their
         // pre-zeroed cells, matching `calibrated_similarity`'s definition,
         // at zero cost.
-        let fill = |slot: usize, first_shot: usize, seg: &mut [f64]| -> u64 {
-            let event = event_slots[slot];
-            let denom = self_sims[event];
-            if denom <= 0.0 {
-                return 0;
-            }
-            crate::sim::similarity_into(model, first_shot..first_shot + seg.len(), event, seg);
-            for cell in seg.iter_mut() {
-                *cell /= denom;
-            }
-            seg.len() as u64
-        };
-
-        // Chunks below ~2k shots don't amortize a thread spawn.
-        let workers = threads
-            .max(1)
-            .min(shot_count.div_ceil(2048))
-            .max(1);
-        let evaluations = if slots == 0 || shot_count == 0 {
-            0
-        } else if workers <= 1 {
-            let mut total = 0u64;
-            for (slot, row) in scores.chunks_mut(shot_count).enumerate() {
-                total += fill(slot, 0, row);
-            }
-            total
-        } else {
-            // Worker `w` owns shots `[w * shots_per_worker, ...)` of *every*
-            // slot row — the same shot partition as before the slot-major
-            // switch, just expressed as one segment per (worker, slot).
-            let shots_per_worker = shot_count.div_ceil(workers);
-            let mut assignments: Vec<Vec<(usize, usize, &mut [f64])>> =
-                (0..workers).map(|_| Vec::new()).collect();
-            for (slot, row) in scores.chunks_mut(shot_count).enumerate() {
-                let mut row = row;
-                let mut first_shot = 0usize;
-                while !row.is_empty() {
-                    let take = shots_per_worker.min(row.len());
-                    let (seg, rest) = std::mem::take(&mut row).split_at_mut(take);
-                    assignments[first_shot / shots_per_worker].push((slot, first_shot, seg));
-                    row = rest;
-                    first_shot += take;
+        let mut scores = vec![0.0; event_slots.len() * shot_count];
+        let mut evaluations = 0u64;
+        if shot_count > 0 {
+            for (&event, row) in event_slots.iter().zip(scores.chunks_mut(shot_count)) {
+                let denom = self_sims[event];
+                if denom <= 0.0 {
+                    continue;
                 }
-            }
-            let mut total = 0u64;
-            crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = assignments
-                    .into_iter()
-                    .map(|segments| {
-                        let fill = &fill;
-                        s.spawn(move || {
-                            let mut evals = 0u64;
-                            for (slot, first_shot, seg) in segments {
-                                evals += fill(slot, first_shot, seg);
-                            }
-                            evals
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    total += h.join().expect("sim cache worker panicked");
+                crate::sim::similarity_into(model, 0..shot_count, event, row);
+                for cell in row.iter_mut() {
+                    *cell /= denom;
                 }
-            });
-            total
-        };
+                evaluations += shot_count as u64;
+            }
+        }
 
         SimCache {
             event_slots,

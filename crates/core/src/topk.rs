@@ -1,150 +1,72 @@
-//! Lock-free shared top-k score register.
+//! The running top-k score register of the exact pruned traversal.
 //!
-//! The exact pruned traversal ([`crate::retrieve`]) needs one fact shared
-//! across every worker of the PR-1 fan-out: *the running k-th best Eq.-15
-//! score seen so far*. Any candidate whose admissible upper bound
-//! ([`crate::bounds`]) falls strictly below that value can never enter the
-//! returned top-k prefix, so it can be dropped without changing the ranking.
+//! The exact pruned traversal ([`crate::retrieve`]) needs one fact: *the
+//! k-th best Eq.-15 score emitted so far*. Any candidate whose admissible
+//! upper bound ([`crate::bounds`]) falls strictly below that value can never
+//! enter the returned top-k prefix, so it can be dropped without changing
+//! the ranking.
 //!
-//! The register is a fixed array of `k` `AtomicU64` slots holding f64 bit
-//! patterns plus one cached threshold word. Emitted scores are non-negative
-//! (sums of non-negative Eq.-13 weights), and for non-negative finite f64
-//! the IEEE-754 bit pattern orders exactly like the number — so plain
-//! integer CAS gives a lock-free numeric max/min discipline with no float
-//! atomics.
+//! The register keeps the `k` best scores offered so far in a min-heap,
+//! padded with `0.0` until `k` positive scores have arrived. Emitted scores
+//! are non-negative (sums of positive Eq.-13 weights), and for non-negative
+//! finite f64 the IEEE-754 bit pattern orders exactly like the number, so
+//! the heap orders raw bit patterns.
 //!
-//! # Admissibility invariant
-//!
-//! [`SharedTopK::threshold`] never exceeds the k-th largest score offered so
-//! far (counting multiplicity). Proof sketch: every successful [`SharedTopK::offer`]
-//! writes its score into **at most one** slot (a single successful CAS), so
-//! at any instant the k slot values form a sub-multiset of
-//! `{offered scores} ∪ {0.0 × k}`. Any k-element sub-multiset contains at
-//! least one element that is not among the top `k − 1` of the full multiset,
-//! hence `min(slots) ≤ k-th largest offered`. The cached threshold is only
-//! ever CAS-raised to an observed `min(slots)`, so it inherits the bound
-//! (it may *lag* the true minimum, which merely prunes less — never more).
-//!
-//! Because offers race, *which* candidates get pruned is timing-dependent
-//! in parallel runs — but the surviving ranking is exact, because pruning
-//! only removes candidates strictly below the settled k-th score. Pruning
-//! counters are therefore nondeterministic across runs; rankings are not.
+//! Retrieval runs on one thread and offers each video's candidates after
+//! that video's traversal, so the threshold is *exact*: it equals the k-th
+//! largest score offered so far (counting multiplicity), and it cannot move
+//! while a video is being traversed.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
-/// Shared running top-k threshold over non-negative f64 scores.
+/// Running k-th best score over non-negative f64 scores.
 ///
 /// `k = 0` is the degenerate register: the threshold is `+∞` and offers are
 /// ignored — every candidate bound compares below it, which matches the
 /// exhaustive search returning an empty result list for `limit == 0`.
-#[derive(Debug)]
-pub struct SharedTopK {
-    /// The k best scores offered so far (bit patterns, `0` = empty slot).
-    slots: Vec<AtomicU64>,
-    /// Cached `min(slots)` — the prune threshold. Monotone non-decreasing.
-    threshold: AtomicU64,
+#[derive(Debug, Clone)]
+pub struct TopKThreshold {
+    /// The k best scores offered so far as f64 bit patterns, smallest on
+    /// top (`0` = a slot no positive score has filled yet).
+    best: BinaryHeap<Reverse<u64>>,
 }
 
-impl SharedTopK {
+impl TopKThreshold {
     /// A register tracking the `k` best scores, initially all `0.0`
     /// (a zero threshold prunes nothing under the strict-`<` discipline).
     pub fn new(k: usize) -> Self {
-        let threshold = if k == 0 {
-            f64::INFINITY.to_bits()
-        } else {
-            0u64
-        };
-        SharedTopK {
-            slots: (0..k).map(|_| AtomicU64::new(0)).collect(),
-            threshold: AtomicU64::new(threshold),
+        TopKThreshold {
+            best: vec![Reverse(0u64); k].into(),
         }
     }
 
-    /// The current prune threshold: a value `≤` the k-th best score offered
-    /// so far (`0.0` until `k` positive scores have been offered). Bounds
-    /// strictly below this can never reach the returned top-k prefix.
+    /// The prune threshold: the k-th best score offered so far (`0.0`
+    /// until `k` positive scores have been offered). Bounds strictly below
+    /// this can never reach the returned top-k prefix.
     pub fn threshold(&self) -> f64 {
-        // ordering: SeqCst — a pruning read must sit in the single total
-        // order with every slot CAS and threshold raise, so a worker can
-        // never observe a threshold older than a raise it already observed
-        // indirectly (e.g. via a beam another worker trimmed).
-        f64::from_bits(self.threshold.load(Ordering::SeqCst))
+        self.best
+            .peek()
+            .map_or(f64::INFINITY, |kth| f64::from_bits(kth.0))
     }
 
     /// Offers an emitted candidate score. Returns `true` iff this call
-    /// raised the visible threshold (the `threshold_raises` statistic).
+    /// raised the threshold (the `threshold_raises` statistic).
     ///
     /// Scores must be non-negative and non-NaN (Eq.-15 sums are); zeros are
     /// ignored — they cannot displace the empty-slot sentinel.
-    pub fn offer(&self, score: f64) -> bool {
+    pub fn offer(&mut self, score: f64) -> bool {
         debug_assert!(score >= 0.0, "Eq.-15 scores are non-negative: {score}");
-        let bits = score.to_bits();
-        if self.slots.is_empty() || bits == 0 {
+        let Some(mut kth) = self.best.peek_mut() else {
+            return false;
+        };
+        let before = kth.0;
+        if score <= f64::from_bits(before) {
             return false;
         }
-        loop {
-            let (idx, min) = self.min_slot();
-            if bits <= min {
-                // Not among the current k best; still publish the observed
-                // minimum in case the cached threshold lags it.
-                return self.raise_threshold(min);
-            }
-            // ordering: SeqCst — the slot CAS must be totally ordered with
-            // the min-scan loads and the threshold raise so two concurrent
-            // offers cannot both displace the same minimum (the admissibility
-            // proof in the interleaving checker relies on this total order).
-            if self.slots[idx]
-                .compare_exchange(min, bits, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                // Our score displaced the old minimum; re-derive the new one.
-                let (_, new_min) = self.min_slot();
-                return self.raise_threshold(new_min);
-            }
-            // Lost the race for that slot — re-scan and retry.
-        }
-    }
-
-    /// Index and value of the smallest slot (bit order == numeric order).
-    fn min_slot(&self) -> (usize, u64) {
-        let mut idx = 0;
-        let mut min = u64::MAX;
-        for (i, slot) in self.slots.iter().enumerate() {
-            // ordering: SeqCst — scan loads participate in the same total
-            // order as the slot CASes; a stale load is harmless only because
-            // the subsequent CAS re-checks the value, and that argument
-            // needs the load and CAS to agree on one modification order.
-            let v = slot.load(Ordering::SeqCst);
-            if v < min {
-                idx = i;
-                min = v;
-            }
-        }
-        (idx, min)
-    }
-
-    /// Monotone CAS-raise of the cached threshold; `true` iff it moved.
-    fn raise_threshold(&self, candidate: u64) -> bool {
-        // ordering: SeqCst — pairs with the SeqCst load in `threshold()`;
-        // the raise must become visible before any later prune decision
-        // that could have been influenced by the offer that triggered it.
-        let mut current = self.threshold.load(Ordering::SeqCst);
-        while candidate > current {
-            // ordering: SeqCst — the monotonicity argument (threshold never
-            // decreases) is a statement about the variable's modification
-            // order; keeping every raise in the single total order makes
-            // the `candidate > current` guard airtight against reordering.
-            match self.threshold.compare_exchange_weak(
-                current,
-                candidate,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            ) {
-                Ok(_) => return true,
-                Err(observed) => current = observed,
-            }
-        }
-        false
+        *kth = Reverse(score.to_bits());
+        drop(kth); // restores the heap order
+        self.best.peek().is_some_and(|kth| kth.0 > before)
     }
 }
 
@@ -160,26 +82,25 @@ mod tests {
     }
 
     #[test]
-    fn threshold_tracks_kth_best_serially() {
-        let reg = SharedTopK::new(3);
-        let scores = [0.4, 0.1, 0.9, 0.9, 0.2, 0.55, 0.0, 0.7];
-        let mut seen = Vec::new();
-        for s in scores {
-            reg.offer(s);
-            seen.push(s);
-            let t = reg.threshold();
-            assert!(
-                t <= kth_best(&seen, 3),
-                "threshold {t} exceeds 3rd best of {seen:?}"
-            );
+    fn threshold_is_the_exact_kth_best_after_every_offer() {
+        for k in 1..=4 {
+            let mut reg = TopKThreshold::new(k);
+            let scores = [0.4, 0.1, 0.9, 0.9, 0.2, 0.55, 0.0, 0.7, 0.9, 0.05];
+            for (i, &s) in scores.iter().enumerate() {
+                reg.offer(s);
+                assert_eq!(
+                    reg.threshold(),
+                    kth_best(&scores[..=i], k),
+                    "k={k} after {:?}",
+                    &scores[..=i]
+                );
+            }
         }
-        // Serially the register is exact, not just admissible.
-        assert_eq!(reg.threshold(), kth_best(&scores, 3));
     }
 
     #[test]
     fn zero_capacity_register_prunes_everything() {
-        let reg = SharedTopK::new(0);
+        let mut reg = TopKThreshold::new(0);
         assert_eq!(reg.threshold(), f64::INFINITY);
         assert!(!reg.offer(123.0));
         assert_eq!(reg.threshold(), f64::INFINITY);
@@ -187,7 +108,7 @@ mod tests {
 
     #[test]
     fn threshold_stays_zero_until_k_positive_offers() {
-        let reg = SharedTopK::new(4);
+        let mut reg = TopKThreshold::new(4);
         for s in [0.5, 0.0, 0.9, 0.3] {
             reg.offer(s);
             assert_eq!(reg.threshold(), 0.0, "raised early after {s}");
@@ -198,32 +119,20 @@ mod tests {
 
     #[test]
     fn offer_reports_raises_exactly() {
-        let reg = SharedTopK::new(2);
+        let mut reg = TopKThreshold::new(2);
         assert!(!reg.offer(0.8)); // one slot still empty → min stays 0
         assert!(reg.offer(0.5)); // 0 → 0.5
         assert!(!reg.offer(0.1)); // below the pair
         assert!(reg.offer(0.6)); // 0.5 → 0.6
-    }
+        assert!(!reg.offer(0.6)); // ties the k-th best: nothing moves
+        assert!(reg.offer(0.7)); // {0.8, 0.7}: 0.6 → 0.7
+        assert_eq!(reg.threshold(), 0.7);
 
-    #[test]
-    fn concurrent_offers_stay_admissible() {
-        let reg = SharedTopK::new(5);
-        let scores: Vec<f64> = (0..400).map(|i| (i % 97) as f64 / 97.0).collect();
-        crossbeam::thread::scope(|s| {
-            for chunk in scores.chunks(100) {
-                let reg = &reg;
-                s.spawn(move || {
-                    for &x in chunk {
-                        reg.offer(x);
-                    }
-                });
-            }
-        });
-        let exact = kth_best(&scores, 5);
-        let t = reg.threshold();
-        assert!(t <= exact, "threshold {t} exceeds true 5th best {exact}");
-        // Every offered score survived or was legitimately displaced by a
-        // larger one; with all offers settled the register is again exact.
-        assert_eq!(t, exact);
+        // Displacing one copy of a duplicated k-th best leaves the other.
+        let mut dup = TopKThreshold::new(2);
+        assert!(!dup.offer(0.5));
+        assert!(dup.offer(0.5)); // 0 → 0.5
+        assert!(!dup.offer(0.6)); // {0.6, 0.5}: still 0.5
+        assert_eq!(dup.threshold(), 0.5);
     }
 }

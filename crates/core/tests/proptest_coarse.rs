@@ -98,14 +98,12 @@ proptest! {
         cat in catalog(),
         pat in pattern(),
         beam in 1usize..5,
-        threads in 1usize..4,
         content_only in proptest::sample::select(vec![false, true]),
     ) {
         let model = build_hmmm(&cat, &BuildConfig { unannotated_weight: 0.2, ..BuildConfig::default() }).unwrap();
         let cfg = RetrievalConfig {
             beam_width: beam,
             per_video_results: 8,
-            threads: Some(threads),
             prune: false,
             ..regime(content_only)
         };
@@ -246,15 +244,12 @@ proptest! {
         prop_assert_eq!(prev_recall, 1.0);
     }
 
-    /// Serially the coarse stage is fully deterministic: two identical
-    /// runs agree on rankings and on every counter.
+    /// The coarse stage is fully deterministic: two identical runs agree
+    /// on rankings and on every counter.
     #[test]
     fn serial_coarse_is_deterministic(cat in catalog(), pat in pattern(), limit in 1usize..20) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = RetrievalConfig {
-            threads: Some(1),
-            ..RetrievalConfig::default()
-        };
+        let cfg = RetrievalConfig::default();
         let (a_results, a_stats) =
             Retriever::new(&model, &cat, cfg.clone()).unwrap().retrieve(&pat, limit).unwrap();
         let (b_results, b_stats) =

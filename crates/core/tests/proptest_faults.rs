@@ -1,12 +1,12 @@
 //! Properties of the degraded paths (PR-5):
 //!
-//! * an empty fault plan is byte-invisible in every threads × regime ×
-//!   prune configuration;
+//! * an empty fault plan is byte-invisible in every regime × prune
+//!   configuration, rankings and work counters alike;
 //! * a panic-degraded ranking is exactly the full ranking restricted to
 //!   the surviving videos (injected panics fire at video entry, so a
 //!   faulted run *is* a retrieval over the survivor subset);
-//! * the same plan + seed degrades the same way on every run — rankings,
-//!   failure counts, and payloads are deterministic.
+//! * the same plan + seed degrades the same way on every run — rankings
+//!   and every work counter are deterministic.
 
 use hmmm_core::{build_hmmm, BuildConfig, FaultPlan, RetrievalConfig, RetrievalStats, Retriever};
 use hmmm_features::{FeatureVector, FEATURE_COUNT};
@@ -86,35 +86,30 @@ fn coin() -> impl Strategy<Value = bool> {
 
 /// The regime picks the scorer: content-driven traversal reads the sim
 /// cache, annotation-first traversal evaluates Eq. 14 directly.
-fn base_config(threads: usize, content_only: bool, prune: bool) -> RetrievalConfig {
+fn base_config(content_only: bool, prune: bool) -> RetrievalConfig {
     let base = if content_only {
         RetrievalConfig::content_only()
     } else {
         RetrievalConfig::default()
     };
-    RetrievalConfig {
-        threads: Some(threads),
-        prune,
-        ..base
-    }
+    RetrievalConfig { prune, ..base }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Zero faults: attaching an empty plan changes nothing, in any
-    /// configuration — the rankings (and, serially, the stats) are
-    /// byte-identical to a plain pre-PR config.
+    /// configuration — the rankings and the stats are byte-identical to a
+    /// plain config.
     #[test]
     fn empty_plan_is_invisible(
         cat in catalog(),
         pat in pattern(),
-        threads in 1usize..5,
         content_only in coin(),
         prune in coin(),
     ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = base_config(threads, content_only, prune);
+        let cfg = base_config(content_only, prune);
         let plain = Retriever::new(&model, &cat, cfg.clone()).unwrap();
         let faulted = Retriever::new(&model, &cat, cfg.with_fault_plan(FaultPlan::default())).unwrap();
         let (a, a_stats) = plain.retrieve(&pat, 10).unwrap();
@@ -122,10 +117,7 @@ proptest! {
         prop_assert_eq!(a, b);
         prop_assert!(b_stats.degraded.is_none());
         prop_assert_eq!(b_stats.videos_failed, 0);
-        // Pruning work counters race across workers; serial runs are exact.
-        if threads == 1 {
-            prop_assert_eq!(a_stats, b_stats);
-        }
+        prop_assert_eq!(a_stats, b_stats);
     }
 
     /// A panic-degraded ranking is the full ranking restricted to the
@@ -137,13 +129,12 @@ proptest! {
         cat in catalog(),
         pat in pattern(),
         fp in plan(),
-        threads in 1usize..5,
         content_only in coin(),
         prune in coin(),
         limit in 1usize..20,
     ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = base_config(threads, content_only, prune);
+        let cfg = base_config(content_only, prune);
         let full = Retriever::new(&model, &cat, cfg.clone()).unwrap();
         let faulted = Retriever::new(&model, &cat, cfg.clone().with_fault_plan(fp.clone())).unwrap();
         let (full_results, _) = full.retrieve(&pat, limit).unwrap();
@@ -174,23 +165,22 @@ proptest! {
     }
 
     /// Same plan, same seed, same configuration → the same degraded
-    /// outcome on every run.
+    /// outcome on every run, down to every work counter, with the prune
+    /// on or off.
     #[test]
     fn degradation_is_deterministic(
         cat in catalog(),
         pat in pattern(),
         fp in plan(),
-        threads in 1usize..5,
         content_only in coin(),
+        prune in coin(),
     ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = base_config(threads, content_only, false).with_fault_plan(fp);
+        let cfg = base_config(content_only, prune).with_fault_plan(fp);
         let r = Retriever::new(&model, &cat, cfg).unwrap();
         let (a, a_stats) = r.retrieve(&pat, 10).unwrap();
         let (b, b_stats) = r.retrieve(&pat, 10).unwrap();
         prop_assert_eq!(a, b);
-        prop_assert_eq!(a_stats.videos_failed, b_stats.videos_failed);
-        prop_assert_eq!(a_stats.panic_payloads, b_stats.panic_payloads);
-        prop_assert_eq!(a_stats.degraded, b_stats.degraded);
+        prop_assert_eq!(a_stats, b_stats);
     }
 }

@@ -99,17 +99,15 @@ proptest! {
         }
     }
 
-    /// The blocked kernel is invisible end-to-end: across the threads ×
-    /// regime × prune grid, rankings are byte-identical to the
-    /// single-threaded exhaustive run of the same regime — whether a
-    /// video's scores came from the slot-major cache (`similarity_into`
-    /// during `SimCache::build`, content-driven) or from per-block direct
-    /// evaluation (annotation-first).
+    /// The blocked kernel is invisible end-to-end: across the regime ×
+    /// prune grid, rankings are byte-identical to the exhaustive run of the
+    /// same regime — whether a video's scores came from the slot-major
+    /// cache (`similarity_into` during `SimCache::build`, content-driven)
+    /// or from per-block direct evaluation (annotation-first).
     #[test]
     fn kernel_grid_ranks_identically(
         cat in catalog(),
         pat in pattern(),
-        threads in 1usize..4,
         content_only in proptest::sample::select(vec![false, true]),
         prune in proptest::sample::select(vec![false, true]),
     ) {
@@ -120,12 +118,10 @@ proptest! {
             RetrievalConfig::default()
         };
         let grid_cfg = RetrievalConfig {
-            threads: Some(threads),
             prune,
             ..base.clone()
         };
         let reference_cfg = RetrievalConfig {
-            threads: Some(1),
             prune: false,
             ..base
         };
@@ -138,5 +134,37 @@ proptest! {
             .retrieve(&pat, 10)
             .unwrap();
         prop_assert_eq!(a, b);
+    }
+
+    /// The regime picks the scorer, and the counters say which one ran:
+    /// content-driven traversal charges the dense cache build and serves
+    /// every hot-path lookup from the table; annotation-first traversal
+    /// builds nothing and evaluates Eq. (14) directly.
+    #[test]
+    fn regime_picks_the_scorer(cat in catalog(), pat in pattern(), beam in 1usize..5) {
+        let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
+        let cached_cfg = RetrievalConfig { beam_width: beam, prune: false, ..RetrievalConfig::content_only() };
+        let direct_cfg = RetrievalConfig { beam_width: beam, prune: false, ..RetrievalConfig::default() };
+        let (_, c_stats) = Retriever::new(&model, &cat, cached_cfg).unwrap().retrieve(&pat, 10).unwrap();
+        let (_, d_stats) = Retriever::new(&model, &cat, direct_cfg).unwrap().retrieve(&pat, 10).unwrap();
+        prop_assert_eq!(c_stats.sim_evaluations, 0);
+        if c_stats.videos_visited > 0 {
+            prop_assert!(c_stats.cache_lookups > 0);
+        }
+        // The build only pays for *supported* events (non-zero centroid),
+        // so it can be free when the pattern names only events the archive
+        // never exhibits.
+        let supported = pat.steps.iter()
+            .flat_map(|s| s.alternatives.iter().copied())
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .filter(|&e| sim::self_similarity(&model, e) > 0.0)
+            .count();
+        prop_assert_eq!(c_stats.cache_build_evaluations, (supported * model.shot_count()) as u64);
+        prop_assert_eq!(d_stats.cache_build_evaluations, 0);
+        prop_assert_eq!(d_stats.cache_lookups, 0);
+        if d_stats.videos_visited > 0 {
+            prop_assert!(d_stats.sim_evaluations > 0);
+        }
     }
 }

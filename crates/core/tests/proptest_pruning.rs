@@ -1,9 +1,9 @@
 //! Property: exact top-k pruning is invisible in the rankings.
 //!
-//! The shared-threshold prune (`RetrievalConfig::prune`) may only change
-//! *cost* counters — for any archive, pattern, beam width, result limit,
-//! thread count and regime, the ranked patterns must be
-//! byte-identical to the exhaustive (`prune: false`) run. The unit test at
+//! The threshold prune (`RetrievalConfig::prune`) may only change *cost*
+//! counters — for any archive, pattern, beam width, result limit and
+//! regime, the ranked patterns must be byte-identical to the exhaustive
+//! (`prune: false`) run. The unit test at
 //! the bottom pins the admissibility of the bounds themselves on the
 //! paper's §4.2.1.1 worked example.
 
@@ -67,15 +67,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Pruned rankings equal exhaustive rankings across the whole config
-    /// grid the engine exposes: thread count × annotation regime (which
-    /// picks the scorer) × beam width × top-k limit.
+    /// grid the engine exposes: annotation regime (which picks the scorer)
+    /// × beam width × top-k limit.
     #[test]
     fn pruning_is_ranking_exact(
         cat in catalog(),
         pat in pattern(),
         beam in 1usize..5,
         limit in 1usize..20,
-        threads in 1usize..5,
         content_only in proptest::sample::select(vec![false, true]),
     ) {
         let model = build_hmmm(&cat, &BuildConfig { unannotated_weight: 0.2, ..BuildConfig::default() }).unwrap();
@@ -86,7 +85,6 @@ proptest! {
         };
         let pruned_cfg = RetrievalConfig {
             beam_width: beam,
-            threads: Some(threads),
             prune: true,
             ..base
         };
@@ -112,18 +110,47 @@ proptest! {
         prop_assert!(p_stats.transitions_examined <= e_stats.transitions_examined);
     }
 
-    /// Serially the prune is fully deterministic: two identical runs agree
-    /// on every counter, threshold raises included.
+    /// The prune is fully deterministic in both regimes: two identical
+    /// runs agree on every counter, threshold raises included.
     #[test]
-    fn serial_pruning_is_deterministic(cat in catalog(), pat in pattern(), limit in 1usize..20) {
+    fn serial_pruning_is_deterministic(
+        cat in catalog(),
+        pat in pattern(),
+        limit in 1usize..20,
+        content_only in proptest::sample::select(vec![false, true]),
+    ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = RetrievalConfig { threads: Some(1), prune: true, ..RetrievalConfig::default() };
+        let base = if content_only {
+            RetrievalConfig::content_only()
+        } else {
+            RetrievalConfig::default()
+        };
+        let cfg = RetrievalConfig { prune: true, ..base };
         let (a_results, a_stats) =
             Retriever::new(&model, &cat, cfg.clone()).unwrap().retrieve(&pat, limit).unwrap();
         let (b_results, b_stats) =
             Retriever::new(&model, &cat, cfg).unwrap().retrieve(&pat, limit).unwrap();
         prop_assert_eq!(a_results, b_results);
         prop_assert_eq!(a_stats, b_stats);
+    }
+
+    /// Attaching a recorder is a pure observation change: rankings and
+    /// work counters with metrics on are byte-identical to metrics off,
+    /// pruning counters included.
+    #[test]
+    fn metrics_are_ranking_neutral(cat in catalog(), pat in pattern(), beam in 1usize..5) {
+        let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
+        let quiet_cfg = RetrievalConfig { beam_width: beam, prune: true, ..RetrievalConfig::content_only() };
+        let recorder = hmmm_core::InMemoryRecorder::shared();
+        let observed_cfg = quiet_cfg.clone().with_recorder(recorder.handle());
+        let (q_results, q_stats) = Retriever::new(&model, &cat, quiet_cfg).unwrap().retrieve(&pat, 10).unwrap();
+        let (o_results, o_stats) = Retriever::new(&model, &cat, observed_cfg).unwrap().retrieve(&pat, 10).unwrap();
+        prop_assert_eq!(q_results, o_results);
+        prop_assert_eq!(q_stats.clone(), o_stats);
+        // And the recorder really saw the query.
+        let report = recorder.report();
+        prop_assert_eq!(report.counter(hmmm_core::metrics::CTR_QUERIES), 1);
+        prop_assert_eq!(report.counter(hmmm_core::metrics::CTR_VIDEOS_VISITED), q_stats.videos_visited as u64);
     }
 }
 
@@ -170,7 +197,6 @@ fn bounds_are_admissible_on_worked_example() {
     let cfg = RetrievalConfig {
         beam_width: 16,
         per_video_results: 16,
-        threads: Some(1),
         prune: false,
         ..RetrievalConfig::default()
     };

@@ -17,17 +17,15 @@
 //! This crate provides exactly those building blocks: a row-major dense
 //! [`Matrix`], a validated [`StochasticMatrix`] newtype whose rows are
 //! guaranteed to sum to one, a [`ForwardCsr`] holding the sparse temporal
-//! `A_1` (its stored entries only, with the Eq.-(2) normalization), an
-//! [`AffinityAccumulator`] implementing the paper's `AF` count matrices
-//! (Eqs. 1 and 5), and a [`ProbVector`] for the `Π` distributions.
+//! `A_1` (its stored entries only, with the Eq.-(2) normalization), and a
+//! [`ProbVector`] for the `Π` distributions.
 //!
 //! Everything is `f64` and allocation-conscious: hot paths
-//! (row normalization, accumulation, row maxima) never allocate.
+//! (row normalization, row maxima) never allocate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod accumulate;
 pub mod dense;
 pub mod error;
 pub mod order;
@@ -35,7 +33,6 @@ pub mod prob;
 pub mod sparse;
 pub mod stochastic;
 
-pub use accumulate::AffinityAccumulator;
 pub use dense::Matrix;
 pub use error::MatrixError;
 pub use order::{cmp_f64, cmp_f64_desc};

@@ -137,21 +137,6 @@ impl StochasticMatrix {
         self.0.row(row)
     }
 
-    /// Transition targets of `row` sorted by descending probability, skipping
-    /// zero entries. This drives the "traverse the most optimal path"
-    /// behaviour of the retrieval process (§5, Figure 3).
-    pub fn ranked_transitions(&self, row: usize) -> Vec<(usize, f64)> {
-        let mut out: Vec<(usize, f64)> = self
-            .row(row)
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(_, p)| p > 0.0)
-            .collect();
-        out.sort_by(|a, b| crate::order::cmp_f64_desc(a.1, b.1));
-        out
-    }
-
     /// Borrow the underlying dense matrix.
     #[inline]
     pub fn as_matrix(&self) -> &Matrix {
@@ -232,17 +217,6 @@ mod tests {
         let s = StochasticMatrix::uniform(2, 4).unwrap();
         assert_eq!(s.get(1, 3), 0.25);
         assert!(StochasticMatrix::uniform(0, 4).is_err());
-    }
-
-    #[test]
-    fn ranked_transitions_sorted_and_skip_zeros() {
-        let m = Matrix::from_rows(&[vec![0.1, 0.0, 0.6, 0.3]]).unwrap();
-        let s = StochasticMatrix::new(m).unwrap();
-        let ranked = s.ranked_transitions(0);
-        assert_eq!(
-            ranked.iter().map(|&(i, _)| i).collect::<Vec<_>>(),
-            vec![2, 3, 0]
-        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 //! Property-based invariants for the matrix substrate.
 
-use hmmm_matrix::accumulate::{AffinityAccumulator, PairOrdering};
 use hmmm_matrix::dense::ZeroRowPolicy;
 use hmmm_matrix::{Matrix, ProbVector, StochasticMatrix};
 use proptest::prelude::*;
@@ -73,86 +72,6 @@ proptest! {
         let h = pi.entropy();
         prop_assert!(h >= -1e-12);
         prop_assert!(h <= (pi.len() as f64).ln() + 1e-9);
-    }
-
-    /// Affinity accumulation preserves the row-stochastic invariant after an
-    /// arbitrary sequence of positive patterns (the paper's feedback loop:
-    /// any number of Eq. (1) updates followed by Eq. (2) normalization).
-    #[test]
-    fn accumulator_always_normalizable(
-        n in 2usize..10,
-        patterns in proptest::collection::vec(
-            (proptest::collection::vec(0usize..10, 1..6), 0.1f64..50.0),
-            0..20,
-        ),
-    ) {
-        let mut af = AffinityAccumulator::new(n, PairOrdering::TemporalForward);
-        for (states, access) in &patterns {
-            let states: Vec<usize> = states.iter().map(|s| s % n).collect();
-            af.record_pattern(&states, *access).unwrap();
-        }
-        let a = af.to_stochastic(ZeroRowPolicy::SelfLoop).unwrap();
-        for i in 0..n {
-            let sum: f64 = a.row(i).iter().sum();
-            prop_assert!((sum - 1.0).abs() < 1e-8);
-        }
-    }
-
-    /// Temporal-forward accumulation never creates backward transitions when
-    /// patterns are fed in sorted order.
-    #[test]
-    fn temporal_accumulation_is_upper_triangular(
-        n in 2usize..10,
-        patterns in proptest::collection::vec(
-            proptest::collection::vec(0usize..10, 1..5),
-            1..10,
-        ),
-    ) {
-        let mut af = AffinityAccumulator::new(n, PairOrdering::TemporalForward);
-        for states in &patterns {
-            let mut states: Vec<usize> = states.iter().map(|s| s % n).collect();
-            states.sort_unstable();
-            af.record_pattern(&states, 1.0).unwrap();
-        }
-        for i in 0..n {
-            for j in 0..i {
-                prop_assert_eq!(af.counts()[(i, j)], 0.0);
-            }
-        }
-    }
-
-    /// Symmetric accumulation produces a symmetric count matrix.
-    #[test]
-    fn symmetric_accumulation_is_symmetric(
-        n in 2usize..10,
-        patterns in proptest::collection::vec(
-            proptest::collection::vec(0usize..10, 1..5),
-            1..10,
-        ),
-    ) {
-        let mut af = AffinityAccumulator::new(n, PairOrdering::Symmetric);
-        for states in &patterns {
-            let states: Vec<usize> = states.iter().map(|s| s % n).collect();
-            af.record_pattern(&states, 2.0).unwrap();
-        }
-        for i in 0..n {
-            for j in 0..n {
-                prop_assert_eq!(af.counts()[(i, j)], af.counts()[(j, i)]);
-            }
-        }
-    }
-
-    /// ranked_transitions returns a descending, zero-free ranking.
-    #[test]
-    fn ranked_transitions_descending(m in small_matrix()) {
-        let s = StochasticMatrix::normalize(m, ZeroRowPolicy::Uniform).unwrap();
-        for i in 0..s.rows() {
-            let ranked = s.ranked_transitions(i);
-            for w in ranked.windows(2) {
-                prop_assert!(w[0].1 >= w[1].1);
-            }
-            prop_assert!(ranked.iter().all(|&(_, p)| p > 0.0));
-        }
     }
 
     /// Matrix serde round-trip is lossless.

@@ -17,8 +17,8 @@
 //!    Sync`; the in-memory implementation serializes updates behind one
 //!    [`std::sync::Mutex`] whose critical sections are a few arithmetic
 //!    ops. Counters are commutative sums, so totals are independent of
-//!    worker count and scheduling — the same contract the retrieval
-//!    fan-out already relies on for its result merge.
+//!    worker count and scheduling (the serving layer's workers share one
+//!    recorder).
 //! 3. **Offline and zero-dependency.** Only `std` plus the workspace's
 //!    vendored `serde`/`serde_json` for the report encoding. No clocks
 //!    other than [`std::time::Instant`], no global state, no network.

@@ -7,8 +7,8 @@ use std::time::Instant;
 
 /// A metrics/trace sink.
 ///
-/// Implementations must be thread-safe: the retrieval fan-out calls every
-/// method concurrently from scoped worker threads. All quantities are
+/// Implementations must be thread-safe: the serving layer's workers call
+/// every method concurrently through one shared recorder. All quantities are
 /// commutative (sums, last-write gauges, order-free histograms and span
 /// lists), so recorded totals do not depend on scheduling.
 pub trait Recorder: Send + Sync + fmt::Debug {

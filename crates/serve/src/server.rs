@@ -27,10 +27,8 @@
 //! reusable [`hmmm_core::QueryScratch`]. A worker validates a snapshot once,
 //! on the first job it executes there, and builds every later request's
 //! `Retriever` from that proof; the per-query steady state neither
-//! re-validates the model nor allocates beams and scoring rows.
-//! Queries execute with `threads = 1`: under concurrent traffic the
-//! parallelism that used to fan one query across cores is spent across
-//! queries instead, which is the right trade once the queue is non-empty.
+//! re-validates the model nor allocates beams and scoring rows. Each query
+//! runs on its worker's thread, so the cores are spent across queries.
 
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 use hmmm_core::metrics as m;
@@ -59,10 +57,9 @@ pub struct ServerConfig {
     /// ([`QueryRequest::deadline`]). `None` = unbounded. The budget covers
     /// queue wait *plus* execution.
     pub default_deadline: Option<Duration>,
-    /// Base per-query retrieval configuration. `threads` is forced to 1 by
-    /// the server (concurrency lives across queries); `deadline` is
-    /// overwritten per request from the admission budget; the `recorder`
-    /// is replaced by [`ServerConfig::recorder`].
+    /// Base per-query retrieval configuration. `deadline` is overwritten
+    /// per request from the admission budget; the `recorder` is replaced by
+    /// [`ServerConfig::recorder`].
     pub retrieval: RetrievalConfig,
     /// Observability sink for the whole server: per-request span trees
     /// (`serve/request` → `serve/request/execute` → the engine's own
@@ -630,7 +627,6 @@ fn serve_one<'s>(
     };
 
     let mut config = shared.config.retrieval.clone();
-    config.threads = Some(1); // concurrency lives across queries
     config.recorder = obs.clone();
     config.deadline = remaining.map(hmmm_core::DeadlineConfig::new);
 

@@ -462,12 +462,10 @@ fn check_fault_handle(live: &FaultHandle) -> FaultHandle {
     }
 }
 
-/// The serial reference configuration for `--check`: single-threaded, no
-/// deadline, same candidate cut, latency-stripped fault plan (see
-/// [`check_fault_handle`]).
+/// The reference configuration for `--check`: no deadline, same candidate
+/// cut, latency-stripped fault plan (see [`check_fault_handle`]).
 fn check_retrieval_config(live: RetrievalConfig) -> RetrievalConfig {
     let mut serial = live;
-    serial.threads = Some(1);
     serial.deadline = None;
     serial.fault = check_fault_handle(&serial.fault);
     serial

@@ -76,7 +76,6 @@ fn serial_reference(
     limit: usize,
 ) -> Vec<hmmm_core::RankedPattern> {
     let mut config = server.retrieval_config();
-    config.threads = Some(1);
     config.deadline = None;
     let (results, _) = Retriever::new(&snapshot.model, &snapshot.catalog, config)
         .expect("consistent")
@@ -173,8 +172,7 @@ proptest! {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
         // Feedback material: confirm top results of a serial run so the
         // installed generations genuinely differ from epoch 0.
-        let seed_cfg = RetrievalConfig { threads: Some(1), ..RetrievalConfig::default() };
-        let (seed_results, _) = Retriever::new(&model, &cat, seed_cfg)
+        let (seed_results, _) = Retriever::new(&model, &cat, RetrievalConfig::default())
             .unwrap()
             .retrieve(&pats[0], 4)
             .unwrap();

@@ -3,7 +3,7 @@
 //! ```text
 //! hmmm generate --videos 8 --shots 100 --event-rate 0.1 --seed 42 --out db.bin
 //! hmmm inspect db.bin
-//! hmmm query db.bin "free_kick -> goal" --top 8 [--threads N] [--content-only] [--greedy]
+//! hmmm query db.bin "free_kick -> goal" --top 8 [--content-only] [--greedy]
 //!                   [--metrics-json out.json] [--trace]
 //! hmmm categories db.bin --k 4
 //! hmmm matn "foul ->[2] yellow_card|red_card -> player_change"
@@ -56,13 +56,12 @@ USAGE:
       synthesize an archive, extract features, save the catalog
   hmmm inspect <file>
       print catalog dimensions and per-event counts
-  hmmm query <file> <pattern> [--top N] [--threads N] [--content-only]
+  hmmm query <file> <pattern> [--top N] [--content-only]
              [--greedy] [--no-prune] [--candidates C]
              [--deadline-ms N] [--deadline-check-interval M]
              [--fault-plan <json|file>]
              [--metrics-json <out>] [--trace]
       build the HMMM and run a temporal pattern query
-      (--threads 0 = all cores, 1 = serial; default all cores)
       (--top-k is accepted as an alias of --top; --no-prune disables the
       exact top-k threshold pruning — rankings are identical either way)
       candidate videos and their prune bounds always come from the
@@ -76,7 +75,7 @@ USAGE:
       argument starts with '{', else a file path), e.g.
       '{\"panic_on_videos\": [0,2]}' — see crates/core/src/fault.rs
       --metrics-json writes the structured observability report (per-stage
-      wall times, counters, cache hit ratio, thread utilization) as JSON;
+      wall times, counters, cache hit ratio) as JSON;
       --trace prints the span tree of the whole run to stdout
   hmmm categories <file> [--k N]
       cluster videos into categories (the d=3 extension)
@@ -154,7 +153,6 @@ const QUERY_FLAGS: Flags = Flags {
     valued: &[
         "--top",
         "--top-k",
-        "--threads",
         "--candidates",
         "--deadline-ms",
         "--deadline-check-interval",
@@ -405,11 +403,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     };
     if flag_present(args, "--greedy") {
         config.beam_width = 1;
-    }
-    if let Some(t) = flag_value(args, "--threads") {
-        let t: usize = parse_num(&t, "--threads")?;
-        // 0 = auto (all cores), n = exactly n workers (1 = serial).
-        config.threads = if t == 0 { None } else { Some(t) };
     }
     if flag_present(args, "--no-prune") {
         config.prune = false;
@@ -1061,7 +1054,13 @@ mod tests {
     fn unknown_flags_are_rejected_by_name() {
         // Typos and removed flags must fail loudly instead of swallowing
         // the argument after them.
-        for bad in ["--no-prun", "--deadine-ms", "--coarse", "--no-sim-cache"] {
+        for bad in [
+            "--no-prun",
+            "--deadine-ms",
+            "--coarse",
+            "--no-sim-cache",
+            "--threads",
+        ] {
             let args = argv(&["db.json", "goal", bad, "5"]);
             let err = positionals(&args, &QUERY_FLAGS).unwrap_err();
             assert!(err.contains(bad), "{err}");
