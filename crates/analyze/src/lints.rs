@@ -181,7 +181,6 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
             "similarity_block",
             "self_similarity",
             "calibrated_similarity",
-            "calibrated_block",
             "best_alternative",
         ],
     ),
@@ -200,16 +199,7 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
         &["new", "for_video", "with_video_ub", "entry_ub"],
     ),
     ("crates/core/src/feedback.rs", &["apply", "apply_observed"]),
-    (
-        "crates/core/src/simcache.rs",
-        &[
-            "build",
-            "self_similarity",
-            "calibrated",
-            "calibrated_range",
-            "best_alternative",
-        ],
-    ),
+    ("crates/core/src/model.rs", &["sim_row"]),
     (
         "crates/core/src/audit.rs",
         &["audit_numeric", "audit_links"],

@@ -2,8 +2,9 @@
 
 use hmmm_core::{
     CoreError, DeadlineConfig, Degraded, DegradedReason, Hmmm, QueryBounds, RankedPattern,
-    RetrievalStats, SimCache, TopKThreshold,
+    RetrievalStats, TopKThreshold,
 };
+use hmmm_media::EventKind;
 use hmmm_query::CompiledPattern;
 use hmmm_storage::{Catalog, ShotId};
 use std::time::Instant;
@@ -86,7 +87,8 @@ impl<'a> ExhaustiveRetriever<'a> {
     ///
     /// # Errors
     ///
-    /// [`CoreError::BadQuery`] for empty patterns.
+    /// [`CoreError::BadQuery`] for empty patterns and out-of-range event
+    /// indices.
     pub fn retrieve(
         &self,
         pattern: &CompiledPattern,
@@ -95,15 +97,18 @@ impl<'a> ExhaustiveRetriever<'a> {
         if pattern.is_empty() {
             return Err(CoreError::BadQuery("empty pattern".into()));
         }
+        if let Some(&bad) = pattern
+            .steps
+            .iter()
+            .flat_map(|step| &step.alternatives)
+            .find(|&&e| e >= EventKind::COUNT)
+        {
+            return Err(CoreError::BadQuery(format!(
+                "event index {bad} out of range"
+            )));
+        }
         let mut stats = RetrievalStats::default();
         let mut results: Vec<RankedPattern> = Vec::new();
-
-        // Same query-scoped similarity table the HMMM retriever uses: one
-        // dense Eq.-(14) pass over shots × query events, then every per-step
-        // lookup below is an array read. The old code re-evaluated Eq. (14)
-        // once per (step, shot) even when steps shared alternatives.
-        let cache = SimCache::build(self.model, pattern);
-        stats.cache_build_evaluations += cache.build_evaluations();
 
         // Running k-th-best register for the optional branch-and-bound cut
         // (same primitive the beam traversal prunes against).
@@ -126,16 +131,15 @@ impl<'a> ExhaustiveRetriever<'a> {
             let n = video.shot_count();
             let local = &self.model.locals()[video.id.index()];
 
+            // The same per-epoch score table the HMMM retriever reads: every
+            // (step, shot) score is an array read, no Eq.-14 evaluation.
+            stats.cache_lookups += (pattern.steps.len() * n) as u64;
             let step_sims: Vec<Vec<(usize, f64)>> = pattern
                 .steps
                 .iter()
                 .map(|step| {
                     (0..n)
-                        .map(|s| {
-                            cache
-                                .best_alternative(base + s, &step.alternatives)
-                                .unwrap_or((0, 0.0))
-                        })
+                        .map(|s| best_alternative(self.model, base + s, &step.alternatives))
                         .collect()
                 })
                 .collect();
@@ -251,6 +255,21 @@ impl<'a> ExhaustiveRetriever<'a> {
         }
         Ok((results, stats))
     }
+}
+
+/// The best `(event, score)` among `events` for the global `shot`, read from
+/// the model's table: ties keep the earliest alternative, as in
+/// [`hmmm_core::sim::best_alternative`]; no alternatives score `(0, 0.0)`.
+fn best_alternative(model: &Hmmm, shot: usize, events: &[usize]) -> (usize, f64) {
+    let mut best: Option<(usize, f64)> = None;
+    for &e in events {
+        let s = model.sim_row(e)[shot];
+        match best {
+            Some((_, bs)) if s <= bs => {}
+            _ => best = Some((e, s)),
+        }
+    }
+    best.unwrap_or((0, 0.0))
 }
 
 /// Total order matching the HMMM retriever's ranking: score desc, then

@@ -36,11 +36,11 @@ struct Sample {
     seconds: f64,
     /// Archive shots scanned per second at that wall clock.
     shots_per_sec: f64,
-    /// Cache-served share of hot-path scoring lookups across the repeats
-    /// (absent when no scoring lookups happened).
-    cache_hit_ratio: Option<f64>,
+    /// Calibrated Eq.-14 scores read from the model's table, total across
+    /// repeats.
+    score_reads: u64,
     /// Per-stage wall time across all repeats, nanoseconds, keyed by span
-    /// path (`retrieve/sim_cache_build`, `retrieve/traverse`, …).
+    /// path (`retrieve/coarse`, `retrieve/traverse`, …).
     stage_total_ns: Vec<(String, u64)>,
     /// Videos skipped whole by the admissible bound, total across repeats.
     videos_skipped_by_bound: u64,
@@ -205,11 +205,9 @@ fn main() {
     let out = arg("--out").unwrap_or_else(|| "BENCH_retrieval.json".into());
     // Content-driven traversal ("or similar to e_j", §5 Step 3) is the
     // similarity-bound regime: every video is traversed and every reachable
-    // shot is scored by the model, so Eq.-(14) work dominates. That is the
-    // path the cache optimizes (annotation-first queries are
-    // annotation-bound and score directly, see DESIGN.md §4). The
-    // query is a goal followed by its replay — steps that reuse an event
-    // share one cache row, which is where the dense build pays best.
+    // shot is scored by the model, so score reads dominate (annotation-first
+    // queries read only annotated shots, see DESIGN.md §4). The query is a
+    // goal followed by its replay.
     const QUERY: &str = "goal -> goal";
     const REPEATS: u32 = 5;
 
@@ -253,7 +251,7 @@ fn main() {
             prune,
             seconds: secs,
             shots_per_sec: total_shots as f64 / secs,
-            cache_hit_ratio: metrics.derived.get("cache_hit_ratio").copied(),
+            score_reads: metrics.counter(m::CTR_SCORE_READS),
             stage_total_ns: metrics
                 .stages
                 .iter()

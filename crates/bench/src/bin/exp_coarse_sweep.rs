@@ -10,8 +10,8 @@
 //! cut) is the reference, and a cut as wide as the archive must reproduce
 //! it (recall 1.00).
 //!
-//! All rows run the serving path: serial, content-driven, so the
-//! query-scoped similarity cache is built.
+//! All rows run the serving path: serial and content-driven, every score
+//! a read of the model's per-epoch Eq.-14 table.
 //!
 //! ```text
 //! cargo run --release -p hmmm-bench --bin exp_coarse_sweep
@@ -71,7 +71,7 @@ fn main() {
     let translator = QueryTranslator::new(EventKind::ALL.iter().map(|k| k.name()));
     let pattern = translator.compile("goal -> goal").expect("valid");
 
-    // The serving path: content-driven (sim cache built).
+    // The serving path: content-driven.
     let base = RetrievalConfig::content_only();
 
     // One measured row: best-of-N latency, the coarse candidate count, and

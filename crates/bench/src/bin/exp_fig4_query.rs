@@ -67,8 +67,8 @@ fn main() {
         mrr
     );
     println!(
-        "          retrieval in {elapsed:.2?}; {} sim evals; {}/{} videos visited ({} skipped by B2 check)",
-        stats.total_sim_evaluations(),
+        "          retrieval in {elapsed:.2?}; {} score reads; {}/{} videos visited ({} skipped by B2 check)",
+        stats.cache_lookups,
         stats.videos_visited,
         catalog.video_count(),
         stats.videos_skipped

@@ -5,8 +5,10 @@
 //!
 //! 1. **Block size** — Eq.-14 throughput (shot-evaluations/sec) of
 //!    `sim::similarity_block` over contiguous blocks of B shots, against
-//!    the scalar per-shot reference. Small blocks pay per-call overhead;
-//!    large blocks stream the feature-major slab at unit stride.
+//!    the scalar per-shot reference. This is the kernel that fills each
+//!    model's per-epoch score table. Small blocks pay per-call overhead
+//!    (a transpose buffer per call); large blocks amortize it over
+//!    unit-stride sweeps of the transposed `B_1` rows.
 //! 2. **Archive size** — end-to-end content-driven retrieval (shots/sec)
 //!    at growing archive sizes, with the forward density of the sparse
 //!    `A_1` the traversal walks.

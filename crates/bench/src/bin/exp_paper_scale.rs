@@ -90,10 +90,10 @@ fn main() {
         results.len()
     );
     println!(
-        "work: {} videos visited, {} skipped by B2, {} sim evals, {} transitions",
+        "work: {} videos visited, {} skipped by B2, {} score reads, {} transitions",
         stats.videos_visited,
         stats.videos_skipped,
-        stats.total_sim_evaluations(),
+        stats.cache_lookups,
         stats.transitions_examined
     );
 

@@ -22,10 +22,10 @@
 //! * `B_2` matches the catalog's annotation counts (feedback never touches
 //!   `B_2`; a mismatch means the model was built from a different archive).
 //!
-//! The derived caches (bound factors, the `B_1` slab, packed event terms,
-//! the coarse index) are not audited: they are private, rebuilt from the
-//! sources by every writer, and never persisted, so they cannot disagree
-//! with them.
+//! The derived caches (bound factors, packed event terms, the Eq.-14 score
+//! table, the coarse index) are not audited: they are private, rebuilt from
+//! the sources by every writer, and never persisted, so they cannot
+//! disagree with them.
 //!
 //! The numeric half ([`audit_numeric`]) runs whenever a model is
 //! deserialized, in every build profile, and [`crate::load_model`] adds

@@ -19,11 +19,11 @@
 //! each one's bounds, and orders them for the fine stage
 //! ([`crate::Retriever`]), which prunes against exactly those bounds.
 //!
-//! The index is a **derived cache** of the model, like the `B_1` SoA slab
-//! and the packed event terms: private to the model, never persisted, and
-//! rebuilt from the sources by every writer (construction, each feedback
-//! round, deserialization), so it always folds the matrices it sits
-//! beside.
+//! The index is a **derived cache** of the model, like the packed event
+//! terms and the calibrated Eq.-14 score table it is folded from: private
+//! to the model, never persisted, and rebuilt from the sources by every
+//! writer (construction, each feedback round, deserialization), so it
+//! always folds the matrices it sits beside.
 //!
 //! # Why the bounds are admissible
 //!
@@ -44,7 +44,7 @@
 //! per-term maxima (`max_s a + max_s b ≥ max_s (a + b)`) keeps it
 //! admissible. A joint per-shot fold would be tighter, but it needs every
 //! shot's similarity at query time — a scan per candidate. The separable
-//! form costs two table reads per first-step alternative, so both scorers
+//! form costs two table reads per first-step alternative, so both regimes
 //! get their bounds for free. The per-step maxima are exact either way:
 //! `sim_max` is the per-video maximum itself.
 //!
@@ -86,18 +86,15 @@ pub struct CoarseIndex {
 }
 
 impl CoarseIndex {
-    /// Builds the index from a model: one blocked calibrated Eq.-14 pass
-    /// over the archive per event, folded per video into the
+    /// Builds the index from a model: the model's calibrated Eq.-14 score
+    /// table ([`Hmmm::sim_row`]) folded per video into the
     /// `sim_max`/`start_max`/`start_joint` summaries (Eqs. 12–14 maxima),
     /// plus the inverted `B_2` postings (Step 2's eligibility signature).
     ///
-    /// Each cell is folded from the same blocked kernel and single
-    /// division the query-scoped [`crate::SimCache`] and
-    /// [`crate::sim::calibrated_similarity`] use, so the summaries are
-    /// bitwise maxima of the scores the traversal will see.
+    /// The summaries are bitwise maxima of the very scores the traversal
+    /// reads, because they are folded from the same table.
     pub fn build(model: &Hmmm) -> Self {
         let videos = model.video_count();
-        let shots = model.shot_count();
         let cells = videos * EventKind::COUNT;
         let mut index = CoarseIndex {
             postings: vec![Vec::new(); EventKind::COUNT],
@@ -105,20 +102,8 @@ impl CoarseIndex {
             start_max: vec![0.0; cells],
             start_joint: vec![0.0; cells],
         };
-        let mut scores = vec![0.0; shots];
         for e in 0..EventKind::COUNT {
-            // Calibrated Eq.-14 scores of every archive shot against `e`:
-            // the blocked kernel plus the same single division by the
-            // memoized self-similarity denominator the scalar path uses.
-            let denom = model.event_terms()[e].self_sim;
-            if denom > 0.0 {
-                crate::sim::similarity_into(model, 0..shots, e, &mut scores);
-                for s in scores.iter_mut() {
-                    *s /= denom;
-                }
-            } else {
-                scores.fill(0.0);
-            }
+            let scores = model.sim_row(e);
             // L_{1,2} is dense and implicit: each video's shots are the
             // next `local.len()` global ids, in order.
             let mut offset = 0usize;

@@ -17,14 +17,17 @@
 //! matrix `P_{1,2}`, the per-event centroids `B_1'`, and the shot→video
 //! links `L_{1,2}`. This crate implements that instance end to end:
 //!
-//! * [`model`] — the [`model::Hmmm`] container and its invariants.
+//! * [`model`] — the [`model::Hmmm`] container and its invariants, with
+//!   the derived caches it rebuilds once per epoch: among them the
+//!   calibrated Eq.-14 score of every shot against every event
+//!   ([`model::Hmmm::sim_row`]), which retrieval reads instead of
+//!   evaluating Eq. 14.
 //! * [`construct`] — §4.2 construction, including the closed-form `A_1`
 //!   initialization whose worked example (2/3, 1/3, 1/2, 1/2, 1) is a unit
 //!   test, `P_{1,2}` uniform init (Eq. 7) and dispersion learning
 //!   (Eqs. 8–10), and `B_1'` centroids (Eq. 11).
-//! * [`sim`] — the Eq.-14 shot/event similarity.
-//! * [`simcache`] — the query-scoped dense similarity table that turns
-//!   hot-path Eq.-14 scoring into array reads.
+//! * [`sim`] — the Eq.-14 shot/event similarity: the scalar reference
+//!   and the blocked kernel that fills the model's score table.
 //! * [`retrieve`] — the §5 nine-step retrieval: per-video lattice beam
 //!   traversal (Figure 3) with edge weights (Eqs. 12–13), pattern scores
 //!   (Eq. 15), candidate videos visited one at a time on the calling
@@ -68,7 +71,6 @@ pub mod model;
 pub mod order;
 pub mod retrieve;
 pub mod sim;
-pub mod simcache;
 pub mod simulate;
 pub mod topk;
 
@@ -91,6 +93,5 @@ pub use retrieve::{
     RetrievalConfig, RetrievalStats, Retriever,
 };
 pub use sim::{similarity, similarity_block};
-pub use simcache::SimCache;
 pub use topk::TopKThreshold;
 pub use simulate::{FeedbackSimulator, OracleConfig};

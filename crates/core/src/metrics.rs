@@ -8,13 +8,16 @@
 //!
 //! Naming scheme: span paths are `/`-separated hierarchies
 //! (`retrieve/traverse/video`); counter/gauge/histogram names are
-//! dot-separated `subsystem.quantity` (`simcache.lookups`).
+//! dot-separated `subsystem.quantity` (`sim.score_reads`).
 
 // --- §5 retrieval (Steps 1–9, Eqs. 12–15) ---------------------------------
 
 /// Root span of one [`crate::Retriever::retrieve_within`] call.
 pub const SPAN_RETRIEVE: &str = "retrieve";
-/// Dense Eq.-(14) table build ([`crate::SimCache`]).
+/// Per-query Eq.-(14) table build. No longer opened — the model fills its
+/// score table once per epoch ([`crate::Hmmm::sim_row`]) and queries only
+/// read it — but kept so report readers that chart it still resolve the
+/// name.
 pub const SPAN_SIM_CACHE_BUILD: &str = "retrieve/sim_cache_build";
 /// Step 2/7 video ordering. No longer emitted — the coarse stage
 /// ([`SPAN_COARSE`]) enumerates and orders candidates — but kept so report
@@ -88,22 +91,11 @@ pub const CTR_COARSE_ZERO_UB: &str = "coarse.zero_ub_skips";
 pub const CTR_COARSE_LOOKUPS: &str = "coarse.bound_lookups";
 pub use hmmm_storage::{CTR_ATOMIC_WRITE_RETRIES, CTR_BAK_FALLBACKS};
 
-// --- Eq.-(14) similarity & the query-scoped cache -------------------------
+// --- Eq.-(14) similarity ---------------------------------------------------
 
-/// Hot-path Eq.-(14) evaluations (annotation-first queries, which score
-/// directly) — `RetrievalStats::sim_evaluations`.
-pub const CTR_SIM_DIRECT_EVALS: &str = "sim.direct_evaluations";
-/// Eq.-(14) evaluations spent building [`crate::SimCache`] tables —
-/// `RetrievalStats::cache_build_evaluations`.
-pub const CTR_CACHE_BUILD_EVALS: &str = "simcache.build_evaluations";
-/// Hot-path lookups served from the cache (every one is a hit: the table
-/// is dense over the query's events) — `RetrievalStats::cache_lookups`.
-pub const CTR_CACHE_LOOKUPS: &str = "simcache.lookups";
-/// Queries that built a cache.
-pub const CTR_CACHE_BUILDS: &str = "simcache.builds";
-/// Annotation-bound queries where the regime gate skipped the cache
-/// (building it would cost more than it saves — see `RetrievalConfig`).
-pub const CTR_CACHE_REGIME_SKIPPED_QUERIES: &str = "simcache.annotation_bound_queries";
+/// Calibrated Eq.-(14) scores read from the model's per-epoch table
+/// ([`crate::Hmmm::sim_row`]) — `RetrievalStats::cache_lookups`.
+pub const CTR_SCORE_READS: &str = "sim.score_reads";
 
 // --- QueryServer (crates/serve) --------------------------------------------
 //
@@ -224,15 +216,11 @@ pub const CTR_FEEDBACK_VIDEOS: &str = "feedback.videos_updated";
 
 /// Adds the standard retrieval-derived quantities to a report:
 ///
-/// * `cache_hit_ratio` — cache-served lookups over all hot-path scoring
-///   lookups (`simcache.lookups / (simcache.lookups +
-///   sim.direct_evaluations)`);
 /// * `videos_visited_ratio` — traversed over eligible-plus-pruned videos
 ///   (how much work the Step-2 `B_2` check saved);
 /// * `bound_skip_ratio` — bound-skipped over bound-skipped-plus-traversed
 ///   videos (how much traversal the exact top-k threshold cut saved).
 pub fn derive_retrieval_metrics(report: &mut hmmm_obs::MetricsReport) {
-    report.derive_ratio("cache_hit_ratio", &[CTR_CACHE_LOOKUPS], &[CTR_SIM_DIRECT_EVALS]);
     report.derive_ratio(
         "videos_visited_ratio",
         &[CTR_VIDEOS_VISITED],

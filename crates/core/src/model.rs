@@ -4,17 +4,17 @@
 //! forward entries only), `Π_1`, `B_1`, `A_2`, `B_2`, `Π_2`, `P_{1,2}`,
 //! `B_1'` and the Eq.-(3) normalizer — are the only state a model persists.
 //! The *derived caches* the retrieval hot path reads (per-video `A_1` row
-//! maxima, `a1_max`/`pi1_max`, the feature-major `B_1` slab, the packed
-//! Eq.-14 event terms and the [`crate::coarse::CoarseIndex`]) are private
-//! and rebuilt from the sources by the only three writers: construction
-//! ([`crate::build_hmmm`]), the feedback update
+//! maxima, `a1_max`/`pi1_max`, the packed Eq.-14 event terms, the
+//! calibrated Eq.-14 score table and the [`crate::coarse::CoarseIndex`])
+//! are private and rebuilt from the sources by the only three writers:
+//! construction ([`crate::build_hmmm`]), the feedback update
 //! ([`crate::FeedbackLog::apply`]) and deserialization. Each writer ends in
 //! one rebuild, so a cache that disagrees with its sources cannot be built,
 //! and nothing needs to check for one.
 
 use crate::coarse::CoarseIndex;
 use crate::error::CoreError;
-use hmmm_features::{FeatureSlab, FeatureVector, Normalizer, FEATURE_COUNT};
+use hmmm_features::{FeatureVector, Normalizer, FEATURE_COUNT};
 use hmmm_matrix::{ForwardCsr, ProbVector, StochasticMatrix};
 use hmmm_media::EventKind;
 use hmmm_storage::Catalog;
@@ -205,13 +205,14 @@ impl EventTerms {
 pub struct Hmmm {
     /// The persisted sources.
     src: Sources,
-    /// Derived: feature-major (SoA) transpose of `B_1`. `B_1` has no writer
-    /// after construction, so this is built once, in `from_sources`.
-    b1_slab: FeatureSlab,
     /// Derived: per-event packed Eq.-14 terms, folded from `P_{1,2}`/`B_1'`.
     event_terms: Vec<EventTerms>,
+    /// Derived: the calibrated Eq.-14 score of every shot against every
+    /// event, event-major (`sim_table[e · N + s]`), from `B_1` and the
+    /// packed terms. 64 bytes per shot.
+    sim_table: Vec<f64>,
     /// Derived: the ingest-time coarse index, folded from `B_2`, the
-    /// `Π_1`/`A_1` maxima and the Eq.-14 scores.
+    /// `Π_1`/`A_1` maxima and the score table.
     coarse: CoarseIndex,
 }
 
@@ -320,9 +321,9 @@ impl Hmmm {
     /// The caller guarantees the shapes agree ([`Sources::check_shapes`]).
     pub(crate) fn from_sources(src: Sources) -> Hmmm {
         let mut model = Hmmm {
-            b1_slab: FeatureSlab::from_rows(&src.b1),
             src,
             event_terms: Vec::new(),
+            sim_table: Vec::new(),
             coarse: CoarseIndex::default(),
         };
         model.refresh();
@@ -352,13 +353,14 @@ impl Hmmm {
         self.refresh();
     }
 
-    /// Rebuilds the caches that fold relearnable sources: the packed event
-    /// terms from `P_{1,2}`/`B_1'`, then the coarse index, whose calibrated
-    /// Eq.-14 folds read those terms.
+    /// Rebuilds the caches that fold relearnable sources, once per epoch:
+    /// the packed event terms from `P_{1,2}`/`B_1'`, the score table from
+    /// `B_1` and those terms, then the coarse index, folded from the table.
     fn refresh(&mut self) {
         self.event_terms = (0..EventKind::COUNT)
             .map(|e| EventTerms::build(&self.src.p12, &self.src.b1_prime[e], e))
             .collect();
+        self.sim_table = crate::sim::calibrated_table(&self.src.b1, &self.event_terms);
         self.coarse = CoarseIndex::build(self);
     }
 
@@ -423,14 +425,52 @@ impl Hmmm {
         &self.src.normalizer
     }
 
-    /// Feature-major transpose of `B_1` for the blocked Eq.-14 kernel.
-    pub(crate) fn b1_slab(&self) -> &FeatureSlab {
-        &self.b1_slab
-    }
-
     /// Per-event packed Eq.-14 terms, one entry per [`EventKind`].
     pub(crate) fn event_terms(&self) -> &[EventTerms] {
         &self.event_terms
+    }
+
+    /// Eq. (14), calibrated, for every shot: `sim_row(e)[s]` is
+    /// `sim(s, e)` rescaled by the event's self-similarity, indexed by
+    /// global `ShotId`, bitwise equal to
+    /// [`crate::sim::calibrated_similarity`]`(self, s, e)` (`0.0` for an
+    /// event with no feature support).
+    ///
+    /// The scores read only model sources (`B_1`, `P_{1,2}`, `B_1'`), so
+    /// the model fills the table once per epoch and every retrieval reads
+    /// it instead of evaluating Eq. 14.
+    ///
+    /// ```
+    /// use hmmm_core::sim::calibrated_similarity;
+    /// use hmmm_core::{build_hmmm, BuildConfig};
+    /// use hmmm_features::{FeatureId, FeatureVector};
+    /// use hmmm_media::EventKind;
+    /// use hmmm_storage::Catalog;
+    ///
+    /// # fn feat(grass: f64) -> FeatureVector {
+    /// #     let mut f = FeatureVector::zeros();
+    /// #     f[FeatureId::GrassRatio] = grass;
+    /// #     f
+    /// # }
+    /// let mut catalog = Catalog::new();
+    /// catalog.add_video("v1", vec![
+    ///     (vec![EventKind::FreeKick], feat(0.3)),
+    ///     (vec![EventKind::FreeKick, EventKind::Goal], feat(0.8)),
+    /// ]);
+    /// let model = build_hmmm(&catalog, &BuildConfig::default()).unwrap();
+    /// let goal = model.sim_row(EventKind::Goal.index());
+    /// assert_eq!(goal.len(), 2);
+    /// assert_eq!(goal[1], calibrated_similarity(&model, 1, EventKind::Goal.index()));
+    /// // No red card in the archive: no feature support, a zero row.
+    /// assert!(model.sim_row(EventKind::RedCard.index()).iter().all(|&s| s == 0.0));
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `event >= EventKind::COUNT`.
+    pub fn sim_row(&self, event: usize) -> &[f64] {
+        let n = self.src.b1.len();
+        &self.sim_table[event * n..(event + 1) * n]
     }
 
     /// The coarse index, the first stage of every retrieval.

@@ -18,6 +18,11 @@
 //! path"); [`RetrievalConfig::beam_width`] generalizes that to a beam
 //! (`1` = paper-greedy) — the beam-width ablation is one of the benches.
 //!
+//! Retrieval evaluates no Eq. 14. `sim(s, e)` reads only model sources, so
+//! the model scores every shot against every event once per epoch, and
+//! every score the traversal needs, in either regime, is a read of that
+//! table ([`Hmmm::sim_row`]), counted in [`RetrievalStats::cache_lookups`].
+//!
 //! # Exact top-k pruning
 //!
 //! With [`RetrievalConfig::prune`] on (the default), retrieval runs a
@@ -58,10 +63,9 @@
 //! Every bound comes from one place: the coarse stage derives each
 //! candidate's [`VideoBounds`] (per-video step maxima and a whole-video
 //! bound) from the ingest-time summaries by table lookup, before the fine
-//! stage starts, and hands the table to the fine stage by move. Neither
-//! scorer — the query cache or direct Eq.-14 evaluation — pays for bounds,
-//! and both prune against the same numbers. Candidates arrive in
-//! bound-descending order, so the videos most likely to raise the
+//! stage starts, and hands the table to the fine stage by move. No regime
+//! pays for bounds, and both prune against the same numbers. Candidates
+//! arrive in bound-descending order, so the videos most likely to raise the
 //! threshold are traversed first. Entry bounds charge the entry's own
 //! shot's forward row maximum ([`crate::LocalMmm::a1_row_max`]) for the
 //! next hop rather than the whole-matrix maximum, which a trailing
@@ -72,8 +76,6 @@ use crate::error::CoreError;
 use crate::fault::FaultHandle;
 use crate::metrics as m;
 use crate::model::{Hmmm, Validated};
-use crate::sim::best_alternative;
-use crate::simcache::SimCache;
 use crate::topk::TopKThreshold;
 use hmmm_media::EventKind;
 use hmmm_obs::RecorderHandle;
@@ -89,12 +91,6 @@ use std::time::{Duration, Instant};
 /// Plain data apart from [`RetrievalConfig::recorder`] and
 /// [`RetrievalConfig::fault`], which are `Arc`-backed runtime hooks:
 /// cloning a config shares them.
-///
-/// The regime picks the scorer: content-driven traversal
-/// (`annotated_first == false`) scores every reachable shot through
-/// Eq. (14), so it builds a query-scoped [`SimCache`] once and reads it on
-/// the hot path; annotation-first traversal scores too few shots for the
-/// dense build to pay, so it evaluates Eq. (14) directly.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RetrievalConfig {
     /// Paths kept per lattice step (`1` = the paper's greedy traversal).
@@ -164,8 +160,8 @@ pub struct RetrievalConfig {
 
 /// Wall-clock budget for one retrieve call (anytime retrieval).
 ///
-/// The budget spans the *whole* call — cache build, bound derivation, and
-/// traversal all draw from it. `check_interval` bounds how often a
+/// The budget spans the *whole* call — the coarse stage's bound derivation
+/// and the traversal both draw from it. `check_interval` bounds how often a
 /// traversal reads the clock: once per `check_interval` beam-entry
 /// expansions (plus once per admitted video), so the overhead of deadline
 /// support is one integer increment per expansion, not a syscall.
@@ -318,20 +314,18 @@ pub struct RetrievalStats {
     pub videos_visited: usize,
     /// Videos skipped by the `B_2` first-event check.
     pub videos_skipped: usize,
-    /// Hot-path Eq.-(14) evaluations — scoring lookups answered by
-    /// evaluating the similarity directly because no cache was built
-    /// (annotation-first queries score directly).
+    /// Eq.-(14) evaluations a query performed. Always zero for
+    /// [`Retriever`], which reads every score from the model's table; the
+    /// greedy and event-index baselines evaluate Eq. 14 per shot and count
+    /// it here.
     pub sim_evaluations: u64,
-    /// Eq.-(14) evaluations spent building the query-scoped [`SimCache`]
-    /// (zero when no cache was built). Kept separate from
-    /// [`RetrievalStats::sim_evaluations`] so cache *bypasses* (direct
-    /// hot-path work) and cache *build* work are never conflated;
-    /// [`RetrievalStats::total_sim_evaluations`] sums both.
+    /// Always zero: no query builds a score table. The model fills its
+    /// table once per epoch (`shots × supported events` cells). Kept so
+    /// reports that chart the quantity keep their shape.
     pub cache_build_evaluations: u64,
-    /// Hot-path scoring lookups served from the cache. The table is dense
-    /// over the query's events, so every cached lookup is a hit; the
-    /// cache hit ratio is `cache_lookups / (cache_lookups +
-    /// sim_evaluations)`.
+    /// Calibrated Eq.-14 scores read from the model's per-epoch table
+    /// ([`Hmmm::sim_row`]): one per shot scored against a step's
+    /// alternatives, in both regimes.
     pub cache_lookups: u64,
     /// Lattice transitions examined (`A_1` lookups).
     pub transitions_examined: u64,
@@ -456,120 +450,54 @@ impl RetrievalStats {
         // `degraded` is assembled centrally at the end of the retrieve
         // call (after the sorted-payload pass), never merged piecewise.
     }
-
-    /// Total Eq.-(14) evaluations this query paid for, wherever they were
-    /// spent: direct hot-path scoring plus the dense cache build. This is
-    /// the cost-model quantity the E5 experiments track.
-    pub fn total_sim_evaluations(&self) -> u64 {
-        self.sim_evaluations + self.cache_build_evaluations
-    }
-
-    /// Cache hit ratio over hot-path scoring lookups, `None` when no
-    /// lookups happened.
-    pub fn cache_hit_ratio(&self) -> Option<f64> {
-        let total = self.cache_lookups + self.sim_evaluations;
-        (total > 0).then(|| self.cache_lookups as f64 / total as f64)
-    }
 }
 
-/// How traversal scores a shot against a step's event alternatives: through
-/// the query-scoped [`SimCache`] (an array read) or by evaluating Eq. (14)
-/// directly. Both use the same earliest-alternative tie-break, so rankings
-/// are identical either way — only the cost differs.
-enum Scorer<'q> {
-    Cached(&'q SimCache),
-    Direct(&'q Hmmm),
+/// The best `(event, score)` among `events` for the global `shot`, read
+/// from the model's score table: the first alternative claims the shot and a
+/// later one takes over only on a strictly greater score, the tie-break of
+/// [`crate::sim::best_alternative`].
+fn best_alternative(model: &Hmmm, shot: usize, events: &[usize]) -> Option<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for &e in events {
+        let s = model.sim_row(e)[shot];
+        match best {
+            Some((_, bs)) if s <= bs => {}
+            _ => best = Some((e, s)),
+        }
+    }
+    best
 }
 
-impl Scorer<'_> {
-    fn best_alternative(&self, shot: usize, events: &[usize]) -> Option<(usize, f64)> {
-        match self {
-            Scorer::Cached(cache) => cache.best_alternative(shot, events),
-            Scorer::Direct(model) => best_alternative(model, shot, events),
-        }
-    }
-
-    /// Charges one hot-path scoring lookup to the right counter: a cache
-    /// read counts as a hit ([`RetrievalStats::cache_lookups`]), a direct
-    /// call as an Eq.-(14) evaluation
-    /// ([`RetrievalStats::sim_evaluations`]). The dense build is charged
-    /// separately, once, in `retrieve_within`.
-    fn charge(&self, stats: &mut RetrievalStats) {
-        match self {
-            Scorer::Cached(_) => stats.cache_lookups += 1,
-            Scorer::Direct(_) => stats.sim_evaluations += 1,
-        }
-    }
-
-    /// [`Scorer::charge`] for a whole block of shots at once — same totals,
-    /// one branch instead of one per shot.
-    fn charge_block(&self, stats: &mut RetrievalStats, n: u64) {
-        match self {
-            Scorer::Cached(_) => stats.cache_lookups += n,
-            Scorer::Direct(_) => stats.sim_evaluations += n,
-        }
-    }
-
-    /// Blocked [`Scorer::best_alternative`]: fills `best_score[i]` /
-    /// `best_event[i]` with the winning `(score, event)` of shot
-    /// `shots.start + i` over `events`. Event-outer sweeps over contiguous
-    /// score rows (the cache's slot-major rows, or the blocked Eq.-14 kernel
-    /// through `block` for the direct scorer) replace the per-shot dispatch.
-    ///
-    /// Tie-break parity with the scalar path: the first event claims every
-    /// shot unconditionally; later events take over only on a strictly
-    /// greater score — exactly the earliest-alternative rule. An event with
-    /// no cached row scores `0.0` everywhere, so past the first event it can
-    /// never win strictly and is skipped whole.
-    fn best_alternative_block(
-        &self,
-        shots: std::ops::Range<usize>,
-        events: &[usize],
-        block: &mut Vec<f64>,
-        best_score: &mut Vec<f64>,
-        best_event: &mut Vec<u32>,
-    ) {
-        debug_assert!(!events.is_empty(), "alternatives checked non-empty");
-        let n = shots.len();
-        best_score.clear();
-        best_score.resize(n, 0.0);
-        best_event.clear();
-        best_event.resize(n, 0);
-        for (k, &e) in events.iter().enumerate() {
-            let row: Option<&[f64]> = match self {
-                Scorer::Cached(cache) => cache.calibrated_range(shots.clone(), e),
-                Scorer::Direct(model) => {
-                    Some(crate::sim::calibrated_block(model, shots.clone(), e, block))
-                }
-            };
-            match row {
-                Some(row) if k == 0 => {
-                    best_score.copy_from_slice(row);
-                    best_event.fill(e as u32);
-                }
-                Some(row) => {
-                    for ((bs, be), &s) in
-                        best_score.iter_mut().zip(best_event.iter_mut()).zip(row)
-                    {
-                        if s > *bs {
-                            *bs = s;
-                            *be = e as u32;
-                        }
-                    }
-                }
-                None if k == 0 => {
-                    // Scores stay the pre-zeroed 0.0, matching the scalar
-                    // path's zero score for out-of-query events.
-                    best_event.fill(e as u32);
-                }
-                None => {}
+/// [`best_alternative`] for every shot of a contiguous range at once:
+/// fills `best_score[i]` / `best_event[i]` for shot `shots.start + i` with
+/// one event-outer sweep over the table's rows, under the same tie-break.
+fn best_alternative_block(
+    model: &Hmmm,
+    shots: std::ops::Range<usize>,
+    events: &[usize],
+    best_score: &mut Vec<f64>,
+    best_event: &mut Vec<u32>,
+) {
+    let (&first, rest) = events
+        .split_first()
+        .expect("alternatives checked non-empty");
+    best_score.clear();
+    best_score.extend_from_slice(&model.sim_row(first)[shots.clone()]);
+    best_event.clear();
+    best_event.resize(shots.len(), first as u32);
+    for &e in rest {
+        let row = &model.sim_row(e)[shots.clone()];
+        for ((bs, be), &s) in best_score.iter_mut().zip(best_event.iter_mut()).zip(row) {
+            if s > *bs {
+                *bs = s;
+                *be = e as u32;
             }
         }
     }
 }
 
 /// Reusable traversal buffers: the beam arena, the beam/pending node lists,
-/// the start-candidate list, and the blocked-scoring scratch rows. One
+/// the start-candidate list, and the blocked start-scan rows. One
 /// instance serves a whole query (the caller's [`QueryScratch`], or a
 /// call-local one) and is recycled across its videos, so the per-video
 /// traversal allocates nothing once the buffers have grown to the largest
@@ -589,8 +517,6 @@ struct TraversalScratch {
     pending: Vec<BeamNode>,
     /// Start candidates `(local shot, event, sim)` of step 0.
     starts: Vec<(usize, usize, f64)>,
-    /// Blocked Eq.-14 kernel output row (direct scorer only).
-    block: Vec<f64>,
     /// Per-shot winning score of the blocked start scan.
     best_score: Vec<f64>,
     /// Per-shot winning event of the blocked start scan.
@@ -599,8 +525,8 @@ struct TraversalScratch {
 
 /// A reusable traversal arena for callers that serve many queries from one
 /// thread — the in-process `QueryServer` worker pool (`hmmm-serve`) above
-/// all. Wraps the `TraversalScratch` (beam arenas, blocked
-/// Eq.-14 scoring rows, start-candidate buffers) so the buffers grow to the
+/// all. Wraps the `TraversalScratch` (beam arenas, start-candidate
+/// buffers, blocked start-scan rows) so the buffers grow to the
 /// largest video once and are then recycled across *queries*, not just
 /// across one query's videos. Pass it to
 /// [`Retriever::retrieve_with_scratch`]; contents between calls are
@@ -753,7 +679,8 @@ impl<'a> Retriever<'a> {
     /// let best = &results[0];
     /// assert_eq!(best.shots.len(), 2);                     // one shot per step
     /// assert!(best.score > 0.0);                           // SS = Σ w_j (Eq. 15)
-    /// assert!(stats.total_sim_evaluations() > 0);          // Eq.-14 work was counted
+    /// assert!(stats.cache_lookups > 0);                    // scores read from the table
+    /// assert_eq!(stats.sim_evaluations, 0);                // no Eq.-14 evaluation
     /// ```
     ///
     /// # Errors
@@ -835,26 +762,10 @@ impl<'a> Retriever<'a> {
         let root_span = obs.span(m::SPAN_RETRIEVE);
         let mut stats = RetrievalStats::default();
 
-        // Anytime-retrieval budget: the clock starts here, so the cache
-        // build and the coarse stage below draw from the same budget as
-        // the traversal. (No clock read at all when no deadline is set.)
+        // Anytime-retrieval budget: the clock starts here, so the coarse
+        // stage below draws from the same budget as the traversal. (No
+        // clock read at all when no deadline is set.)
         let deadline = self.config.deadline.map(|d| (d, Instant::now()));
-
-        // The regime picks the scorer (see `RetrievalConfig`): one dense
-        // shots × query-events scoring pass for content-driven traversal,
-        // read by every candidate video's traversal; direct Eq.-14
-        // evaluation for annotation-first traversal.
-        let cache = (!self.config.annotated_first).then(|| {
-            let _build_span = obs.span(m::SPAN_SIM_CACHE_BUILD);
-            SimCache::build(self.model, pattern)
-        });
-        let scorer = match &cache {
-            Some(c) => {
-                stats.cache_build_evaluations += c.build_evaluations();
-                Scorer::Cached(c)
-            }
-            None => Scorer::Direct(self.model),
-        };
 
         // Coarse stage: candidate videos from the ingest-time inverted
         // `B_2` postings, each with its admissible bounds from the
@@ -885,7 +796,6 @@ impl<'a> Retriever<'a> {
         let mut results = self.run_video_set(
             &candidates,
             pattern,
-            &scorer,
             register.as_mut(),
             deadline,
             scratch,
@@ -927,7 +837,6 @@ impl<'a> Retriever<'a> {
             self.flush_metrics(
                 &stats,
                 results.len(),
-                cache.is_some(),
                 register.as_ref().map(TopKThreshold::threshold),
             );
             obs.observe_ns(m::HIST_RETRIEVE_LATENCY, root_span.elapsed_ns());
@@ -938,12 +847,10 @@ impl<'a> Retriever<'a> {
     /// The per-video loop over the coarse candidates: deadline
     /// checkpoints, the panic-isolation boundary, the whole-video bound
     /// check, and the post-traversal threshold offers.
-    #[allow(clippy::too_many_arguments)]
     fn run_video_set(
         &self,
         videos: &[(VideoId, VideoBounds)],
         pattern: &CompiledPattern,
-        scorer: &Scorer<'_>,
         mut register: Option<&mut TopKThreshold>,
         deadline: Option<(DeadlineConfig, Instant)>,
         // Recycled across the videos (and, through [`QueryScratch`], across
@@ -973,7 +880,6 @@ impl<'a> Retriever<'a> {
             // * `self` (model + catalog + config) — shared immutably; the
             //   traversal never mutates them, so no broken invariant can be
             //   observed after an unwind.
-            // * `scorer` — read-only table/model reads.
             // * `bounds` — this candidate's read-only coarse bounds.
             // * `threshold` — a copy of the register's value at video
             //   entry; the register itself stays outside the boundary.
@@ -1013,7 +919,6 @@ impl<'a> Retriever<'a> {
                     _ => self.traverse_video(
                         video,
                         pattern,
-                        scorer,
                         threshold.map(|t| (t, bounds)),
                         clock_ref,
                         scratch_ref,
@@ -1057,7 +962,6 @@ impl<'a> Retriever<'a> {
         &self,
         stats: &RetrievalStats,
         results_returned: usize,
-        cache_built: bool,
         prune_threshold: Option<f64>,
     ) {
         let obs = &self.config.recorder;
@@ -1067,9 +971,7 @@ impl<'a> Retriever<'a> {
         obs.counter(m::CTR_TRANSITIONS, stats.transitions_examined);
         obs.counter(m::CTR_CANDIDATES, stats.candidates_scored as u64);
         obs.counter(m::CTR_RESULTS, results_returned as u64);
-        obs.counter(m::CTR_SIM_DIRECT_EVALS, stats.sim_evaluations);
-        obs.counter(m::CTR_CACHE_BUILD_EVALS, stats.cache_build_evaluations);
-        obs.counter(m::CTR_CACHE_LOOKUPS, stats.cache_lookups);
+        obs.counter(m::CTR_SCORE_READS, stats.cache_lookups);
         obs.counter(
             m::CTR_VIDEOS_SKIPPED_BY_BOUND,
             stats.videos_skipped_by_bound as u64,
@@ -1089,11 +991,6 @@ impl<'a> Retriever<'a> {
         if let Some(threshold) = prune_threshold {
             obs.gauge(m::GAUGE_PRUNE_THRESHOLD, threshold);
         }
-        if cache_built {
-            obs.counter(m::CTR_CACHE_BUILDS, 1);
-        } else {
-            obs.counter(m::CTR_CACHE_REGIME_SKIPPED_QUERIES, 1);
-        }
     }
 
     /// Steps 3–6 for one video: beam traversal of the Figure-3 lattice,
@@ -1101,12 +998,10 @@ impl<'a> Retriever<'a> {
     /// [`TraversalScratch`]), with the exact-safe threshold cuts (sites 2
     /// and 3 of the module docs) when `prune` carries the threshold, which
     /// stays fixed for the whole video.
-    #[allow(clippy::too_many_arguments)]
     fn traverse_video(
         &self,
         video: VideoId,
         pattern: &CompiledPattern,
-        scorer: &Scorer<'_>,
         prune: Option<(f64, &VideoBounds)>,
         mut clock: Option<&mut DeadlineClock>,
         scratch: &mut TraversalScratch,
@@ -1141,7 +1036,6 @@ impl<'a> Retriever<'a> {
             beam,
             pending,
             starts,
-            block,
             best_score,
             best_event,
         } = scratch;
@@ -1164,9 +1058,8 @@ impl<'a> Retriever<'a> {
                     .iter()
                     .any(|&e| first_alts.contains(&e.index()))
                 {
-                    scorer.charge(stats);
-                    let (event, sim) = scorer
-                        .best_alternative(base + s, first_alts)
+                    stats.cache_lookups += 1;
+                    let (event, sim) = best_alternative(self.model, base + s, first_alts)
                         .expect("alternatives checked non-empty");
                     starts.push((s, event, sim));
                 }
@@ -1174,15 +1067,15 @@ impl<'a> Retriever<'a> {
         }
         if starts.is_empty() {
             // "…or similar to event e_j": fall back to the most similar
-            // shots by features — scored for the whole video in one blocked
-            // event-outer sweep instead of n per-shot dispatches. Same
-            // scores, same earliest-alternative tie-break, same charge
-            // totals as the scalar scan (see `best_alternative_block`).
-            scorer.charge_block(stats, n as u64);
-            scorer.best_alternative_block(
+            // shots by features — scored for the whole video in one
+            // event-outer sweep over the table rows. Same scores, same
+            // earliest-alternative tie-break, same read count as the
+            // per-shot scan (see `best_alternative_block`).
+            stats.cache_lookups += n as u64;
+            best_alternative_block(
+                self.model,
                 record.shot_range.clone(),
                 first_alts,
-                block,
                 best_score,
                 best_event,
             );
@@ -1285,8 +1178,9 @@ impl<'a> Retriever<'a> {
                     {
                         continue;
                     }
-                    scorer.charge(stats);
-                    let Some((event, sim)) = scorer.best_alternative(base + to, &step.alternatives)
+                    stats.cache_lookups += 1;
+                    let Some((event, sim)) =
+                        best_alternative(self.model, base + to, &step.alternatives)
                     else {
                         continue;
                     };

@@ -3,17 +3,24 @@
 //!
 //! Two implementations of the same equation live here. [`similarity`] is the
 //! scalar reference: one shot, one event, a dense loop over the 20 features
-//! with an epsilon branch per feature. [`similarity_block`] is the hot-path
-//! kernel: one event against a *contiguous block* of shots, iterating the
+//! with an epsilon branch per feature. The blocked kernel scores one event
+//! against a *contiguous block* of shots: it transposes the block's `B_1`
+//! rows feature-major ([`hmmm_features::FeatureSlab`]), then iterates the
 //! event's pre-packed non-zero terms ([`crate::model::EventTerms`]) on the
-//! outside and sweeping the feature-major `B_1` slab at unit stride on the
-//! inside — no epsilon branch, no indirection, auto-vectorizable. Per shot,
-//! both execute the exact same floating-point operation sequence
+//! outside and sweeps the transposed rows at unit stride on the inside — no
+//! epsilon branch, no indirection, auto-vectorizable. Per shot, both
+//! execute the exact same floating-point operation sequence
 //! (`acc += w · (1 − |b − c|) / c` in ascending feature order), so their
 //! results are **bitwise identical** — pinned by proptests.
+//!
+//! The kernel's one hot caller is the model itself: every epoch (build,
+//! load, each feedback install) it fills the calibrated score table of every
+//! shot against every event ([`crate::Hmmm::sim_row`]), which retrieval
+//! reads instead of evaluating Eq. 14. [`similarity_into`] and
+//! [`similarity_block`] expose the same kernel for one event and one range.
 
-use crate::model::Hmmm;
-use hmmm_features::FEATURE_COUNT;
+use crate::model::{EventTerms, Hmmm};
+use hmmm_features::{FeatureSlab, FeatureVector, FEATURE_COUNT};
 use std::ops::Range;
 
 /// Features whose centroid magnitude is below this are skipped: the paper
@@ -80,17 +87,35 @@ pub fn similarity(model: &Hmmm, shot: usize, event: usize) -> f64 {
     total
 }
 
+/// Shots per transposed block: 128 shots × 20 features × 8 bytes = 20 KiB,
+/// small enough to stay in L1 while every event's terms sweep it (a few
+/// percent cheaper per table fill than 256-shot blocks on a 2-vCPU x86 VM).
+const BLOCK_SHOTS: usize = 128;
+
+/// The kernel body: adds Eq. 14's terms for one event to `out`, one slot per
+/// shot of the transposed block, as `w · (1 − |b − c|) / c` per packed term
+/// in ascending feature order — the exact operation sequence of
+/// [`similarity`]'s scalar loop. The `CENTROID_EPSILON` filtering happened
+/// once at pack time; there is no branch in the inner loop.
+fn accumulate(terms: &EventTerms, slab: &FeatureSlab, out: &mut [f64]) {
+    for ((&y, &c), &w) in terms
+        .features
+        .iter()
+        .zip(terms.centroids.iter())
+        .zip(terms.weights.iter())
+    {
+        for (acc, &b) in out.iter_mut().zip(slab.feature_row(y as usize)) {
+            *acc += w * (1.0 - (b - c).abs()) / c;
+        }
+    }
+}
+
 /// Eq. (14), blocked: writes the similarity of `event` against every shot
 /// in `shots` (a contiguous global-id range) into `out`, one slot per shot.
 ///
-/// This is the kernel body shared by [`similarity_block`], the
-/// [`crate::simcache::SimCache`] builder, and the coarse index build.
-/// It iterates the event's packed non-zero terms on the outside and the
-/// feature-major `B_1` slab row at unit stride on the inside, accumulating
-/// `w · (1 − |b − c|) / c` per shot in ascending feature order — the exact
-/// operation sequence of [`similarity`]'s scalar loop, so every slot is
-/// bitwise equal to the scalar score. The `CENTROID_EPSILON` filtering
-/// happened once at pack time; there is no branch in the inner loop.
+/// Transposes `B_1` one block of shots at a time and runs the kernel over
+/// each block (see the module docs), so every slot is bitwise equal to the
+/// scalar [`similarity`].
 ///
 /// # Panics
 ///
@@ -99,24 +124,52 @@ pub fn similarity_into(model: &Hmmm, shots: Range<usize>, event: usize, out: &mu
     assert_eq!(out.len(), shots.len(), "similarity block size mismatch");
     out.fill(0.0);
     let terms = &model.event_terms()[event];
-    for ((&y, &c), &w) in terms
-        .features
-        .iter()
-        .zip(terms.centroids.iter())
-        .zip(terms.weights.iter())
+    let mut slab = FeatureSlab::default();
+    for (rows, out) in model.b1()[shots]
+        .chunks(BLOCK_SHOTS)
+        .zip(out.chunks_mut(BLOCK_SHOTS))
     {
-        let row = &model.b1_slab().feature_row(y as usize)[shots.clone()];
-        for (acc, &b) in out.iter_mut().zip(row.iter()) {
-            *acc += w * (1.0 - (b - c).abs()) / c;
+        slab.fill(rows);
+        accumulate(terms, &slab, out);
+    }
+}
+
+/// The calibrated Eq.-14 score of every shot against every event, event-major
+/// (`table[e · N + s]`, `N = b1.len()`): the model's per-epoch score table.
+///
+/// One pass over the archive in blocks of [`BLOCK_SHOTS`]: each block of
+/// `B_1` is transposed once, then every event with feature support runs the
+/// kernel over it and divides each cell once by its memoized
+/// self-similarity — the single division [`calibrated_similarity`]
+/// performs — so every cell is bitwise equal to the scalar reference. Rows
+/// of events with no support (`self_sim ≤ 0`) stay `0.0`, which is
+/// [`calibrated_similarity`]'s definition for them.
+pub(crate) fn calibrated_table(b1: &[FeatureVector], terms: &[EventTerms]) -> Vec<f64> {
+    let n = b1.len();
+    let mut table = vec![0.0; terms.len() * n];
+    let mut slab = FeatureSlab::default();
+    for (block, rows) in b1.chunks(BLOCK_SHOTS).enumerate() {
+        slab.fill(rows);
+        let lo = block * BLOCK_SHOTS;
+        for (row, terms) in table.chunks_mut(n).zip(terms) {
+            if terms.self_sim <= 0.0 {
+                continue;
+            }
+            let cells = &mut row[lo..lo + rows.len()];
+            accumulate(terms, &slab, cells);
+            for cell in cells.iter_mut() {
+                *cell /= terms.self_sim;
+            }
         }
     }
+    table
 }
 
 /// Eq. (14) over a contiguous block of shots: the blocked SoA kernel.
 ///
 /// Evaluates one query event against every shot in `shots` and returns the
-/// scores as a slice borrowed from `scratch` (cleared and resized; reusing
-/// the same buffer across calls keeps the hot path allocation-free). Slot
+/// scores as a slice borrowed from `scratch` (cleared and resized, so one
+/// buffer serves a whole sweep of calls). Slot
 /// `i` of the result is bitwise equal to
 /// `similarity(model, shots.start + i, event)` — see [`similarity_into`]
 /// for why.
@@ -158,32 +211,6 @@ pub fn similarity_block<'a>(
     scratch.clear();
     scratch.resize(shots.len(), 0.0);
     similarity_into(model, shots, event, scratch);
-    &scratch[..]
-}
-
-/// [`calibrated_similarity`] over a contiguous block of shots.
-///
-/// Like [`similarity_block`] but divides each slot by the event's memoized
-/// self-similarity denominator (zero-fills when the event has no feature
-/// support). Slot `i` is bitwise equal to
-/// `calibrated_similarity(model, shots.start + i, event)`: both compute the
-/// full Eq.-14 total first and perform a single division by the same
-/// denominator.
-pub fn calibrated_block<'a>(
-    model: &Hmmm,
-    shots: Range<usize>,
-    event: usize,
-    scratch: &'a mut Vec<f64>,
-) -> &'a [f64] {
-    scratch.clear();
-    scratch.resize(shots.len(), 0.0);
-    let denom = model.event_terms()[event].self_sim;
-    if denom > 0.0 {
-        similarity_into(model, shots.clone(), event, scratch);
-        for v in scratch.iter_mut() {
-            *v /= denom;
-        }
-    }
     &scratch[..]
 }
 
@@ -235,8 +262,8 @@ pub fn calibrated_similarity(model: &Hmmm, shot: usize, event: usize) -> f64 {
 /// calibrated Eq.-14 score so alternatives with small centroids do not
 /// dominate.
 /// Ties keep the *earliest* alternative — a total tie-break, so the choice
-/// is reproducible and agrees with [`crate::simcache::SimCache`]. Returns
-/// `None` for an empty alternative list.
+/// is reproducible and agrees with retrieval's reads of the score table
+/// ([`crate::Hmmm::sim_row`]). Returns `None` for an empty alternative list.
 pub fn best_alternative(model: &Hmmm, shot: usize, events: &[usize]) -> Option<(usize, f64)> {
     let mut best: Option<(usize, f64)> = None;
     for &e in events {
@@ -365,12 +392,30 @@ mod tests {
     }
 
     #[test]
-    fn calibrated_block_matches_scalar_bitwise() {
-        let m = model();
+    fn kernel_and_table_cross_block_boundaries_bitwise() {
+        // 600 shots: four whole blocks and a partial fifth.
+        let mut c = Catalog::new();
+        for v in 0..3 {
+            let shots = (0..200)
+                .map(|s| {
+                    let mut f = FeatureVector::zeros();
+                    f[FeatureId::GrassRatio] = ((v * 200 + s) % 97) as f64 / 97.0;
+                    f[FeatureId::VolumeMean] = ((v * 200 + s) % 89) as f64 / 89.0;
+                    (vec![[EventKind::Goal, EventKind::FreeKick][s % 2]], f)
+                })
+                .collect();
+            c.add_video(format!("v{v}"), shots);
+        }
+        let m = build_hmmm(&c, &BuildConfig::default()).unwrap();
+        let n = m.shot_count();
         let mut scratch = Vec::new();
         for event in 0..EventKind::COUNT {
-            let block = calibrated_block(&m, 0..m.shot_count(), event, &mut scratch);
-            for (shot, &score) in block.iter().enumerate() {
+            let block = similarity_block(&m, 100..n, event, &mut scratch);
+            for (i, &score) in block.iter().enumerate() {
+                assert_eq!(score.to_bits(), similarity(&m, 100 + i, event).to_bits());
+            }
+            assert_eq!(m.sim_row(event).len(), n);
+            for (shot, &score) in m.sim_row(event).iter().enumerate() {
                 assert_eq!(
                     score.to_bits(),
                     calibrated_similarity(&m, shot, event).to_bits()

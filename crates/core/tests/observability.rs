@@ -105,12 +105,14 @@ fn retrieval_counters_match_returned_stats() {
     assert_eq!(report.counter(m::CTR_TRANSITIONS), stats.transitions_examined);
     assert_eq!(report.counter(m::CTR_CANDIDATES), stats.candidates_scored as u64);
     assert_eq!(report.counter(m::CTR_RESULTS), results.len() as u64);
-    assert_eq!(report.counter(m::CTR_SIM_DIRECT_EVALS), stats.sim_evaluations);
-    assert_eq!(
-        report.counter(m::CTR_CACHE_BUILD_EVALS),
-        stats.cache_build_evaluations
-    );
-    assert_eq!(report.counter(m::CTR_CACHE_LOOKUPS), stats.cache_lookups);
+    assert_eq!(report.counter(m::CTR_SCORE_READS), stats.cache_lookups);
+    assert!(stats.cache_lookups > 0);
+
+    // Scores are table reads: no query evaluates Eq. 14 or builds a table,
+    // so the per-query build span is never opened.
+    assert_eq!(stats.sim_evaluations, 0);
+    assert_eq!(stats.cache_build_evaluations, 0);
+    assert!(report.stage(m::SPAN_SIM_CACHE_BUILD).is_none());
 
     // One root span, one latency observation, and a per-video span for
     // every traversed video.
@@ -169,9 +171,8 @@ fn derived_ratios_appear_only_with_data() {
 
     let mut report = recorder.report();
     m::derive_retrieval_metrics(&mut report);
-    let hit = report.derived["cache_hit_ratio"];
-    assert!((0.0..=1.0).contains(&hit));
-    assert!(report.derived.contains_key("videos_visited_ratio"));
+    let visited = report.derived["videos_visited_ratio"];
+    assert!((0.0..=1.0).contains(&visited));
 
     // An empty report derives nothing (no zero-denominator entries).
     let mut empty = InMemoryRecorder::new().report();

@@ -8,61 +8,11 @@
 //! * the same plan + seed degrades the same way on every run — rankings
 //!   and every work counter are deterministic.
 
+mod common;
+
+use common::{catalog, pattern};
 use hmmm_core::{build_hmmm, BuildConfig, FaultPlan, RetrievalConfig, RetrievalStats, Retriever};
-use hmmm_features::{FeatureVector, FEATURE_COUNT};
-use hmmm_media::EventKind;
-use hmmm_query::{CompiledPattern, CompiledStep};
-use hmmm_storage::Catalog;
 use proptest::prelude::*;
-
-fn feature_vector() -> impl Strategy<Value = FeatureVector> {
-    proptest::collection::vec(0.0f64..1.0, FEATURE_COUNT)
-        .prop_map(|v| FeatureVector::from_slice(&v).expect("exact length"))
-}
-
-fn events() -> impl Strategy<Value = Vec<EventKind>> {
-    proptest::collection::vec(0usize..EventKind::COUNT, 0..3).prop_map(|idx| {
-        let mut out: Vec<EventKind> = idx.into_iter().filter_map(EventKind::from_index).collect();
-        out.dedup();
-        out
-    })
-}
-
-fn catalog() -> impl Strategy<Value = Catalog> {
-    proptest::collection::vec(
-        proptest::collection::vec((events(), feature_vector()), 1..10),
-        2..8,
-    )
-    .prop_map(|videos| {
-        let mut c = Catalog::new();
-        for (i, shots) in videos.into_iter().enumerate() {
-            c.add_video(format!("v{i}"), shots);
-        }
-        c
-    })
-}
-
-fn pattern() -> impl Strategy<Value = CompiledPattern> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(0usize..EventKind::COUNT, 1..3),
-            proptest::option::of(0usize..6),
-        ),
-        1..4,
-    )
-    .prop_map(|steps| CompiledPattern {
-        steps: steps
-            .into_iter()
-            .map(|(mut alternatives, max_gap)| {
-                alternatives.dedup();
-                CompiledStep {
-                    alternatives,
-                    max_gap,
-                }
-            })
-            .collect(),
-    })
-}
 
 /// Seeded Bernoulli plan — the same generator space the CLI's
 /// `--fault-plan` accepts. The rate grid includes both extremes so the

@@ -1,73 +1,50 @@
-//! Property: the blocked SoA similarity kernel is invisible.
+//! Property: the blocked similarity kernel and the model's score table are
+//! invisible.
 //!
-//! `sim::similarity_block` (and its calibrated variant) exist purely as a
-//! memory-layout optimization — the feature-major `B_1` slab and the packed
-//! per-event term lists must never change a single bit of any score the
-//! scalar Eq.-14 reference produces, and the whole retrieval pipeline must
-//! rank identically whichever scorer read them.
+//! `sim::similarity_block` and the per-epoch score table it fills
+//! (`Hmmm::sim_row`) exist purely as layout optimizations — the block
+//! transposes of `B_1` and the packed per-event term lists must never change
+//! a single bit of any score the scalar Eq.-14 reference produces, whichever
+//! writer (construction, a feedback round, a load) last filled the table,
+//! and the whole retrieval pipeline must rank identically in both regimes.
 
-use hmmm_core::{build_hmmm, sim, BuildConfig, RetrievalConfig, Retriever};
-use hmmm_features::{FeatureVector, FEATURE_COUNT};
+mod common;
+
+use common::{catalog, pattern};
+use hmmm_core::{
+    build_hmmm, load_model, save_model, sim, BuildConfig, FeedbackConfig, FeedbackLog, Hmmm,
+    PositivePattern, RetrievalConfig, Retriever,
+};
 use hmmm_media::EventKind;
-use hmmm_query::{CompiledPattern, CompiledStep};
-use hmmm_storage::Catalog;
+use hmmm_storage::{ShotId, TestDir, VideoId};
 use proptest::prelude::*;
 
-fn feature_vector() -> impl Strategy<Value = FeatureVector> {
-    proptest::collection::vec(0.0f64..1.0, FEATURE_COUNT)
-        .prop_map(|v| FeatureVector::from_slice(&v).expect("exact length"))
-}
-
-fn events() -> impl Strategy<Value = Vec<EventKind>> {
-    proptest::collection::vec(0usize..EventKind::COUNT, 0..3).prop_map(|idx| {
-        let mut out: Vec<EventKind> = idx.into_iter().filter_map(EventKind::from_index).collect();
-        out.dedup();
-        out
-    })
-}
-
-fn catalog() -> impl Strategy<Value = Catalog> {
-    proptest::collection::vec(
-        proptest::collection::vec((events(), feature_vector()), 1..10),
-        2..8,
-    )
-    .prop_map(|videos| {
-        let mut c = Catalog::new();
-        for (i, shots) in videos.into_iter().enumerate() {
-            c.add_video(format!("v{i}"), shots);
+/// Every cell of the table, all shots × all 8 events (unsupported events
+/// included), is bitwise the scalar calibrated Eq.-14 score.
+fn table_is_scalar_eq14(model: &Hmmm, writer: &str) -> Result<(), TestCaseError> {
+    for event in 0..EventKind::COUNT {
+        let row = model.sim_row(event);
+        prop_assert_eq!(row.len(), model.shot_count());
+        for (shot, &score) in row.iter().enumerate() {
+            prop_assert_eq!(
+                score.to_bits(),
+                sim::calibrated_similarity(model, shot, event).to_bits(),
+                "{}: shot {} event {}",
+                writer,
+                shot,
+                event
+            );
         }
-        c
-    })
-}
-
-fn pattern() -> impl Strategy<Value = CompiledPattern> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(0usize..EventKind::COUNT, 1..3),
-            proptest::option::of(0usize..6),
-        ),
-        1..4,
-    )
-    .prop_map(|steps| CompiledPattern {
-        steps: steps
-            .into_iter()
-            .map(|(mut alternatives, max_gap)| {
-                alternatives.dedup();
-                CompiledStep {
-                    alternatives,
-                    max_gap,
-                }
-            })
-            .collect(),
-    })
+    }
+    Ok(())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every slot of every blocked evaluation — raw and calibrated, over
-    /// every event and every sub-range the archive admits — is bitwise
-    /// equal to the scalar reference.
+    /// Every slot of every blocked evaluation, over every event and every
+    /// sub-range the archive admits, is bitwise equal to the scalar
+    /// reference.
     #[test]
     fn blocked_kernel_is_bitwise_invisible(
         cat in catalog(),
@@ -88,22 +65,43 @@ proptest! {
                     "raw slot {} of event {} diverged", i, event
                 );
             }
-            let cal = sim::calibrated_block(&model, lo..hi, event, &mut scratch).to_vec();
-            for (i, &score) in cal.iter().enumerate() {
-                prop_assert_eq!(
-                    score.to_bits(),
-                    sim::calibrated_similarity(&model, lo + i, event).to_bits(),
-                    "calibrated slot {} of event {} diverged", i, event
-                );
-            }
         }
     }
 
-    /// The blocked kernel is invisible end-to-end: across the regime ×
-    /// prune grid, rankings are byte-identical to the exhaustive run of the
-    /// same regime — whether a video's scores came from the slot-major
-    /// cache (`similarity_into` during `SimCache::build`, content-driven)
-    /// or from per-block direct evaluation (annotation-first).
+    /// The score table is bitwise Eq. 14 after each of the three writers:
+    /// construction, a feedback round that relearns `P_{1,2}`/`B_1'` (so
+    /// events can gain or change feature support), and a save → load.
+    #[test]
+    fn score_table_is_bitwise_eq14(
+        cat in catalog(),
+        picks in proptest::collection::vec((0usize..8, 0usize..10, 0usize..EventKind::COUNT), 1..6),
+    ) {
+        let mut model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
+        table_is_scalar_eq14(&model, "build")?;
+
+        let mut log = FeedbackLog::new();
+        for (q, (v, s, event)) in picks.into_iter().enumerate() {
+            let video = VideoId(v % cat.video_count());
+            let record = cat.video(video).unwrap();
+            log.record(PositivePattern {
+                query: q as u64,
+                video,
+                shots: vec![ShotId(record.shot_range.start + s % record.shot_count())],
+                events: vec![event],
+                access: 1.0,
+            }).unwrap();
+        }
+        log.apply(&mut model, &cat, &FeedbackConfig::default()).unwrap();
+        table_is_scalar_eq14(&model, "feedback")?;
+
+        let dir = TestDir::new("hmmm_score_table");
+        save_model(&model, dir.file("model.json")).unwrap();
+        let loaded = load_model(dir.file("model.json"), &cat).unwrap();
+        table_is_scalar_eq14(&loaded, "load")?;
+    }
+
+    /// The table is invisible end-to-end: across the regime × prune grid,
+    /// rankings are byte-identical to the exhaustive run of the same regime.
     #[test]
     fn kernel_grid_ranks_identically(
         cat in catalog(),
@@ -136,35 +134,20 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// The regime picks the scorer, and the counters say which one ran:
-    /// content-driven traversal charges the dense cache build and serves
-    /// every hot-path lookup from the table; annotation-first traversal
-    /// builds nothing and evaluates Eq. (14) directly.
+    /// Both regimes read the table, and the counters say so: wherever a
+    /// video is visited a score was read, and no query evaluates Eq. 14 or
+    /// builds a table of its own.
     #[test]
-    fn regime_picks_the_scorer(cat in catalog(), pat in pattern(), beam in 1usize..5) {
+    fn both_regimes_read_the_table(cat in catalog(), pat in pattern(), beam in 1usize..5) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cached_cfg = RetrievalConfig { beam_width: beam, prune: false, ..RetrievalConfig::content_only() };
-        let direct_cfg = RetrievalConfig { beam_width: beam, prune: false, ..RetrievalConfig::default() };
-        let (_, c_stats) = Retriever::new(&model, &cat, cached_cfg).unwrap().retrieve(&pat, 10).unwrap();
-        let (_, d_stats) = Retriever::new(&model, &cat, direct_cfg).unwrap().retrieve(&pat, 10).unwrap();
-        prop_assert_eq!(c_stats.sim_evaluations, 0);
-        if c_stats.videos_visited > 0 {
-            prop_assert!(c_stats.cache_lookups > 0);
-        }
-        // The build only pays for *supported* events (non-zero centroid),
-        // so it can be free when the pattern names only events the archive
-        // never exhibits.
-        let supported = pat.steps.iter()
-            .flat_map(|s| s.alternatives.iter().copied())
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .filter(|&e| sim::self_similarity(&model, e) > 0.0)
-            .count();
-        prop_assert_eq!(c_stats.cache_build_evaluations, (supported * model.shot_count()) as u64);
-        prop_assert_eq!(d_stats.cache_build_evaluations, 0);
-        prop_assert_eq!(d_stats.cache_lookups, 0);
-        if d_stats.videos_visited > 0 {
-            prop_assert!(d_stats.sim_evaluations > 0);
+        for base in [RetrievalConfig::content_only(), RetrievalConfig::default()] {
+            let cfg = RetrievalConfig { beam_width: beam, prune: false, ..base };
+            let (_, stats) = Retriever::new(&model, &cat, cfg).unwrap().retrieve(&pat, 10).unwrap();
+            if stats.videos_visited > 0 {
+                prop_assert!(stats.cache_lookups > 0);
+            }
+            prop_assert_eq!(stats.sim_evaluations, 0);
+            prop_assert_eq!(stats.cache_build_evaluations, 0);
         }
     }
 }

@@ -7,61 +7,15 @@
 //! the bottom pins the admissibility of the bounds themselves on the
 //! paper's §4.2.1.1 worked example.
 
+mod common;
+
+use common::{catalog, pattern};
 use hmmm_core::{build_hmmm, BuildConfig, RetrievalConfig, Retriever};
-use hmmm_features::{FeatureId, FeatureVector, FEATURE_COUNT};
+use hmmm_features::{FeatureId, FeatureVector};
 use hmmm_media::EventKind;
 use hmmm_query::{CompiledPattern, CompiledStep};
 use hmmm_storage::Catalog;
 use proptest::prelude::*;
-
-fn feature_vector() -> impl Strategy<Value = FeatureVector> {
-    proptest::collection::vec(0.0f64..1.0, FEATURE_COUNT)
-        .prop_map(|v| FeatureVector::from_slice(&v).expect("exact length"))
-}
-
-fn events() -> impl Strategy<Value = Vec<EventKind>> {
-    proptest::collection::vec(0usize..EventKind::COUNT, 0..3).prop_map(|idx| {
-        let mut out: Vec<EventKind> = idx.into_iter().filter_map(EventKind::from_index).collect();
-        out.dedup();
-        out
-    })
-}
-
-fn catalog() -> impl Strategy<Value = Catalog> {
-    proptest::collection::vec(
-        proptest::collection::vec((events(), feature_vector()), 1..10),
-        2..8,
-    )
-    .prop_map(|videos| {
-        let mut c = Catalog::new();
-        for (i, shots) in videos.into_iter().enumerate() {
-            c.add_video(format!("v{i}"), shots);
-        }
-        c
-    })
-}
-
-fn pattern() -> impl Strategy<Value = CompiledPattern> {
-    proptest::collection::vec(
-        (
-            proptest::collection::vec(0usize..EventKind::COUNT, 1..3),
-            proptest::option::of(0usize..6),
-        ),
-        1..4,
-    )
-    .prop_map(|steps| CompiledPattern {
-        steps: steps
-            .into_iter()
-            .map(|(mut alternatives, max_gap)| {
-                alternatives.dedup();
-                CompiledStep {
-                    alternatives,
-                    max_gap,
-                }
-            })
-            .collect(),
-    })
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]

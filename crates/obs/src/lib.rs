@@ -2,8 +2,8 @@
 //!
 //! The retrieval observability layer: metrics, hierarchical span timers,
 //! and structured reports for every stage of the HMMM pipeline — model
-//! construction, the §5 stochastic traversal, the query-scoped similarity
-//! cache, feedback learning, and catalog persistence.
+//! construction, the §5 coarse stage and stochastic traversal, feedback
+//! learning, and catalog persistence.
 //!
 //! Design constraints, in order:
 //!

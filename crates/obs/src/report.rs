@@ -138,7 +138,7 @@ impl MetricsReport {
     ///
     /// ```text
     /// retrieve                                   12.34ms
-    ///   retrieve/sim_cache_build                  1.02ms
+    ///   retrieve/coarse                           0.02ms
     ///   retrieve/video #3                         0.48ms
     /// ```
     pub fn render_trace(&self) -> String {

@@ -65,7 +65,7 @@ use hmmm_obs::RecorderHandle;
 use hmmm_query::QueryTranslator;
 use serde::{Deserialize, Serialize};
 use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
@@ -420,8 +420,10 @@ pub struct NetConfig {
     /// Budget from a frame's first byte to its last: a connection that
     /// starts a frame and stalls past this is shed (slow-loris defense).
     pub frame_timeout: Duration,
-    /// Read poll tick — how promptly drains and frame timeouts are
-    /// noticed. Short enough for responsiveness, long enough to not spin.
+    /// Per-connection read tick — how promptly a connection notices a
+    /// drain or a frame timeout — and the acceptor's back-off after an
+    /// accept error. The acceptor itself blocks in `accept()`;
+    /// [`NetServer::shutdown`] wakes it with a loopback connection.
     pub poll_interval: Duration,
     /// Server-side network fault plane: every accepted stream is wrapped
     /// through [`FaultHandle::wrap_stream`] (a noop handle passes bytes
@@ -481,9 +483,6 @@ impl NetServer {
         config: NetConfig,
     ) -> std::io::Result<NetServer> {
         let listener = TcpListener::bind(addr)?;
-        // Non-blocking accept + poll tick: the acceptor notices the drain
-        // flag without needing a wake-up connection or signals.
-        listener.set_nonblocking(true)?;
         let local_addr = listener.local_addr()?;
         let shared = Arc::new(NetShared {
             server,
@@ -531,6 +530,7 @@ impl NetServer {
         // making the flag's flip itself promptly and safely visible.
         self.shared.draining.store(true, Ordering::Release);
         if let Some(acceptor) = self.acceptor.take() {
+            wake_acceptor(self.local_addr, &acceptor);
             acceptor.join().expect("acceptor panicked");
         }
         let conns = std::mem::take(&mut *self.shared.conns.lock().expect("conns poisoned"));
@@ -549,30 +549,54 @@ impl Drop for NetServer {
     }
 }
 
-/// The acceptor: poll-accept, reap finished connection threads, enforce
-/// the connection cap, spawn handlers.
+/// Budget of one wake-up connect; a failed attempt is retried.
+const WAKE_TIMEOUT: Duration = Duration::from_millis(100);
+
+/// Shutdown's wake-up call: the acceptor blocks in `accept()`, so one
+/// loopback connection to the bound address makes it return and see the
+/// drain flag. A failed connect wakes nothing, so it is retried until one
+/// lands or the acceptor has exited. An unspecified bind address
+/// (`0.0.0.0`, `::`) is reached through the loopback of its family.
+fn wake_acceptor(bound: SocketAddr, acceptor: &JoinHandle<()>) {
+    let mut addr = bound;
+    if addr.ip().is_unspecified() {
+        addr.set_ip(match bound {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    while !acceptor.is_finished() {
+        if TcpStream::connect_timeout(&addr, WAKE_TIMEOUT).is_ok() {
+            return;
+        }
+        std::thread::sleep(WAKE_TIMEOUT);
+    }
+}
+
+/// The acceptor: block in accept, reap finished connection threads,
+/// enforce the connection cap, spawn handlers.
 fn acceptor_loop(shared: &Arc<NetShared>, listener: TcpListener) {
     let obs = &shared.config.recorder;
     let mut next_conn_id: u64 = 0;
     loop {
+        let accepted = listener.accept();
         // ordering: Acquire — pairs with the Release store in shutdown;
-        // once observed, the acceptor stops admitting for good.
+        // once observed, the acceptor stops admitting for good. Checked
+        // after every accept, so shutdown's wake-up connection (and any
+        // other stream that arrives once the flag is up) is dropped here
+        // unserved, before `wrap_stream` could draw a fault ticket for it.
         if shared.draining.load(Ordering::Acquire) {
             return;
         }
-        let stream = match listener.accept() {
+        let stream = match accepted {
             Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+            Err(_) => {
+                // Transient accept error (say, out of descriptors): back
+                // off one tick instead of spinning, and keep serving.
                 std::thread::sleep(shared.config.poll_interval);
                 continue;
             }
-            Err(_) => continue, // transient accept error: keep serving
         };
-        // The listener is non-blocking; the accepted socket must not be
-        // (some platforms propagate the flag).
-        if stream.set_nonblocking(false).is_err() {
-            continue;
-        }
         let mut conns = shared.conns.lock().expect("conns poisoned");
         let mut i = 0;
         while i < conns.len() {

@@ -2,9 +2,9 @@
 //!
 //! The serving layer's structural invariant is that **queries never see a
 //! model mid-update**. A [`ModelSnapshot`] bundles everything one query
-//! needs — the λ model (with its derived `B_1` SoA slab and packed
-//! per-event term lists, so a query-scoped `SimCache` can be built straight
-//! from it), the catalog, and a monotonically increasing epoch — behind an
+//! needs — the λ model (with its derived caches, among them the calibrated
+//! Eq.-14 score of every shot against every event, so a query only reads
+//! scores), the catalog, and a monotonically increasing epoch — behind an
 //! `Arc`, and is *never mutated after construction*. Feedback learning
 //! (Eqs. 1–10) builds a **new** snapshot off to the side, proves it sane
 //! with [`hmmm_core::Hmmm::deep_audit`], and only then swaps the published
@@ -32,8 +32,8 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug)]
 pub struct ModelSnapshot {
     /// The λ model (Definition 1), with derived caches fresh: the
-    /// feature-major `B_1` slab and per-event term lists are ready for
-    /// query-scoped `SimCache` builds without further work.
+    /// per-epoch Eq.-14 score table ([`Hmmm::sim_row`]) and the coarse
+    /// index are built, so a query does no Eq.-14 work.
     pub model: Hmmm,
     /// The catalog the model was built from. Shared across generations —
     /// feedback learning (Eqs. 1–10) changes the model, never the catalog.

@@ -123,6 +123,24 @@ fn wire_rankings_match_in_process_byte_for_byte() {
 }
 
 #[test]
+fn server_bound_to_the_unspecified_address_shuts_down() {
+    // The acceptor blocks in accept(); shutdown must reach it through the
+    // loopback of the bound family even though 0.0.0.0 is not connectable.
+    let snapshot = ModelSnapshot::build(fixture_catalog(2), &BuildConfig::default()).unwrap();
+    let server = Arc::new(QueryServer::start(snapshot, ServerConfig::default()).unwrap());
+    let recorder = hmmm_obs::InMemoryRecorder::shared();
+    let config = NetConfig {
+        recorder: recorder.handle(),
+        ..NetConfig::default()
+    };
+    let net = NetServer::start(server, "0.0.0.0:0", config).unwrap();
+    assert!(net.local_addr().ip().is_unspecified());
+    net.shutdown();
+    // The wake-up connection was dropped unserved, not counted as accepted.
+    assert_eq!(recorder.report().counter(hmmm_core::metrics::CTR_NET_ACCEPTED), 0);
+}
+
+#[test]
 fn zero_length_pattern_is_rejected_invalid_and_connection_survives() {
     let net = start_fixture(3, NetConfig::default());
     let mut stream = raw_connect(&net);

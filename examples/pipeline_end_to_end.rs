@@ -145,10 +145,10 @@ fn main() {
     let t = Instant::now();
     let (results, stats) = retriever.retrieve(&pattern, 5).expect("valid");
     println!(
-        "stage 4 · query 'free_kick -> goal': {} candidates in {:.1?} ({} sims)",
+        "stage 4 · query 'free_kick -> goal': {} candidates in {:.1?} ({} score reads)",
         results.len(),
         t.elapsed(),
-        stats.total_sim_evaluations()
+        stats.cache_lookups
     );
     for (rank, r) in results.iter().enumerate() {
         println!(

@@ -55,8 +55,8 @@ fn main() {
 
     println!("\nquery: {query_text}");
     println!(
-        "work: {} videos visited, {} skipped by B2 check, {} sim evaluations",
-        stats.videos_visited, stats.videos_skipped, stats.total_sim_evaluations()
+        "work: {} videos visited, {} skipped by B2 check, {} score reads",
+        stats.videos_visited, stats.videos_skipped, stats.cache_lookups
     );
     println!("top {} candidates:", results.len());
     for (rank, r) in results.iter().enumerate() {

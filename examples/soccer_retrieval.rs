@@ -78,9 +78,9 @@ fn run_query(
         .filter(|r| FeedbackSimulator::is_relevant(catalog, &pattern, r))
         .count();
     println!(
-        "\nquery: {text}\n  {} candidates in {elapsed:.1?} ({} sims, {} videos visited, {} skipped), {}/{} ground-truth relevant",
+        "\nquery: {text}\n  {} candidates in {elapsed:.1?} ({} score reads, {} videos visited, {} skipped), {}/{} ground-truth relevant",
         results.len(),
-        stats.total_sim_evaluations(),
+        stats.cache_lookups,
         stats.videos_visited,
         stats.videos_skipped,
         relevant,

@@ -437,10 +437,10 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
 
     println!("query: {text}");
     println!(
-        "{} candidates in {elapsed:.2?} ({} sim evals, {}/{} videos visited, \
+        "{} candidates in {elapsed:.2?} ({} score reads, {}/{} videos visited, \
          {} bound-skipped, {} entries pruned)",
         results.len(),
-        stats.total_sim_evaluations(),
+        stats.cache_lookups,
         stats.videos_visited,
         catalog.video_count(),
         stats.videos_skipped_by_bound,

@@ -67,15 +67,16 @@ fn hmmm_examines_fewer_transitions_than_exhaustive() {
     let ex = ExhaustiveRetriever::new(&model, &catalog, ExhaustiveConfig::default()).unwrap();
     let (_, es) = ex.retrieve(&pattern, 5).unwrap();
 
-    // Both engines build the same dense query-scoped similarity cache, so
-    // Eq.-(14) work is equal at best for HMMM; the model's advantage shows
-    // in the traversal itself: the beam examines far fewer lattice
-    // transitions than brute-force enumeration.
+    // Both engines read their scores from the model's per-epoch Eq.-(14)
+    // table, so neither evaluates Eq. 14 per query; the model's advantage
+    // shows in what it reads and walks: the beam scores fewer shots and
+    // examines far fewer lattice transitions than brute-force enumeration.
+    assert_eq!(hs.sim_evaluations + es.sim_evaluations, 0);
     assert!(
-        hs.total_sim_evaluations() <= es.total_sim_evaluations(),
-        "HMMM sims {} > exhaustive sims {}",
-        hs.total_sim_evaluations(),
-        es.total_sim_evaluations()
+        hs.cache_lookups < es.cache_lookups,
+        "HMMM score reads {} !< exhaustive score reads {}",
+        hs.cache_lookups,
+        es.cache_lookups
     );
     assert!(
         hs.transitions_examined < es.transitions_examined,
