@@ -177,8 +177,6 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
         "crates/core/src/sim.rs",
         &[
             "similarity",
-            "similarity_into",
-            "similarity_block",
             "self_similarity",
             "calibrated_similarity",
             "best_alternative",
@@ -194,10 +192,7 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
             "learn_p12",
         ],
     ),
-    (
-        "crates/core/src/bounds.rs",
-        &["new", "for_video", "with_video_ub", "entry_ub"],
-    ),
+    ("crates/core/src/bounds.rs", &["video_ub", "entry_ub"]),
     ("crates/core/src/feedback.rs", &["apply", "apply_observed"]),
     ("crates/core/src/model.rs", &["sim_row"]),
     (

@@ -1,8 +1,7 @@
 //! Brute-force content scan.
 
 use hmmm_core::{
-    CoreError, DeadlineConfig, Degraded, DegradedReason, Hmmm, QueryBounds, RankedPattern,
-    RetrievalStats, TopKThreshold,
+    CoreError, DeadlineConfig, Degraded, DegradedReason, Hmmm, RankedPattern, RetrievalStats,
 };
 use hmmm_media::EventKind;
 use hmmm_query::CompiledPattern;
@@ -15,15 +14,6 @@ pub struct ExhaustiveConfig {
     /// Hard cap on scored combinations per video (the scan aborts the
     /// video's enumeration beyond it — brute force must stay finite).
     pub max_combinations_per_video: u64,
-    /// Branch-and-bound against the running k-th best score (default
-    /// `false`: the baseline's point is the unpruned cost curve).
-    ///
-    /// Unlike the beam traversal, the DFS has no width trims, so the
-    /// classic frame-level cut is exact here: dropping one enumeration
-    /// frame whose admissible completion bound is below the current k-th
-    /// best cannot change which combinations the other frames reach.
-    /// Rankings are identical either way; only the work counters move.
-    pub prune: bool,
     /// Optional wall-clock budget, checked at video granularity: once it
     /// elapses the scan stops admitting videos and returns the
     /// best-so-far ranking marked [`Degraded`] — the same anytime
@@ -39,7 +29,6 @@ impl Default for ExhaustiveConfig {
     fn default() -> Self {
         ExhaustiveConfig {
             max_combinations_per_video: 5_000_000,
-            prune: false,
             deadline: None,
         }
     }
@@ -80,11 +69,6 @@ impl<'a> ExhaustiveRetriever<'a> {
 
     /// Scores all combinations; returns the top `limit` and work counters.
     ///
-    /// With [`ExhaustiveConfig::prune`] the rankings are still exact as
-    /// long as the per-video combination budget does not bind (pruning
-    /// saves emissions, so a budget-capped pruned run can reach deeper
-    /// than the capped unpruned run would).
-    ///
     /// # Errors
     ///
     /// [`CoreError::BadQuery`] for empty patterns and out-of-range event
@@ -109,10 +93,6 @@ impl<'a> ExhaustiveRetriever<'a> {
         }
         let mut stats = RetrievalStats::default();
         let mut results: Vec<RankedPattern> = Vec::new();
-
-        // Running k-th-best register for the optional branch-and-bound cut
-        // (same primitive the beam traversal prunes against).
-        let mut register = self.config.prune.then(|| TopKThreshold::new(limit));
 
         // Deadline is read once per video — the coarsest anytime
         // granularity, matching how this scan admits work.
@@ -143,34 +123,6 @@ impl<'a> ExhaustiveRetriever<'a> {
                         .collect()
                 })
                 .collect();
-
-            // Per-video completion bounds from this video's own step maxima
-            // (tighter than the archive-wide maxima the beam traversal uses,
-            // since `step_sims` is already dense here).
-            let bounds = register.as_ref().map(|_| {
-                let step_max: Vec<f64> = step_sims
-                    .iter()
-                    .map(|col| col.iter().map(|&(_, s)| s).fold(0.0, f64::max))
-                    .collect();
-                let vb = QueryBounds::new(step_max).for_video(local);
-                // Refine the whole-video bound with the exact per-shot
-                // start fold — `step_sims` is dense, so this is free.
-                let chain0 = vb.chain0();
-                let raw_ub = step_sims[0]
-                    .iter()
-                    .enumerate()
-                    .map(|(s, &(_, sim))| {
-                        local.pi1().get(s) * sim * (1.0 + local.a1_row_max()[s] * chain0)
-                    })
-                    .fold(0.0, f64::max);
-                vb.with_video_ub(raw_ub)
-            });
-            if let (Some(reg), Some(vb)) = (register.as_ref(), bounds.as_ref()) {
-                if vb.video_ub() < reg.threshold() {
-                    stats.videos_skipped_by_bound += 1;
-                    continue;
-                }
-            }
             stats.videos_visited += 1;
 
             // Depth-first enumeration of ordered combinations.
@@ -187,25 +139,9 @@ impl<'a> ExhaustiveRetriever<'a> {
                 if budget == 0 {
                     break;
                 }
-                // Frame cut: the best completion of this frame cannot reach
-                // the current k-th best, and the DFS has no trims for the
-                // drop to perturb — skip it and everything below it.
-                if let (Some(reg), Some(vb)) = (register.as_ref(), bounds.as_ref()) {
-                    let from = *path.last().expect("path non-empty");
-                    let row_max = local.a1_row_max()[from];
-                    if vb.entry_ub(score, w, depth - 1, row_max) < reg.threshold() {
-                        stats.entries_pruned += 1;
-                        continue;
-                    }
-                }
                 if depth == pattern.steps.len() {
                     budget -= 1;
                     stats.candidates_scored += 1;
-                    if let Some(reg) = register.as_mut() {
-                        if reg.offer(score) {
-                            stats.threshold_raises += 1;
-                        }
-                    }
                     results.push(RankedPattern {
                         video: video.id,
                         shots: path.iter().map(|&s| ShotId(base + s)).collect(),
@@ -362,35 +298,6 @@ mod tests {
         let ex = ExhaustiveRetriever::new(&model, &c, tight).unwrap();
         let (_, stats) = ex.retrieve(&pattern, 10).unwrap();
         assert!(stats.candidates_scored <= 1);
-    }
-
-    #[test]
-    fn branch_and_bound_is_ranking_exact() {
-        let mut c = catalog();
-        // A second, weaker video gives the bound something to skip once the
-        // first video has filled the register.
-        c.add_video(
-            "m2",
-            vec![
-                (vec![EventKind::FreeKick], feat(0.2, 0.1)),
-                (vec![EventKind::Goal], feat(0.3, 0.2)),
-            ],
-        );
-        let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
-        let pattern = translator().compile("free_kick -> goal").unwrap();
-        let plain = ExhaustiveRetriever::new(&model, &c, ExhaustiveConfig::default()).unwrap();
-        let pruned_cfg = ExhaustiveConfig {
-            prune: true,
-            ..ExhaustiveConfig::default()
-        };
-        let pruned = ExhaustiveRetriever::new(&model, &c, pruned_cfg).unwrap();
-        for limit in [1, 2, 5, 10] {
-            let (a, a_stats) = plain.retrieve(&pattern, limit).unwrap();
-            let (b, b_stats) = pruned.retrieve(&pattern, limit).unwrap();
-            assert_eq!(a, b, "limit {limit}");
-            assert_eq!(a_stats.entries_pruned, 0);
-            assert!(b_stats.transitions_examined <= a_stats.transitions_examined);
-        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Emits `BENCH_retrieval.json` — the machine-readable retrieval perf
-//! snapshot tracked across PRs: shots/sec with the exact top-k prune off
-//! and on, the prune's win, and the coarse candidate cut's latency.
+//! snapshot tracked from change to change: shots/sec of the default
+//! (exact, pruned) query, the prune's work counters, and the coarse
+//! candidate cut's latency.
 //!
 //! Timings come from the same observability layer a live `hmmm query
 //! --metrics-json` run uses: each measured configuration attaches an
@@ -12,11 +13,12 @@
 //! cargo run --release -p hmmm-bench --bin bench_report [-- --videos N --shots N --out FILE]
 //! ```
 //!
-//! `--check` additionally runs the exactness smoke for CI: pruned rankings
-//! must match unpruned rankings in both regimes, and the pruned
-//! content-driven run on the skewed fixture must actually prune
-//! (nonzero `entries_pruned + videos_skipped_by_bound`) — a silent no-op
-//! prune is as much a regression as a wrong one. Exits nonzero on failure.
+//! `--check` additionally runs the prune smoke for CI: the content-driven
+//! run on the skewed fixture must actually prune (nonzero `entries_pruned +
+//! videos_skipped_by_bound`) — a silent no-op prune is a regression. Exits
+//! nonzero on failure. That the pruned rankings are exact is the
+//! executable-spec tests' property (`cargo test -p hmmm-core --test
+//! spec_retrieval`).
 
 use hmmm_bench::{skewed_catalog, DataConfig};
 use hmmm_core::metrics as m;
@@ -27,11 +29,9 @@ use hmmm_media::EventKind;
 use hmmm_query::QueryTranslator;
 use serde::Serialize;
 
-/// One measured configuration.
+/// The measured query.
 #[derive(Debug, Serialize)]
 struct Sample {
-    /// Exact top-k threshold pruning on (`RetrievalConfig::prune`).
-    prune: bool,
     /// Best-of-N wall clock, seconds (min of the latency histogram).
     seconds: f64,
     /// Archive shots scanned per second at that wall clock.
@@ -55,16 +55,15 @@ struct Sample {
     deadline_expired: u64,
 }
 
-/// One similarity-kernel / bound-refresh micro-measurement, so the snapshot
-/// records what the SoA similarity kernel buys over the scalar reference
-/// and what the CSR `A_1` row-max refresh costs on this host.
+/// One bound-refresh micro-measurement, so the snapshot records what the
+/// CSR `A_1` row-max refresh costs on this host.
 #[derive(Debug, Serialize)]
 struct KernelSample {
-    /// What ran: `similarity_scalar`, `similarity_blocked`, `row_max_csr`.
+    /// What ran: `row_max_csr`.
     variant: &'static str,
     /// Best-of-N wall clock, seconds.
     seconds: f64,
-    /// Shot-evaluations (similarity) or matrix rows (row-max) per second.
+    /// Matrix rows per second.
     units_per_sec: f64,
 }
 
@@ -166,13 +165,11 @@ struct Report {
     /// among 4 server workers and the clients).
     host_cpus: usize,
     repeats: u32,
-    samples: Vec<Sample>,
-    /// Speedup from the exact top-k prune alone (unpruned / pruned
-    /// seconds).
-    prune_speedup_serial: f64,
+    /// The default query: exact, with the top-k prune.
+    sample: Sample,
     /// Crash-safe persistence round trip of the bench catalog.
     persistence: PersistenceSample,
-    /// Blocked-vs-scalar similarity and CSR-vs-dense row-max micro-benches.
+    /// The CSR row-max refresh micro-bench.
     kernel: Vec<KernelSample>,
     /// QueryServer throughput/tail-latency sweep across client counts.
     serve: Vec<ServeSample>,
@@ -245,10 +242,9 @@ fn main() {
 
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    let sample = |prune: bool, metrics: &MetricsReport| {
+    let sample = |metrics: &MetricsReport| {
         let secs = best_seconds(metrics);
         Sample {
-            prune,
             seconds: secs,
             shots_per_sec: total_shots as f64 / secs,
             score_reads: metrics.counter(m::CTR_SCORE_READS),
@@ -266,22 +262,11 @@ fn main() {
     };
 
     if std::env::args().any(|a| a == "--check") {
-        check_pruning_exactness(&model, &catalog, &pattern);
+        check_prune_fires(&model, &catalog, &pattern);
     }
 
-    // The pruned run (the default) and the unpruned one anchor the prune
-    // speedup.
-    let pruned_metrics = time(RetrievalConfig::content_only());
-    let pruned_secs = best_seconds(&pruned_metrics);
-    let unpruned_metrics = time(RetrievalConfig {
-        prune: false,
-        ..RetrievalConfig::content_only()
-    });
-    let unpruned_secs = best_seconds(&unpruned_metrics);
-    let samples = vec![
-        sample(false, &unpruned_metrics),
-        sample(true, &pruned_metrics),
-    ];
+    let exact_metrics = time(RetrievalConfig::content_only());
+    let exact_secs = best_seconds(&exact_metrics);
 
     // One observed save+load round trip through the crash-safe path: the
     // retry/fallback counters belong in the snapshot so a flaky disk or a
@@ -307,7 +292,7 @@ fn main() {
         }
     };
 
-    // Coarse-stage rows: the exact pruned run above, and the same query
+    // Coarse-stage rows: the exact run above, and the same query
     // with the fine stage cut to the 16 highest-bound candidates.
     let coarse_row = |cut: Option<usize>, metrics: &MetricsReport| {
         let secs = best_seconds(metrics);
@@ -322,7 +307,7 @@ fn main() {
                 .unwrap_or(0),
             bound_lookups_per_query: metrics.counter(m::CTR_COARSE_LOOKUPS) / u64::from(REPEATS),
             seconds: secs,
-            speedup_vs_exact: pruned_secs / secs,
+            speedup_vs_exact: exact_secs / secs,
         }
     };
     let cut_metrics = time(RetrievalConfig {
@@ -330,7 +315,7 @@ fn main() {
         ..RetrievalConfig::content_only()
     });
     let coarse = vec![
-        coarse_row(None, &pruned_metrics),
+        coarse_row(None, &exact_metrics),
         coarse_row(Some(16), &cut_metrics),
     ];
 
@@ -344,25 +329,22 @@ fn main() {
         regime: "content_only",
         host_cpus,
         repeats: REPEATS,
-        prune_speedup_serial: unpruned_secs / pruned_secs,
+        sample: sample(&exact_metrics),
         persistence,
         kernel,
         serve,
         net,
-        samples,
         coarse,
     };
 
-    for s in &report.samples {
-        println!(
-            "prune {:<3}: {:>8.2} ms, {:>12.0} shots/s, {} bound-skips, {} pruned",
-            if s.prune { "on" } else { "off" },
-            s.seconds * 1e3,
-            s.shots_per_sec,
-            s.videos_skipped_by_bound,
-            s.entries_pruned,
-        );
-    }
+    let s = &report.sample;
+    println!(
+        "query: {:>8.2} ms, {:>12.0} shots/s, {} bound-skips, {} pruned",
+        s.seconds * 1e3,
+        s.shots_per_sec,
+        s.videos_skipped_by_bound,
+        s.entries_pruned,
+    );
     for k in &report.kernel {
         println!(
             "kernel {:<20}: {:>8.3} ms, {:>14.0} units/s",
@@ -386,7 +368,6 @@ fn main() {
             s.give_ups,
         );
     }
-    println!("top-k prune alone: {:.2}x", report.prune_speedup_serial);
     for s in &report.coarse {
         let cut = s.candidate_cut.map_or("exact".to_string(), |c| format!("cut {c}"));
         println!(
@@ -520,63 +501,15 @@ fn net_sweep(model: &hmmm_core::Hmmm, catalog: &hmmm_storage::Catalog) -> Vec<Ne
     out
 }
 
-/// Times the Eq.-14 similarity of every event against every archive shot
-/// through the scalar reference and the blocked SoA kernel (bitwise
-/// cross-checked, so a layout bug can never ship inside a perf snapshot),
-/// and the forward row-max refresh over every video's CSR `A_1` —
+/// Times the forward row-max refresh over every video's CSR `A_1`,
 /// best-of-3.
 fn kernel_microbench(model: &hmmm_core::Hmmm) -> Vec<KernelSample> {
-    use hmmm_core::sim;
     const ROUNDS: usize = 3;
-    let shots = model.shot_count();
-    let events = hmmm_media::EventKind::COUNT;
-    let evals = (shots * events) as f64;
-
-    let best = |f: &mut dyn FnMut()| -> f64 {
-        let mut best = f64::INFINITY;
-        for _ in 0..ROUNDS {
-            let start = std::time::Instant::now();
-            f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        best
-    };
-
-    let mut scalar_sink = 0.0f64;
-    let scalar_secs = best(&mut || {
-        let mut acc = 0.0;
-        for e in 0..events {
-            // Per-event partial, folded in shot order — the exact
-            // accumulation sequence of the blocked run's row sum, so the
-            // two sinks can be compared bitwise below.
-            let mut part = 0.0;
-            for s in 0..shots {
-                part += sim::similarity(model, s, e);
-            }
-            acc += part;
-        }
-        scalar_sink = std::hint::black_box(acc);
-    });
-
-    let mut block = Vec::new();
-    let mut blocked_sink = 0.0f64;
-    let blocked_secs = best(&mut || {
-        let mut acc = 0.0;
-        for e in 0..events {
-            let row = sim::similarity_block(model, 0..shots, e, &mut block);
-            acc += row.iter().sum::<f64>();
-        }
-        blocked_sink = std::hint::black_box(acc);
-    });
-    assert_eq!(
-        scalar_sink.to_bits(),
-        blocked_sink.to_bits(),
-        "blocked kernel diverged from the scalar reference"
-    );
-
     let rows: usize = model.locals().iter().map(|l| l.len()).sum();
     let mut maxima = vec![0.0f64; model.locals().iter().map(|l| l.len()).max().unwrap_or(0)];
-    let csr_secs = best(&mut || {
+    let mut csr_secs = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        let start = std::time::Instant::now();
         let mut acc = 0.0;
         for local in model.locals() {
             let out = &mut maxima[..local.len()];
@@ -584,85 +517,37 @@ fn kernel_microbench(model: &hmmm_core::Hmmm) -> Vec<KernelSample> {
             acc += out.iter().sum::<f64>();
         }
         std::hint::black_box(acc);
-    });
-
-    vec![
-        KernelSample {
-            variant: "similarity_scalar",
-            seconds: scalar_secs,
-            units_per_sec: evals / scalar_secs,
-        },
-        KernelSample {
-            variant: "similarity_blocked",
-            seconds: blocked_secs,
-            units_per_sec: evals / blocked_secs,
-        },
-        KernelSample {
-            variant: "row_max_csr",
-            seconds: csr_secs,
-            units_per_sec: rows as f64 / csr_secs,
-        },
-    ]
+        csr_secs = csr_secs.min(start.elapsed().as_secs_f64());
+    }
+    vec![KernelSample {
+        variant: "row_max_csr",
+        seconds: csr_secs,
+        units_per_sec: rows as f64 / csr_secs,
+    }]
 }
 
-/// CI smoke for the exact top-k prune: pruned rankings must equal unpruned
-/// rankings on this fixture in both regimes, and the content-driven pruned
-/// run must show nonzero pruning work. Aborts the process with exit code 1
-/// on any violation.
-fn check_pruning_exactness(
+/// CI smoke for the top-k prune: on this skewed fixture the content-driven
+/// run must show nonzero pruning work. Exits the process with code 1
+/// otherwise.
+fn check_prune_fires(
     model: &hmmm_core::Hmmm,
     catalog: &hmmm_storage::Catalog,
     pattern: &hmmm_query::CompiledPattern,
 ) {
-    eprintln!("checking pruned vs unpruned rankings…");
-    let mut failures = 0usize;
-    for content_only in [true, false] {
-        let base = if content_only {
-            RetrievalConfig::content_only()
-        } else {
-            RetrievalConfig::default()
-        };
-        let pruned_cfg = RetrievalConfig {
-            prune: true,
-            ..base
-        };
-        let unpruned_cfg = RetrievalConfig {
-            prune: false,
-            ..pruned_cfg.clone()
-        };
-        let (pruned, p_stats) = Retriever::new(model, catalog, pruned_cfg)
-            .expect("consistent")
-            .retrieve(pattern, 10)
-            .expect("valid");
-        let (unpruned, _) = Retriever::new(model, catalog, unpruned_cfg)
-            .expect("consistent")
-            .retrieve(pattern, 10)
-            .expect("valid");
-        if pruned != unpruned {
-            eprintln!("FAIL: pruned ranking differs (content_only={content_only})");
-            failures += 1;
-        }
-        // The skewed fixture is adversarial by construction: far more
-        // candidates than k and half the videos nearly bare of events,
-        // so a healthy prune must fire somewhere.
-        if content_only {
-            let work = p_stats.entries_pruned + p_stats.videos_skipped_by_bound as u64;
-            if work == 0 {
-                eprintln!("FAIL: pruned run pruned nothing (prune is a no-op?)");
-                failures += 1;
-            } else {
-                eprintln!(
-                    "  prune work: {} entries, {} video skips, {} raises",
-                    p_stats.entries_pruned,
-                    p_stats.videos_skipped_by_bound,
-                    p_stats.threshold_raises
-                );
-            }
-        }
-    }
-    if failures > 0 {
-        eprintln!("pruning exactness check FAILED ({failures} violations)");
+    eprintln!("checking that the content-driven prune fires…");
+    let (_, stats) = Retriever::new(model, catalog, RetrievalConfig::content_only())
+        .expect("consistent")
+        .retrieve(pattern, 10)
+        .expect("valid");
+    // The skewed fixture is adversarial by construction: far more
+    // candidates than k and half the videos nearly bare of events, so a
+    // healthy prune must fire somewhere.
+    if stats.entries_pruned + stats.videos_skipped_by_bound as u64 == 0 {
+        eprintln!("FAIL: the pruned run pruned nothing (prune is a no-op?)");
         std::process::exit(1);
     }
-    eprintln!("pruning exactness check passed");
+    eprintln!(
+        "prune check passed: {} entries, {} video skips, {} raises",
+        stats.entries_pruned, stats.videos_skipped_by_bound, stats.threshold_raises
+    );
 }

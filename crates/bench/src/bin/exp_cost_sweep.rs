@@ -91,44 +91,6 @@ fn main() {
     }
     println!("{t}");
 
-    // --- Sweep 3: exact top-k pruning on/off. Content-driven traversal is
-    // the similarity-bound regime, which scores every reachable shot.
-    // Rankings are identical by construction (the prune is exact); the
-    // table shows what the admissible bounds buy in raw work.
-    println!("\n## cost vs top-k pruning (20 videos × 200 shots, content-only 'goal -> free_kick', top-10)\n");
-    let two_step = translator.compile("goal -> free_kick").expect("valid");
-    let mut t = Table::new(&[
-        "prune",
-        "latency",
-        "score reads",
-        "transitions",
-        "bound skips",
-        "pruned",
-        "top score",
-    ]);
-    for prune in [false, true] {
-        let cfg = RetrievalConfig {
-            prune,
-            ..RetrievalConfig::content_only()
-        };
-        let r = Retriever::new(&model, &catalog, cfg).expect("consistent");
-        let t0 = Instant::now();
-        let (results, stats) = r.retrieve(&two_step, 10).expect("valid");
-        let dt = t0.elapsed();
-        t.row_owned(vec![
-            if prune { "on" } else { "off" }.to_string(),
-            format!("{dt:.2?}"),
-            stats.cache_lookups.to_string(),
-            stats.transitions_examined.to_string(),
-            stats.videos_skipped_by_bound.to_string(),
-            stats.entries_pruned.to_string(),
-            results
-                .first()
-                .map_or("—".into(), |r| format!("{:.5}", r.score)),
-        ]);
-    }
-    println!("{t}");
-
     // --- Ablation: beam width.
     println!("\n## beam-width ablation (query: 'free_kick -> goal -> corner_kick')\n");
     let pattern = translator

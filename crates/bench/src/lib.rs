@@ -2,8 +2,9 @@
 //!
 //! Experiment harness for the HMMM reproduction: the `exp_*` binaries
 //! regenerate every table/figure-level artifact of the paper (see the
-//! experiment index in DESIGN.md and the results in EXPERIMENTS.md), and
-//! the Criterion benches cover the hot paths.
+//! experiment index in DESIGN.md and the results in EXPERIMENTS.md),
+//! `bench_report` writes `BENCH_retrieval.json`, and `bench_e2e` is the
+//! end-to-end benchmark.
 //!
 //! The library part holds what every experiment shares: dataset
 //! construction, retrieval-quality metrics, and a tiny text-table printer

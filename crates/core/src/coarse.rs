@@ -38,7 +38,7 @@
 //!
 //! The whole-video bound folds these as `max_e [start_max(v, e) +
 //! chain_0 · start_joint(v, e)]` over the first step's alternatives, where
-//! `chain_0` is the [`QueryBounds`] completion chain built from the
+//! `chain_0` is the [`VideoBounds`] completion chain built from the
 //! *per-video* step maxima. Per start shot, the true quantity is
 //! `w_0(s) · (1 + row_max(s) · chain_0)`; bounding the sum by the sum of
 //! per-term maxima (`max_s a + max_s b ≥ max_s (a + b)`) keeps it
@@ -54,13 +54,13 @@
 //! every first-step alternative `e`, i.e. `Π_1(s) · sim(s, e) = 0` for
 //! every shot. A start entry needs a strictly positive Eq.-12 weight, so
 //! such a video can never emit a candidate: [`CoarseIndex::candidates`]
-//! drops it even when pruning is off.
+//! drops it whatever the top-k threshold.
 
-use crate::bounds::{QueryBounds, VideoBounds};
+use crate::bounds::VideoBounds;
 use crate::model::{Hmmm, LocalMmm};
 use crate::retrieve::{RetrievalConfig, RetrievalStats};
 use hmmm_media::EventKind;
-use hmmm_query::CompiledPattern;
+use hmmm_query::{CompiledPattern, CompiledStep};
 use hmmm_storage::VideoId;
 
 /// The ingest-time candidate index + per-video bound summaries (see the
@@ -74,7 +74,7 @@ pub struct CoarseIndex {
     postings: Vec<Vec<u32>>,
     /// `sim_max[v·C + e]` — largest calibrated Eq.-14 similarity any shot
     /// of video `v` attains against event `e` (the per-video per-step
-    /// similarity ceiling `sm_j` of [`QueryBounds`]).
+    /// similarity ceiling `sm_j` of [`VideoBounds`]).
     sim_max: Vec<f64>,
     /// `start_max[v·C + e] = max_s Π_1(s) · sim(s, e)` — the largest
     /// Eq.-12 start weight video `v` can admit for event `e`.
@@ -148,43 +148,75 @@ impl CoarseIndex {
 
     /// Admissible per-video bounds for one query, from table lookups only
     /// (see the module docs for the admissibility argument): per-step
-    /// similarity maxima feed the [`QueryBounds`] completion chain
+    /// similarity maxima feed the [`VideoBounds`] completion chain
     /// (Eq. 13's per-hop ceiling), and the whole-video bound folds the
     /// Eq.-12 start summaries `max_e [start_max + chain_0 · start_joint]`
-    /// over the first step's alternatives. Costs
-    /// `Σ_j |alternatives_j| + 2 · |alternatives_0|` table reads — see
-    /// [`CoarseIndex::bound_lookups`].
+    /// over the first step's alternatives. The coarse counters charge
+    /// [`CoarseIndex::bound_lookups`] table reads for it.
     pub fn video_bounds(
         &self,
         video: usize,
         local: &LocalMmm,
         pattern: &CompiledPattern,
     ) -> VideoBounds {
-        let step_max: Vec<f64> = pattern
-            .steps
-            .iter()
-            .map(|step| {
-                step.alternatives
-                    .iter()
-                    .map(|&e| self.sim_max(video, e))
-                    .fold(0.0, f64::max)
-            })
-            .collect();
-        let vb = QueryBounds::new(step_max).for_video(local);
-        let chain0 = vb.chain0();
-        let base = video * EventKind::COUNT;
-        let raw_ub = pattern.steps[0]
-            .alternatives
-            .iter()
-            .map(|&e| self.start_max[base + e] + chain0 * self.start_joint[base + e])
-            .fold(0.0, f64::max);
-        vb.with_video_ub(raw_ub)
+        let mut bounds = self.whole_video_bound(video, local, pattern);
+        self.link_chain(&mut bounds, video, local, pattern);
+        bounds
     }
 
-    /// Table reads one [`CoarseIndex::video_bounds`] call performs for
-    /// `pattern` (the Step-2-to-fine admission cost the coarse counters
-    /// report): one `sim_max` read per step alternative plus the two start
-    /// summaries per first-step alternative.
+    /// [`CoarseIndex::video_bounds`] without the completion chain: the
+    /// whole-video bound alone, computed in scalars.
+    fn whole_video_bound(
+        &self,
+        video: usize,
+        local: &LocalMmm,
+        pattern: &CompiledPattern,
+    ) -> VideoBounds {
+        let base = video * EventKind::COUNT;
+        VideoBounds::new(
+            pattern.steps.len(),
+            |j| self.step_max(video, &pattern.steps[j]),
+            local.a1_max(),
+            |chain0| {
+                pattern.steps[0]
+                    .alternatives
+                    .iter()
+                    .map(|&e| self.start_max[base + e] + chain0 * self.start_joint[base + e])
+                    .fold(0.0, f64::max)
+            },
+        )
+    }
+
+    /// Adds the completion chain to a bound from
+    /// [`CoarseIndex::whole_video_bound`] of the same video and pattern.
+    fn link_chain(
+        &self,
+        bounds: &mut VideoBounds,
+        video: usize,
+        local: &LocalMmm,
+        pattern: &CompiledPattern,
+    ) {
+        bounds.link_chain(
+            pattern.steps.len(),
+            |j| self.step_max(video, &pattern.steps[j]),
+            local.a1_max(),
+        );
+    }
+
+    /// `sm_j`: the largest calibrated Eq.-14 similarity any shot of `video`
+    /// attains against any alternative of `step`.
+    fn step_max(&self, video: usize, step: &CompiledStep) -> f64 {
+        step.alternatives
+            .iter()
+            .map(|&e| self.sim_max(video, e))
+            .fold(0.0, f64::max)
+    }
+
+    /// The summary-table reads the coarse counters charge per eligible
+    /// video for `pattern` (the Step-2-to-fine admission cost): one
+    /// `sim_max` read per step alternative plus the two start summaries
+    /// per first-step alternative. The charge is fixed per video, whether
+    /// or not [`CoarseIndex::candidates`] goes on to build its chain.
     pub fn bound_lookups(pattern: &CompiledPattern) -> u64 {
         let step_reads: usize = pattern.steps.iter().map(|s| s.alternatives.len()).sum();
         (step_reads + 2 * pattern.steps[0].alternatives.len()) as u64
@@ -204,6 +236,9 @@ impl CoarseIndex {
     /// * Order: bound desc, index asc — a total order, so visit order only
     ///   affects timing-dependent counters, never the ranking, and cuts at
     ///   increasing [`RetrievalConfig::candidate_cut`] are nested prefixes.
+    ///
+    /// Ordering and cutting need only the whole-video bounds, so the
+    /// completion chains are built last, for the candidates that remain.
     pub fn candidates(
         &self,
         model: &Hmmm,
@@ -242,7 +277,7 @@ impl CoarseIndex {
         let mut candidates: Vec<(VideoId, VideoBounds)> = Vec::with_capacity(videos.len());
         for v in videos {
             stats.coarse_bound_lookups += lookups;
-            let bounds = self.video_bounds(v, &model.locals()[v], pattern);
+            let bounds = self.whole_video_bound(v, &model.locals()[v], pattern);
             if bounds.video_ub() <= 0.0 {
                 stats.coarse_skipped_zero_ub += 1;
             } else {
@@ -257,6 +292,10 @@ impl CoarseIndex {
                 stats.coarse_cut = candidates.len() - cut;
                 candidates.truncate(cut);
             }
+        }
+        for (video, bounds) in &mut candidates {
+            let v = video.index();
+            self.link_chain(bounds, v, &model.locals()[v], pattern);
         }
         stats.coarse_candidates = candidates.len();
         candidates

@@ -78,7 +78,7 @@ pub use hmmm_obs as obs;
 pub use hmmm_obs::{InMemoryRecorder, MetricsReport, RecorderHandle};
 
 pub use audit::AuditSummary;
-pub use bounds::{QueryBounds, VideoBounds};
+pub use bounds::VideoBounds;
 pub use coarse::CoarseIndex;
 pub use order::{cmp_f64, cmp_f64_desc};
 pub use cluster::CategoryLevel;
@@ -92,6 +92,5 @@ pub use retrieve::{
     DeadlineConfig, Degraded, DegradedReason, QueryScratch, RankedPattern,
     RetrievalConfig, RetrievalStats, Retriever,
 };
-pub use sim::{similarity, similarity_block};
-pub use topk::TopKThreshold;
+pub use sim::similarity;
 pub use simulate::{FeedbackSimulator, OracleConfig};

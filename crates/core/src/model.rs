@@ -4,7 +4,7 @@
 //! forward entries only), `Π_1`, `B_1`, `A_2`, `B_2`, `Π_2`, `P_{1,2}`,
 //! `B_1'` and the Eq.-(3) normalizer — are the only state a model persists.
 //! The *derived caches* the retrieval hot path reads (per-video `A_1` row
-//! maxima, `a1_max`/`pi1_max`, the packed Eq.-14 event terms, the
+//! maxima and `a1_max`, the packed Eq.-14 event terms, the
 //! calibrated Eq.-14 score table and the [`crate::coarse::CoarseIndex`])
 //! are private and rebuilt from the sources by the only three writers:
 //! construction ([`crate::build_hmmm`]), the feedback update
@@ -29,27 +29,24 @@ pub struct LocalMmm {
     a1: ForwardCsr,
     /// `Π_1` — initial-state distribution over the video's shots.
     pi1: ProbVector,
-    /// Derived bound factors: per-row forward maxima of `A_1`, their
-    /// maximum, and the largest entry of `Π_1`.
+    /// Derived bound factors: per-row forward maxima of `A_1` and their
+    /// maximum.
     a1_row_max: Vec<f64>,
     a1_max: f64,
-    pi1_max: f64,
 }
 
 impl LocalMmm {
     /// Builds a local MMM, deriving the pruning bound factors
-    /// (`a1_row_max`, `a1_max`, `pi1_max`) from the matrices.
+    /// (`a1_row_max`, `a1_max`) from `A_1`.
     pub(crate) fn new(a1: ForwardCsr, pi1: ProbVector) -> Self {
         let mut a1_row_max = vec![0.0; a1.rows()];
         a1.row_maxima_into(&mut a1_row_max);
-        let a1_max = max_of(&a1_row_max);
-        let pi1_max = max_of(pi1.as_slice());
+        let a1_max = a1_row_max.iter().copied().fold(0.0, f64::max);
         LocalMmm {
             a1,
             pi1,
             a1_row_max,
             a1_max,
-            pi1_max,
         }
     }
 
@@ -78,11 +75,6 @@ impl LocalMmm {
         self.a1_max
     }
 
-    /// Largest entry of `Π_1`: the admissible Eq.-12 start factor.
-    pub fn pi1_max(&self) -> f64 {
-        self.pi1_max
-    }
-
     /// Number of shot states.
     pub fn len(&self) -> usize {
         self.pi1.len()
@@ -92,12 +84,6 @@ impl LocalMmm {
     pub fn is_empty(&self) -> bool {
         self.pi1.is_empty()
     }
-}
-
-/// Max of a non-negative slice (`0.0` when empty). Probability entries are
-/// never NaN, so plain `f64::max` folding is total here.
-fn max_of(values: &[f64]) -> f64 {
-    values.iter().copied().fold(0.0, f64::max)
 }
 
 /// The persisted fields of a [`LocalMmm`].

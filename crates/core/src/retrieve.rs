@@ -25,13 +25,15 @@
 //!
 //! # Exact top-k pruning
 //!
-//! With [`RetrievalConfig::prune`] on (the default), retrieval runs a
-//! Fagin-style threshold cut: a [`TopKThreshold`] register tracks the
-//! running k-th best Eq.-15 score over the videos traversed so far, and
-//! admissible completion bounds ([`crate::bounds`]) skip work that provably
-//! cannot reach the returned top-`limit` prefix. The rankings are
-//! **byte-identical** to `prune: false` (proptest-enforced); only the work
-//! counters change.
+//! Retrieval runs a Fagin-style threshold cut: a [`TopKThreshold`] register
+//! tracks the running k-th best Eq.-15 score over the videos traversed so
+//! far, and admissible completion bounds ([`crate::bounds`]) skip work that
+//! provably cannot reach the returned top-`limit` prefix. The rankings are
+//! **byte-identical** to the unpruned §5 process, which the executable spec
+//! in `crates/core/tests/common/spec.rs` spells out and the retrieval tests
+//! hold the engine to; only the work counters show the cut. Above `limit`
+//! 65 536 the register would cost more than it saves, and the engine
+//! traverses every candidate.
 //!
 //! Which prune sites are exact is subtler than classic branch-and-bound,
 //! because every lattice step ends in a *width* trim: dropping one hopeless
@@ -116,15 +118,6 @@ pub struct RetrievalConfig {
     /// field; it remains only so configurations that still set it keep
     /// compiling.
     pub threads: Option<usize>,
-    /// Exact top-k pruning (`true`, the default): track the running k-th
-    /// best Eq.-15 score and skip videos/beams whose admissible upper
-    /// bound falls strictly below it. Rankings are byte-identical at
-    /// either setting; only the work counters differ.
-    /// `false` forces the exhaustive traversal — the pruning on/off sweep
-    /// and the exactness proptests use it as ground truth. Pruning
-    /// auto-disables for `limit > 65 536`: the threshold register scales
-    /// with `limit`, and a cut that deep could never pay for itself.
-    pub prune: bool,
     /// Deadline budget for anytime retrieval (`None` = unbounded, the
     /// default). When set, retrieval stops admitting new videos once the
     /// budget elapses (checked at video granularity and every
@@ -237,7 +230,6 @@ impl Default for RetrievalConfig {
             require_first_event: true,
             annotated_first: true,
             threads: None,
-            prune: true,
             deadline: None,
             recorder: RecorderHandle::noop(),
             fault: FaultHandle::noop(),
@@ -332,15 +324,13 @@ pub struct RetrievalStats {
     /// Candidate sequences scored (`k − 1` in Step 8).
     pub candidates_scored: usize,
     /// Videos skipped whole because their admissible upper bound fell below
-    /// the top-k threshold — before any traversal work was spent. Zero with
-    /// [`RetrievalConfig::prune`] off.
+    /// the top-k threshold — before any traversal work was spent.
     pub videos_skipped_by_bound: usize,
     /// Beam entries and selected candidates dropped by the threshold cut
-    /// (whole-beam abandons plus emission filtering). Zero with pruning
-    /// off.
+    /// (whole-beam abandons plus emission filtering).
     pub entries_pruned: u64,
-    /// Times an emitted candidate raised the k-th-best threshold. Zero with
-    /// pruning off.
+    /// Times an emitted candidate raised the k-th-best threshold. Zero
+    /// above `limit` 65 536, where the engine keeps no threshold.
     pub threshold_raises: u64,
     /// Eq.-(14) evaluations spent deriving prune bounds. Always zero: the
     /// coarse stage reads every bound from the ingest-time summaries
@@ -373,7 +363,7 @@ pub struct RetrievalStats {
     pub coarse_cut: usize,
     /// Candidates skipped because their coarse upper bound was exactly
     /// zero — a zero bound proves no start entry can be admitted (`w > 0`
-    /// is required), so the skip is exact even with pruning off.
+    /// is required), so the skip is exact whatever the threshold.
     pub coarse_skipped_zero_ub: usize,
     /// Precomputed-summary table reads the coarse stage spent deriving
     /// per-video bounds.
@@ -782,8 +772,7 @@ impl<'a> Retriever<'a> {
         // The exact top-k threshold cut: one register holds the running
         // k-th best score, which the candidates' bounds are checked against
         // at the three exact prune sites (see the module docs).
-        let mut register = (self.config.prune && limit <= PRUNE_LIMIT_CAP)
-            .then(|| TopKThreshold::new(limit));
+        let mut register = (limit <= PRUNE_LIMIT_CAP).then(|| TopKThreshold::new(limit));
 
         // Steps 3–7, one candidate video at a time on the calling thread.
         // Observability stays off the per-transition hot path: the loop
@@ -1295,12 +1284,12 @@ fn settle(pending: &mut Vec<BeamNode>, arena: &mut Vec<BeamNode>, beam: &mut Vec
     }
 }
 
-/// Exact prune site 2: `true` iff pruning is on, the threshold has settled
-/// above zero, and *every* surviving beam entry's admissible completion
-/// bound sits strictly below it — the all-or-nothing abandon. (Dropping a
-/// strict subset would be inexact: the width trims downstream would
-/// backfill entries the unpruned search cuts, and their descendants can
-/// out-score the threshold. See the module docs.)
+/// Exact prune site 2: `true` iff the engine keeps a threshold, it has
+/// settled above zero, and *every* surviving beam entry's admissible
+/// completion bound sits strictly below it — the all-or-nothing abandon.
+/// (Dropping a strict subset would be inexact: the width trims downstream
+/// would backfill entries the unpruned search cuts, and their descendants
+/// can out-score the threshold. See the module docs.)
 fn beam_is_hopeless(
     arena: &[BeamNode],
     beam: &[u32],

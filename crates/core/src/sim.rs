@@ -1,11 +1,11 @@
 //! The Eq.-(14) shot/event similarity function — scalar reference and the
-//! blocked SoA kernel.
+//! blocked SoA kernel that fills the model's score table.
 //!
 //! Two implementations of the same equation live here. [`similarity`] is the
 //! scalar reference: one shot, one event, a dense loop over the 20 features
-//! with an epsilon branch per feature. The blocked kernel scores one event
-//! against a *contiguous block* of shots: it transposes the block's `B_1`
-//! rows feature-major ([`hmmm_features::FeatureSlab`]), then iterates the
+//! with an epsilon branch per feature. The blocked kernel scores a
+//! *contiguous block* of shots: it transposes the block's `B_1` rows
+//! feature-major ([`hmmm_features::FeatureSlab`]), then iterates each
 //! event's pre-packed non-zero terms ([`crate::model::EventTerms`]) on the
 //! outside and sweeps the transposed rows at unit stride on the inside — no
 //! epsilon branch, no indirection, auto-vectorizable. Per shot, both
@@ -13,15 +13,14 @@
 //! (`acc += w · (1 − |b − c|) / c` in ascending feature order), so their
 //! results are **bitwise identical** — pinned by proptests.
 //!
-//! The kernel's one hot caller is the model itself: every epoch (build,
-//! load, each feedback install) it fills the calibrated score table of every
-//! shot against every event ([`crate::Hmmm::sim_row`]), which retrieval
-//! reads instead of evaluating Eq. 14. [`similarity_into`] and
-//! [`similarity_block`] expose the same kernel for one event and one range.
+//! The kernel has one caller, the model itself: every epoch (build, load,
+//! each feedback install) it fills the calibrated score table of every shot
+//! against every event ([`crate::Hmmm::sim_row`]), which retrieval reads
+//! instead of evaluating Eq. 14. The scalar functions are the reference
+//! the table is tested against.
 
 use crate::model::{EventTerms, Hmmm};
 use hmmm_features::{FeatureSlab, FeatureVector, FEATURE_COUNT};
-use std::ops::Range;
 
 /// Features whose centroid magnitude is below this are skipped: the paper
 /// restricts Eq. (14) to "the K non-zero features of the query sample", and
@@ -110,30 +109,6 @@ fn accumulate(terms: &EventTerms, slab: &FeatureSlab, out: &mut [f64]) {
     }
 }
 
-/// Eq. (14), blocked: writes the similarity of `event` against every shot
-/// in `shots` (a contiguous global-id range) into `out`, one slot per shot.
-///
-/// Transposes `B_1` one block of shots at a time and runs the kernel over
-/// each block (see the module docs), so every slot is bitwise equal to the
-/// scalar [`similarity`].
-///
-/// # Panics
-///
-/// Panics if `out.len() != shots.len()` or the range exceeds the archive.
-pub fn similarity_into(model: &Hmmm, shots: Range<usize>, event: usize, out: &mut [f64]) {
-    assert_eq!(out.len(), shots.len(), "similarity block size mismatch");
-    out.fill(0.0);
-    let terms = &model.event_terms()[event];
-    let mut slab = FeatureSlab::default();
-    for (rows, out) in model.b1()[shots]
-        .chunks(BLOCK_SHOTS)
-        .zip(out.chunks_mut(BLOCK_SHOTS))
-    {
-        slab.fill(rows);
-        accumulate(terms, &slab, out);
-    }
-}
-
 /// The calibrated Eq.-14 score of every shot against every event, event-major
 /// (`table[e · N + s]`, `N = b1.len()`): the model's per-epoch score table.
 ///
@@ -163,55 +138,6 @@ pub(crate) fn calibrated_table(b1: &[FeatureVector], terms: &[EventTerms]) -> Ve
         }
     }
     table
-}
-
-/// Eq. (14) over a contiguous block of shots: the blocked SoA kernel.
-///
-/// Evaluates one query event against every shot in `shots` and returns the
-/// scores as a slice borrowed from `scratch` (cleared and resized, so one
-/// buffer serves a whole sweep of calls). Slot
-/// `i` of the result is bitwise equal to
-/// `similarity(model, shots.start + i, event)` — see [`similarity_into`]
-/// for why.
-///
-/// ```
-/// use hmmm_core::{build_hmmm, similarity, BuildConfig};
-/// use hmmm_core::sim::similarity_block;
-/// use hmmm_features::{FeatureId, FeatureVector};
-/// use hmmm_media::EventKind;
-/// use hmmm_storage::Catalog;
-///
-/// # fn feat(grass: f64) -> FeatureVector {
-/// #     let mut f = FeatureVector::zeros();
-/// #     f[FeatureId::GrassRatio] = grass;
-/// #     f
-/// # }
-/// let mut catalog = Catalog::new();
-/// catalog.add_video("v1", vec![
-///     (vec![EventKind::Goal], feat(0.8)),
-///     (vec![EventKind::FreeKick], feat(0.3)),
-///     (vec![EventKind::Goal], feat(0.7)),
-/// ]);
-/// let model = build_hmmm(&catalog, &BuildConfig::default()).unwrap();
-/// let goal = EventKind::Goal.index();
-///
-/// let mut scratch = Vec::new();
-/// let block = similarity_block(&model, 0..3, goal, &mut scratch);
-/// assert_eq!(block.len(), 3);
-/// for (i, &score) in block.iter().enumerate() {
-///     assert_eq!(score, similarity(&model, i, goal)); // bitwise
-/// }
-/// ```
-pub fn similarity_block<'a>(
-    model: &Hmmm,
-    shots: Range<usize>,
-    event: usize,
-    scratch: &'a mut Vec<f64>,
-) -> &'a [f64] {
-    scratch.clear();
-    scratch.resize(shots.len(), 0.0);
-    similarity_into(model, shots, event, scratch);
-    &scratch[..]
 }
 
 /// The Eq.-(14) score of an event's own centroid:
@@ -375,23 +301,6 @@ mod tests {
     }
 
     #[test]
-    fn blocked_kernel_matches_scalar_bitwise() {
-        let m = model();
-        let mut scratch = Vec::new();
-        for event in 0..EventKind::COUNT {
-            // Full archive and every sub-block, including empty ones.
-            for start in 0..=m.shot_count() {
-                for end in start..=m.shot_count() {
-                    let block = similarity_block(&m, start..end, event, &mut scratch);
-                    for (i, &score) in block.iter().enumerate() {
-                        assert_eq!(score.to_bits(), similarity(&m, start + i, event).to_bits());
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn kernel_and_table_cross_block_boundaries_bitwise() {
         // 600 shots: four whole blocks and a partial fifth.
         let mut c = Catalog::new();
@@ -408,12 +317,7 @@ mod tests {
         }
         let m = build_hmmm(&c, &BuildConfig::default()).unwrap();
         let n = m.shot_count();
-        let mut scratch = Vec::new();
         for event in 0..EventKind::COUNT {
-            let block = similarity_block(&m, 100..n, event, &mut scratch);
-            for (i, &score) in block.iter().enumerate() {
-                assert_eq!(score.to_bits(), similarity(&m, 100 + i, event).to_bits());
-            }
             assert_eq!(m.sim_row(event).len(), n);
             for (shot, &score) in m.sim_row(event).iter().enumerate() {
                 assert_eq!(

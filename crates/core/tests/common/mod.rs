@@ -2,6 +2,10 @@
 //! videos of 1–9 shots, each shot with up to two distinct event labels and
 //! a uniform `[0, 1)` feature vector, and 1–3 step patterns with 1–2
 //! alternatives and an optional `max_gap` below 6.
+//!
+//! The executable §5 spec the rankings are checked against is `spec.rs`
+//! beside this file; the tests that use it include it with `#[path]`, so
+//! the ones that do not carry no unused code.
 
 use hmmm_features::{FeatureVector, FEATURE_COUNT};
 use hmmm_media::EventKind;

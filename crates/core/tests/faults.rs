@@ -1,6 +1,5 @@
 //! Deterministic fault-injection suite: drives every [`FaultPlan`] field
-//! through retrieval with the prune on and off, and asserts the degraded
-//! contract:
+//! through retrieval and asserts the degraded contract:
 //!
 //! * panics are isolated per video — survivors complete and rank;
 //! * an empty plan is byte-invisible (rankings and stats identical to a
@@ -55,21 +54,12 @@ fn pattern() -> CompiledPattern {
         .unwrap()
 }
 
-/// The prune off/on configurations every plan runs through.
-fn configs() -> Vec<(String, RetrievalConfig)> {
-    [false, true]
-        .into_iter()
-        .map(|prune| {
-            (
-                format!("prune={prune}"),
-                RetrievalConfig {
-                    beam_width: 2,
-                    prune,
-                    ..RetrievalConfig::content_only()
-                },
-            )
-        })
-        .collect()
+/// The configuration every plan runs through.
+fn config() -> RetrievalConfig {
+    RetrievalConfig {
+        beam_width: 2,
+        ..RetrievalConfig::content_only()
+    }
 }
 
 #[test]
@@ -79,36 +69,34 @@ fn all_but_one_video_panicking_still_ranks_the_survivor() {
     let pat = pattern();
     let survivor = 3usize;
     let plan = FaultPlan::panicking([0, 1, 2]);
-    for (label, cfg) in configs() {
-        let cfg = cfg.with_fault_plan(plan.clone());
-        let r = Retriever::new(&model, &c, cfg).unwrap();
-        let (results, stats) = r.retrieve(&pat, 10).unwrap();
-        assert!(!results.is_empty(), "{label}: survivor produced no ranking");
+    let cfg = config().with_fault_plan(plan);
+    let r = Retriever::new(&model, &c, cfg).unwrap();
+    let (results, stats) = r.retrieve(&pat, 10).unwrap();
+    assert!(!results.is_empty(), "survivor produced no ranking");
+    assert!(
+        results.iter().all(|p| p.video.index() == survivor),
+        "ranked pattern from a poisoned video"
+    );
+    // The survivor emits far fewer than `limit` candidates, so the
+    // threshold never turns positive and no panicking video can
+    // be bound-skipped before entry: all three must be recorded.
+    assert_eq!(stats.videos_failed, 3);
+    assert_eq!(stats.videos_skipped_by_bound, 0);
+    assert_eq!(stats.panic_payloads.len(), 3);
+    let mut sorted = stats.panic_payloads.clone();
+    sorted.sort();
+    assert_eq!(stats.panic_payloads, sorted, "payloads unsorted");
+    for p in &stats.panic_payloads {
         assert!(
-            results.iter().all(|p| p.video.index() == survivor),
-            "{label}: ranked pattern from a poisoned video"
+            p.contains("injected fault: panic on video"),
+            "unexpected payload {p:?}"
         );
-        // The survivor emits far fewer than `limit` candidates, so the
-        // threshold never turns positive and no panicking video can
-        // be bound-skipped before entry: all three must be recorded.
-        assert_eq!(stats.videos_failed, 3, "{label}");
-        assert_eq!(stats.videos_skipped_by_bound, 0, "{label}");
-        assert_eq!(stats.panic_payloads.len(), 3, "{label}");
-        let mut sorted = stats.panic_payloads.clone();
-        sorted.sort();
-        assert_eq!(stats.panic_payloads, sorted, "{label}: payloads unsorted");
-        for p in &stats.panic_payloads {
-            assert!(
-                p.contains("injected fault: panic on video"),
-                "{label}: unexpected payload {p:?}"
-            );
-        }
-        let degraded = stats.degraded.expect("degraded marker");
-        assert_eq!(degraded.reason, DegradedReason::WorkerPanic, "{label}");
-        assert_eq!(degraded.videos_failed, 3, "{label}");
-        assert_eq!(degraded.videos_unvisited, 0, "{label}");
-        assert!(!stats.deadline_expired, "{label}");
     }
+    let degraded = stats.degraded.expect("degraded marker");
+    assert_eq!(degraded.reason, DegradedReason::WorkerPanic);
+    assert_eq!(degraded.videos_failed, 3);
+    assert_eq!(degraded.videos_unvisited, 0);
+    assert!(!stats.deadline_expired);
 }
 
 #[test]
@@ -120,17 +108,14 @@ fn every_video_panicking_returns_an_empty_ranking() {
         panic_rate: 1.0,
         ..FaultPlan::default()
     };
-    for (label, cfg) in configs() {
-        let r = Retriever::new(&model, &c, cfg.with_fault_plan(plan.clone())).unwrap();
-        let (results, stats) = r.retrieve(&pat, 10).unwrap();
-        assert!(results.is_empty(), "{label}");
-        assert_eq!(stats.videos_failed, 4, "{label}");
-        assert_eq!(
-            stats.degraded.expect("degraded").reason,
-            DegradedReason::WorkerPanic,
-            "{label}"
-        );
-    }
+    let r = Retriever::new(&model, &c, config().with_fault_plan(plan)).unwrap();
+    let (results, stats) = r.retrieve(&pat, 10).unwrap();
+    assert!(results.is_empty());
+    assert_eq!(stats.videos_failed, 4);
+    assert_eq!(
+        stats.degraded.expect("degraded").reason,
+        DegradedReason::WorkerPanic,
+    );
 }
 
 #[test]
@@ -139,16 +124,14 @@ fn empty_plan_is_byte_invisible() {
     let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
     let pat = pattern();
     assert!(FaultPlan::default().is_empty());
-    for (label, cfg) in configs() {
-        let plain = Retriever::new(&model, &c, cfg.clone()).unwrap();
-        let faulted =
-            Retriever::new(&model, &c, cfg.with_fault_plan(FaultPlan::default())).unwrap();
-        let (a, a_stats) = plain.retrieve(&pat, 10).unwrap();
-        let (b, b_stats) = faulted.retrieve(&pat, 10).unwrap();
-        assert_eq!(a, b, "{label}: empty plan changed the ranking");
-        assert_eq!(a_stats, b_stats, "{label}: empty plan changed stats");
-        assert!(b_stats.degraded.is_none(), "{label}");
-    }
+    let cfg = config();
+    let plain = Retriever::new(&model, &c, cfg.clone()).unwrap();
+    let faulted = Retriever::new(&model, &c, cfg.with_fault_plan(FaultPlan::default())).unwrap();
+    let (a, a_stats) = plain.retrieve(&pat, 10).unwrap();
+    let (b, b_stats) = faulted.retrieve(&pat, 10).unwrap();
+    assert_eq!(a, b, "empty plan changed the ranking");
+    assert_eq!(a_stats, b_stats, "empty plan changed stats");
+    assert!(b_stats.degraded.is_none());
 }
 
 #[test]
@@ -156,21 +139,19 @@ fn zero_deadline_degrades_before_any_video() {
     let c = catalog();
     let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
     let pat = pattern();
-    for (label, cfg) in configs() {
-        let cfg = cfg.with_deadline(DeadlineConfig {
-            budget: Duration::ZERO,
-            check_interval: 1,
-        });
-        let r = Retriever::new(&model, &c, cfg).unwrap();
-        let (results, stats) = r.retrieve(&pat, 10).unwrap();
-        assert!(results.is_empty(), "{label}");
-        assert!(stats.deadline_expired, "{label}");
-        assert_eq!(stats.videos_visited, 0, "{label}");
-        assert_eq!(stats.videos_unvisited, 4, "{label}");
-        let degraded = stats.degraded.expect("degraded marker");
-        assert_eq!(degraded.reason, DegradedReason::DeadlineExpired, "{label}");
-        assert_eq!(degraded.videos_unvisited, 4, "{label}");
-    }
+    let cfg = config().with_deadline(DeadlineConfig {
+        budget: Duration::ZERO,
+        check_interval: 1,
+    });
+    let r = Retriever::new(&model, &c, cfg).unwrap();
+    let (results, stats) = r.retrieve(&pat, 10).unwrap();
+    assert!(results.is_empty());
+    assert!(stats.deadline_expired);
+    assert_eq!(stats.videos_visited, 0);
+    assert_eq!(stats.videos_unvisited, 4);
+    let degraded = stats.degraded.expect("degraded marker");
+    assert_eq!(degraded.reason, DegradedReason::DeadlineExpired);
+    assert_eq!(degraded.videos_unvisited, 4);
 }
 
 #[test]
@@ -178,21 +159,20 @@ fn generous_deadline_is_a_no_op() {
     let c = catalog();
     let model = build_hmmm(&c, &BuildConfig::default()).unwrap();
     let pat = pattern();
-    for (label, cfg) in configs() {
-        let plain = Retriever::new(&model, &c, cfg.clone()).unwrap();
-        let bounded = Retriever::new(
-            &model,
-            &c,
-            cfg.with_deadline(DeadlineConfig::new(Duration::from_secs(3600))),
-        )
-        .unwrap();
-        let (a, a_stats) = plain.retrieve(&pat, 10).unwrap();
-        let (b, b_stats) = bounded.retrieve(&pat, 10).unwrap();
-        assert_eq!(a, b, "{label}: unexpired deadline changed the ranking");
-        assert_eq!(a_stats, b_stats, "{label}");
-        assert!(!b_stats.deadline_expired, "{label}");
-        assert!(b_stats.degraded.is_none(), "{label}");
-    }
+    let cfg = config();
+    let plain = Retriever::new(&model, &c, cfg.clone()).unwrap();
+    let bounded = Retriever::new(
+        &model,
+        &c,
+        cfg.with_deadline(DeadlineConfig::new(Duration::from_secs(3600))),
+    )
+    .unwrap();
+    let (a, a_stats) = plain.retrieve(&pat, 10).unwrap();
+    let (b, b_stats) = bounded.retrieve(&pat, 10).unwrap();
+    assert_eq!(a, b, "unexpired deadline changed the ranking");
+    assert_eq!(a_stats, b_stats);
+    assert!(!b_stats.deadline_expired);
+    assert!(b_stats.degraded.is_none());
 }
 
 #[test]
@@ -205,14 +185,13 @@ fn pure_latency_injection_never_changes_the_ranking() {
         latency_ns: 200_000, // 0.2 ms per video — a stall, not a failure
         ..FaultPlan::default()
     };
-    for (label, cfg) in configs() {
-        let plain = Retriever::new(&model, &c, cfg.clone()).unwrap();
-        let stalled = Retriever::new(&model, &c, cfg.with_fault_plan(plan.clone())).unwrap();
-        let (a, _) = plain.retrieve(&pat, 10).unwrap();
-        let (b, b_stats) = stalled.retrieve(&pat, 10).unwrap();
-        assert_eq!(a, b, "{label}: latency changed the ranking");
-        assert!(b_stats.degraded.is_none(), "{label}");
-    }
+    let cfg = config();
+    let plain = Retriever::new(&model, &c, cfg.clone()).unwrap();
+    let stalled = Retriever::new(&model, &c, cfg.with_fault_plan(plan)).unwrap();
+    let (a, _) = plain.retrieve(&pat, 10).unwrap();
+    let (b, b_stats) = stalled.retrieve(&pat, 10).unwrap();
+    assert_eq!(a, b, "latency changed the ranking");
+    assert!(b_stats.degraded.is_none());
 }
 
 #[test]

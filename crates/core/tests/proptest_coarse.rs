@@ -1,8 +1,9 @@
 //! Properties of the coarse stage, checked against the model's own
 //! matrices rather than against the coarse index itself:
 //!
-//! * admissibility — with pruning off, in both regimes, every candidate the
-//!   fine stage emits scores at most its video's coarse upper bound;
+//! * admissibility — in both regimes, every per-video candidate of the
+//!   unpruned §5 process (the executable spec, `common/spec.rs`) scores at
+//!   most its video's coarse upper bound;
 //! * zero-bound skips are exact — a video dropped for a zero bound has
 //!   `Π_1(s) · sim(s, e) = 0` for every shot `s` and first-step
 //!   alternative `e`, so no start entry could have been admitted;
@@ -12,6 +13,8 @@
 //!   candidate cut `C`, and serial runs are deterministic.
 
 mod common;
+#[path = "common/spec.rs"]
+mod spec;
 
 use std::collections::BTreeSet;
 
@@ -21,6 +24,7 @@ use hmmm_core::{build_hmmm, BuildConfig, Hmmm, RetrievalConfig, RetrievalStats, 
 use hmmm_query::CompiledPattern;
 use hmmm_storage::VideoId;
 use proptest::prelude::*;
+use spec::spec_retrieve;
 
 /// The `B_2`-eligible videos for `pattern`, read straight from the
 /// model's `B_2` rows (not from the coarse postings).
@@ -41,10 +45,9 @@ fn regime(content_only: bool) -> RetrievalConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// (a) With pruning off every candidate the fine stage emits is
-    /// returned (wide limit, several per video), and each one scores at
-    /// most its video's coarse upper bound — in both regimes, i.e. for
-    /// both the cached and the direct scorer.
+    /// (a) Every candidate the spec's unpruned walk emits (wide limit,
+    /// several per video) scores at most its video's coarse upper bound,
+    /// in both regimes.
     #[test]
     fn emitted_scores_respect_coarse_bounds(
         cat in catalog(),
@@ -56,11 +59,9 @@ proptest! {
         let cfg = RetrievalConfig {
             beam_width: beam,
             per_video_results: 8,
-            prune: false,
             ..regime(content_only)
         };
-        let (results, stats) = Retriever::new(&model, &cat, cfg).unwrap().retrieve(&pat, 10_000).unwrap();
-        prop_assert_eq!(results.len(), stats.candidates_scored);
+        let results = spec_retrieve(&model, &cat, &cfg, &pat, 10_000, None);
         for p in &results {
             let v = p.video.index();
             let ub = model.coarse().video_bounds(v, &model.locals()[v], &pat).video_ub();
@@ -116,7 +117,7 @@ proptest! {
         subset in proptest::collection::vec(0usize..10, 0..8),
     ) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let cfg = RetrievalConfig { prune: false, ..RetrievalConfig::default() };
+        let cfg = RetrievalConfig::default();
         let subset: Vec<VideoId> = subset.into_iter().map(VideoId).collect();
         let valid: BTreeSet<usize> = subset
             .iter()

@@ -1,13 +1,15 @@
 //! Property: exact top-k pruning is invisible in the rankings.
 //!
-//! The threshold prune (`RetrievalConfig::prune`) may only change *cost*
-//! counters — for any archive, pattern, beam width, result limit and
-//! regime, the ranked patterns must be byte-identical to the exhaustive
-//! (`prune: false`) run. The unit test at
-//! the bottom pins the admissibility of the bounds themselves on the
-//! paper's §4.2.1.1 worked example.
+//! The threshold prune may only change *cost* counters — for any archive,
+//! pattern, beam width, result limit and regime, the ranked patterns must
+//! be byte-identical to the unpruned §5 process, as the executable spec
+//! (`common/spec.rs`) enumerates it. The unit test at the bottom pins the
+//! admissibility of the bounds themselves on the paper's §4.2.1.1 worked
+//! example.
 
 mod common;
+#[path = "common/spec.rs"]
+mod spec;
 
 use common::{catalog, pattern};
 use hmmm_core::{build_hmmm, BuildConfig, RetrievalConfig, Retriever};
@@ -16,13 +18,13 @@ use hmmm_media::EventKind;
 use hmmm_query::{CompiledPattern, CompiledStep};
 use hmmm_storage::Catalog;
 use proptest::prelude::*;
+use spec::spec_retrieve;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pruned rankings equal exhaustive rankings across the whole config
-    /// grid the engine exposes: annotation regime (which picks the scorer)
-    /// × beam width × top-k limit.
+    /// Pruned rankings equal the spec's across the whole config grid the
+    /// engine exposes: annotation regime × beam width × top-k limit.
     #[test]
     fn pruning_is_ranking_exact(
         cat in catalog(),
@@ -37,31 +39,20 @@ proptest! {
         } else {
             RetrievalConfig::default()
         };
-        let pruned_cfg = RetrievalConfig {
+        let cfg = RetrievalConfig {
             beam_width: beam,
-            prune: true,
             ..base
         };
-        let exhaustive_cfg = RetrievalConfig { prune: false, ..pruned_cfg.clone() };
-        let (p_results, p_stats) =
-            Retriever::new(&model, &cat, pruned_cfg).unwrap().retrieve(&pat, limit).unwrap();
-        let (e_results, e_stats) =
-            Retriever::new(&model, &cat, exhaustive_cfg).unwrap().retrieve(&pat, limit).unwrap();
-        prop_assert_eq!(p_results, e_results);
-        // The exhaustive run never touches the pruning machinery.
-        prop_assert_eq!(e_stats.videos_skipped_by_bound, 0);
-        prop_assert_eq!(e_stats.entries_pruned, 0);
-        prop_assert_eq!(e_stats.threshold_raises, 0);
-        prop_assert_eq!(e_stats.bound_evaluations, 0);
-        // Every B_2-eligible video is either traversed or bound-skipped —
+        let want = spec_retrieve(&model, &cat, &cfg, &pat, limit, None);
+        let (results, stats) =
+            Retriever::new(&model, &cat, cfg).unwrap().retrieve(&pat, limit).unwrap();
+        prop_assert_eq!(format!("{results:?}"), format!("{want:?}"));
+        // Every coarse candidate is either traversed or bound-skipped —
         // the prune never loses track of a video.
         prop_assert_eq!(
-            p_stats.videos_visited + p_stats.videos_skipped_by_bound,
-            e_stats.videos_visited
+            stats.videos_visited + stats.videos_skipped_by_bound,
+            stats.coarse_candidates
         );
-        prop_assert_eq!(p_stats.videos_skipped, e_stats.videos_skipped);
-        // Pruning only ever removes traversal work, never adds it.
-        prop_assert!(p_stats.transitions_examined <= e_stats.transitions_examined);
     }
 
     /// The prune is fully deterministic in both regimes: two identical
@@ -79,7 +70,7 @@ proptest! {
         } else {
             RetrievalConfig::default()
         };
-        let cfg = RetrievalConfig { prune: true, ..base };
+        let cfg = base;
         let (a_results, a_stats) =
             Retriever::new(&model, &cat, cfg.clone()).unwrap().retrieve(&pat, limit).unwrap();
         let (b_results, b_stats) =
@@ -94,7 +85,7 @@ proptest! {
     #[test]
     fn metrics_are_ranking_neutral(cat in catalog(), pat in pattern(), beam in 1usize..5) {
         let model = build_hmmm(&cat, &BuildConfig::default()).unwrap();
-        let quiet_cfg = RetrievalConfig { beam_width: beam, prune: true, ..RetrievalConfig::content_only() };
+        let quiet_cfg = RetrievalConfig { beam_width: beam, ..RetrievalConfig::content_only() };
         let recorder = hmmm_core::InMemoryRecorder::shared();
         let observed_cfg = quiet_cfg.clone().with_recorder(recorder.handle());
         let (q_results, q_stats) = Retriever::new(&model, &cat, quiet_cfg).unwrap().retrieve(&pat, 10).unwrap();
@@ -146,18 +137,15 @@ fn bounds_are_admissible_on_worked_example() {
     // stage: per-video step maxima and start summaries from the index.
     let vb = model.coarse().video_bounds(0, &model.locals()[0], &pat);
 
-    // Enumerate everything the traversal can produce (wide beam, no
-    // prune) and check domination candidate by candidate.
+    // Enumerate everything the §5 process can produce (wide beam, every
+    // per-video candidate, the spec's unpruned walk) and check domination
+    // candidate by candidate.
     let cfg = RetrievalConfig {
         beam_width: 16,
         per_video_results: 16,
-        prune: false,
         ..RetrievalConfig::default()
     };
-    let (results, _) = Retriever::new(&model, &c, cfg)
-        .unwrap()
-        .retrieve(&pat, 16)
-        .unwrap();
+    let results = spec_retrieve(&model, &c, &cfg, &pat, 16, None);
     assert!(!results.is_empty(), "worked example must match free_kick -> goal");
     for r in &results {
         assert!(

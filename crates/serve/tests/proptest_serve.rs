@@ -88,7 +88,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// N clients hammering one server concurrently — across worker counts
-    /// and the engine's regime × prune grid — receive exactly the rankings
+    /// and both retrieval regimes — receive exactly the rankings
     /// a serial `Retriever` produces on the same model. The queue, the
     /// worker pool, and the per-worker scratch reuse are byte-invisible.
     #[test]
@@ -98,7 +98,6 @@ proptest! {
         workers in 1usize..4,
         clients in 1usize..4,
         content_only in proptest::sample::select(vec![false, true]),
-        prune in proptest::sample::select(vec![false, true]),
     ) {
         let snapshot = ModelSnapshot::build(cat, &BuildConfig::default()).unwrap();
         let base = if content_only {
@@ -109,7 +108,7 @@ proptest! {
         let config = ServerConfig {
             workers,
             queue_capacity: 256,
-            retrieval: RetrievalConfig { prune, ..base },
+            retrieval: base,
             retain_snapshot_history: true,
             ..ServerConfig::default()
         };

@@ -20,7 +20,35 @@ use hmmm_media::{ArchiveConfig, EventKind, RenderConfig, SyntheticArchive};
 use hmmm_query::{parse_pattern, Matn, QueryTranslator};
 use hmmm_storage::Catalog;
 use hmmm_suite::{ingest_archive, AnnotationSource};
+use std::io::Write;
 use std::process::ExitCode;
+
+/// `print!` without the panic on a failed write: see [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` without the panic on a failed write: see [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// Writes to stdout. A reader that went away (`hmmm query … | head -3`)
+/// ends the process quietly with status 0, since nobody wants the rest of
+/// the output; any other write error ends it as `error: …` with status 1.
+fn emit(args: std::fmt::Arguments) {
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing to stdout: {e}");
+        std::process::exit(1);
+    }
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -34,7 +62,7 @@ fn main() -> ExitCode {
         Some("loadgen") => cmd_loadgen(&args[1..]),
         Some("matn") => cmd_matn(&args[1..]),
         Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
+            out!("{USAGE}");
             Ok(())
         }
         Some(other) => Err(format!("unknown command {other:?}; see `hmmm help`")),
@@ -57,13 +85,12 @@ USAGE:
   hmmm inspect <file>
       print catalog dimensions and per-event counts
   hmmm query <file> <pattern> [--top N] [--content-only]
-             [--greedy] [--no-prune] [--candidates C]
+             [--greedy] [--candidates C]
              [--deadline-ms N] [--deadline-check-interval M]
              [--fault-plan <json|file>]
              [--metrics-json <out>] [--trace]
       build the HMMM and run a temporal pattern query
-      (--top-k is accepted as an alias of --top; --no-prune disables the
-      exact top-k threshold pruning — rankings are identical either way)
+      (--top-k is accepted as an alias of --top)
       candidate videos and their prune bounds always come from the
       ingest-time coarse index; --candidates C traverses only the C
       highest-bound videos, trading recall for latency (default: all)
@@ -149,7 +176,7 @@ const INSPECT_FLAGS: Flags = Flags {
 };
 const QUERY_FLAGS: Flags = Flags {
     command: "query",
-    switches: &["--content-only", "--greedy", "--no-prune", "--trace"],
+    switches: &["--content-only", "--greedy", "--trace"],
     valued: &[
         "--top",
         "--top-k",
@@ -333,7 +360,7 @@ fn cmd_generate(args: &[String]) -> Result<(), String> {
     } else {
         hmmm_storage::save_binary(&catalog, &out).map_err(|e| e.to_string())?;
     }
-    println!(
+    outln!(
         "wrote {out}: {} videos, {} shots, {} events",
         catalog.video_count(),
         catalog.shot_count(),
@@ -346,25 +373,25 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     let pos = positionals(args, &INSPECT_FLAGS)?;
     let path = pos.first().ok_or("inspect requires a catalog path")?;
     let catalog = load(path)?;
-    println!(
+    outln!(
         "{path}: {} videos, {} shots, {} event annotations",
         catalog.video_count(),
         catalog.shot_count(),
         catalog.total_events()
     );
-    println!("\nper-event annotation counts:");
+    outln!("\nper-event annotation counts:");
     for kind in EventKind::ALL {
         let n = catalog.shots_with_event(kind).len();
-        println!("  {:<14} {n}", kind.name());
+        outln!("  {:<14} {n}", kind.name());
     }
-    println!("\nvideos:");
+    outln!("\nvideos:");
     for v in catalog.videos() {
         let events: usize = catalog
             .shots_of_video(v.id)
             .iter()
             .map(|s| s.event_count())
             .sum();
-        println!("  {} {:<12} {} shots, {} events", v.id, v.name, v.shot_count(), events);
+        outln!("  {} {:<12} {} shots, {} events", v.id, v.name, v.shot_count(), events);
     }
     Ok(())
 }
@@ -404,9 +431,6 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     if flag_present(args, "--greedy") {
         config.beam_width = 1;
     }
-    if flag_present(args, "--no-prune") {
-        config.prune = false;
-    }
     apply_candidates_flag(args, &mut config)?;
     if let Some(ms) = flag_value(args, "--deadline-ms") {
         let ms: u64 = parse_num(&ms, "--deadline-ms")?;
@@ -435,8 +459,8 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     let (results, stats) = retriever.retrieve(&pattern, top).map_err(|e| e.to_string())?;
     let elapsed = start.elapsed();
 
-    println!("query: {text}");
-    println!(
+    outln!("query: {text}");
+    outln!(
         "{} candidates in {elapsed:.2?} ({} score reads, {}/{} videos visited, \
          {} bound-skipped, {} entries pruned)",
         results.len(),
@@ -446,7 +470,7 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
         stats.videos_skipped_by_bound,
         stats.entries_pruned,
     );
-    println!(
+    outln!(
         "coarse [{}]: {} candidates ({} cut, {} zero-bound skips), \
          {} index bound lookups",
         cut_label(cut),
@@ -457,13 +481,13 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
     );
     if let Some(d) = &stats.degraded {
         let reason = d.reason.as_str();
-        println!(
+        outln!(
             "DEGRADED ({reason}): {} videos never admitted, {} videos failed — \
              the ranking below covers only the work that completed",
             d.videos_unvisited, d.videos_failed
         );
         for payload in &stats.panic_payloads {
-            println!("  failed {payload}");
+            outln!("  failed {payload}");
         }
     }
     for (rank, r) in results.iter().enumerate() {
@@ -478,22 +502,22 @@ fn cmd_query(args: &[String]) -> Result<(), String> {
                 format!("{id}:{matched}[{}]", truth.join("+"))
             })
             .collect();
-        println!("  #{rank} v{} {:.5}  {}", r.video.index(), r.score, steps.join(" -> "));
+        outln!("  #{rank} v{} {:.5}  {}", r.video.index(), r.score, steps.join(" -> "));
     }
 
     if let Some(recorder) = recorder {
         let mut report = recorder.report();
         metrics::derive_retrieval_metrics(&mut report);
         if trace {
-            println!("\ntrace:");
-            print!("{}", report.render_trace());
+            outln!("\ntrace:");
+            out!("{}", report.render_trace());
         }
         if let Some(out) = metrics_out {
             let json = report
                 .to_json_pretty()
                 .map_err(|e| format!("encoding metrics: {e}"))?;
             std::fs::write(&out, json + "\n").map_err(|e| format!("writing {out}: {e}"))?;
-            println!("wrote metrics report to {out}");
+            outln!("wrote metrics report to {out}");
         }
     }
     Ok(())
@@ -506,7 +530,7 @@ fn cmd_categories(args: &[String]) -> Result<(), String> {
     let catalog = load(path)?;
     let model = build_hmmm(&catalog, &BuildConfig::default()).map_err(|e| e.to_string())?;
     let cats = CategoryLevel::build(&model, k).ok_or("no videos to cluster")?;
-    println!("{} categories over {} videos:", cats.len(), model.video_count());
+    outln!("{} categories over {} videos:", cats.len(), model.video_count());
     for c in 0..cats.len() {
         let members = cats.videos_of(c);
         let profile: Vec<String> = EventKind::ALL
@@ -514,7 +538,7 @@ fn cmd_categories(args: &[String]) -> Result<(), String> {
             .filter(|kind| cats.b3[c][kind.index()] > 0)
             .map(|kind| format!("{}×{}", kind.name(), cats.b3[c][kind.index()]))
             .collect();
-        println!(
+        outln!(
             "  category {c} (medoid v{}): {} videos — {}",
             cats.medoids[c],
             members.len(),
@@ -537,7 +561,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
     let summary = model
         .deep_audit(&catalog)
         .map_err(|e| format!("λ-invariant audit failed on the freshly built model: {e}"))?;
-    println!("freshly built model audits clean: {summary}");
+    outln!("freshly built model audits clean: {summary}");
     if rounds == 0 {
         return Ok(());
     }
@@ -575,7 +599,7 @@ fn cmd_check(args: &[String]) -> Result<(), String> {
         let summary = model
             .deep_audit(&catalog)
             .map_err(|e| format!("λ-invariant audit failed after feedback round {round}: {e}"))?;
-        println!(
+        outln!(
             "round {round}: {confirmed} confirmed, A1 drift {:.4}, P12 drift {:.4} — audits clean: {summary}",
             report.a1_drift, report.p12_drift
         );
@@ -634,7 +658,7 @@ fn write_serve_metrics(recorder: &std::sync::Arc<InMemoryRecorder>, out: &str) -
     // worth failing the command over (the serve-smoke CI job relies on it).
     serde_json::from_str::<serde_json::Value>(&json)
         .map_err(|e| format!("metrics report does not re-parse as JSON: {e}"))?;
-    println!("wrote metrics report to {out}");
+    outln!("wrote metrics report to {out}");
     Ok(())
 }
 
@@ -650,7 +674,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .unwrap_or_default();
 
     let (snapshot, config) = serve_setup(args, pos.first().copied(), &obs, false)?;
-    println!(
+    outln!(
         "serving {} videos / {} shots with {} workers (queue {}, candidates {}): {}",
         snapshot.catalog.video_count(),
         snapshot.catalog.shot_count(),
@@ -659,7 +683,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         cut_label(config.retrieval.candidate_cut),
         snapshot.audit,
     );
-    println!("enter a pattern per line; :accept <rank>, :learn, :epoch, :quit");
+    outln!("enter a pattern per line; :accept <rank>, :learn, :epoch, :quit");
     let server = std::sync::Arc::new(
         hmmm_serve::QueryServer::start(snapshot, config).map_err(|e| e.to_string())?,
     );
@@ -685,7 +709,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                     .map_err(|e| format!("binding {addr}: {e}"))?;
             // The exact line the serve-net-smoke CI job (and any script)
             // parses to learn the resolved port when --listen used port 0.
-            println!("listening on {}", net.local_addr());
+            outln!("listening on {}", net.local_addr());
             Some(net)
         }
         None => None,
@@ -708,12 +732,12 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             break;
         }
         if line == ":epoch" {
-            println!("epoch {}", server.epoch());
+            outln!("epoch {}", server.epoch());
             continue;
         }
         if line == ":learn" {
             match server.apply_feedback(&mut log, &fb_cfg) {
-                Ok((epoch, report)) => println!(
+                Ok((epoch, report)) => outln!(
                     "installed snapshot epoch {epoch}: {} patterns applied, \
                      A1 drift {:.4}, P12 drift {:.4}",
                     report.patterns_applied, report.a1_drift, report.p12_drift
@@ -736,7 +760,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 events: r.events.clone(),
                 access: 1.0,
             }) {
-                Ok(()) => println!(
+                Ok(()) => outln!(
                     "recorded #{rank} (v{}) as positive; {} pending",
                     r.video.index(),
                     log.pending()
@@ -754,7 +778,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         };
         match server.query(hmmm_serve::QueryRequest::new(pattern, top)) {
             hmmm_serve::ServeOutcome::Completed(response) => {
-                println!(
+                outln!(
                     "epoch {} | queued {:.2?} served {:.2?} | {} candidates{}",
                     response.epoch,
                     std::time::Duration::from_nanos(response.queue_ns),
@@ -769,7 +793,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 for (rank, r) in response.results.iter().enumerate() {
                     let shots: Vec<String> =
                         r.shots.iter().map(|s| s.to_string()).collect();
-                    println!(
+                    outln!(
                         "  #{rank} v{} {:.5}  {}",
                         r.video.index(),
                         r.score,
@@ -879,16 +903,16 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
     server.join();
 
     let rejected: usize = report.rejections.values().sum();
-    println!(
+    outln!(
         "{} submitted: {} completed ({} degraded), {} rejected | {} feedback installs, \
          max epoch {}",
         report.submitted, report.completed, report.degraded, rejected,
         report.feedback_installs, report.max_epoch,
     );
     for (reason, n) in &report.rejections {
-        println!("  rejected {n} × {reason}");
+        outln!("  rejected {n} × {reason}");
     }
-    println!(
+    outln!(
         "wall {:.2?} | {:.1} qps | p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
         std::time::Duration::from_nanos(report.wall_ns),
         report.qps,
@@ -897,7 +921,7 @@ fn cmd_loadgen(args: &[String]) -> Result<(), String> {
         report.p99_ms,
     );
     if check {
-        println!(
+        outln!(
             "check: {} responses re-derived serially, {} mismatches",
             report.checked, report.check_mismatches
         );
@@ -998,14 +1022,14 @@ fn run_loadgen_net(
 
 fn print_net_report(report: &hmmm_serve::NetLoadReport, check: bool) {
     let rejected: usize = report.rejections.values().sum();
-    println!(
+    outln!(
         "{} submitted: {} completed ({} degraded), {} rejected | max epoch {}",
         report.submitted, report.completed, report.degraded, rejected, report.max_epoch,
     );
     for (reason, n) in &report.rejections {
-        println!("  rejected {n} × {reason}");
+        outln!("  rejected {n} × {reason}");
     }
-    println!(
+    outln!(
         "net: {} retries ({} successful), {} give-ups, {} mid-response errors \
          ({} reissued)",
         report.retries,
@@ -1014,7 +1038,7 @@ fn print_net_report(report: &hmmm_serve::NetLoadReport, check: bool) {
         report.mid_response_errors,
         report.reissues,
     );
-    println!(
+    outln!(
         "wall {:.2?} | {:.1} qps | p50 {:.3} ms  p95 {:.3} ms  p99 {:.3} ms",
         std::time::Duration::from_nanos(report.wall_ns),
         report.qps,
@@ -1023,7 +1047,7 @@ fn print_net_report(report: &hmmm_serve::NetLoadReport, check: bool) {
         report.p99_ms,
     );
     if check {
-        println!(
+        outln!(
             "check: {} responses re-derived locally, {} mismatches",
             report.checked, report.check_mismatches
         );
@@ -1035,10 +1059,10 @@ fn cmd_matn(args: &[String]) -> Result<(), String> {
     let text = pos.first().ok_or("matn requires a pattern string")?;
     let pattern = parse_pattern(text).map_err(|e| e.to_string())?;
     let matn = Matn::from_pattern(&pattern);
-    println!("canonical : {pattern}");
-    println!("MATN      : {matn}");
-    println!("states    : {}, arcs: {}\n", matn.state_count(), matn.arcs().len());
-    print!("{}", matn.to_dot());
+    outln!("canonical : {pattern}");
+    outln!("MATN      : {matn}");
+    outln!("states    : {}, arcs: {}\n", matn.state_count(), matn.arcs().len());
+    out!("{}", matn.to_dot());
     Ok(())
 }
 
@@ -1074,7 +1098,7 @@ mod tests {
 
     #[test]
     fn known_flags_are_skipped_around_positionals() {
-        let args = argv(&["--top", "3", "db.json", "--trace", "goal -> goal", "--no-prune"]);
+        let args = argv(&["--top", "3", "db.json", "--trace", "goal -> goal", "--greedy"]);
         let pos = positionals(&args, &QUERY_FLAGS).unwrap();
         assert_eq!(pos, vec!["db.json", "goal -> goal"]);
     }
