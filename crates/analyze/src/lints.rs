@@ -206,7 +206,6 @@ pub const EQUATION_FNS: &[(&str, &[&str])] = &[
             "postings",
             "sim_max",
             "video_bounds",
-            "bound_lookups",
             "candidates",
         ],
     ),

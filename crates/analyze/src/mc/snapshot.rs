@@ -17,9 +17,9 @@
 //! checks the contract the epoch orderings are chosen for — a reader
 //! that trusts the `Acquire` load alone and reads the slot without the
 //! mutex, i.e. the lock-free fast path the `// ordering:` comments in
-//! `snapshot.rs` promise is sound (and the natural `ArcSwap`-style
-//! evolution ROADMAP open item 1 will want). Both must verify clean on
-//! the faithful model; only the lock-free path can expose a dropped
+//! `snapshot.rs` promise is sound, and the one an `ArcSwap`-style cell
+//! that takes the mutex out of `load()` would rely on. Both must verify
+//! clean on the faithful model; only the lock-free path can expose a dropped
 //! `Release`, which is exactly what the [`Mutation::DropRelease`]
 //! mutation test demonstrates.
 //!

@@ -113,15 +113,6 @@ impl EventAnnotator {
             .as_ref()
             .map_or(0.0, |t| t.predict_proba(v))
     }
-
-    /// Kinds the annotator can actually predict.
-    pub fn trained_kinds(&self) -> Vec<EventKind> {
-        EventKind::ALL
-            .iter()
-            .filter(|&&k| self.trees[k.index()].is_some())
-            .copied()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -180,9 +171,8 @@ mod tests {
     fn unseen_events_are_never_predicted() {
         let samples = toy_samples(2, 300);
         let annot = EventAnnotator::train(&samples, AnnotatorConfig::default()).unwrap();
-        let trained = annot.trained_kinds();
-        assert!(trained.contains(&EventKind::Goal));
-        assert!(!trained.contains(&EventKind::RedCard));
+        assert!(annot.trees[EventKind::Goal.index()].is_some());
+        assert!(annot.trees[EventKind::RedCard.index()].is_none());
         let mut v = FeatureVector::zeros();
         v[FeatureId::VolumeMean] = 0.9;
         assert!(!annot.annotate(&v).contains(&EventKind::RedCard));

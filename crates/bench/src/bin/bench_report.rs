@@ -67,59 +67,6 @@ struct KernelSample {
     units_per_sec: f64,
 }
 
-/// One concurrency level of the serving sweep: the full workload
-/// generator (Zipf mix, closed loop) against an in-process
-/// [`hmmm_serve::QueryServer`], so the snapshot tracks end-to-end serving
-/// throughput and tail latency alongside single-query wall clock.
-#[derive(Debug, Serialize)]
-struct ServeSample {
-    /// Concurrent closed-loop clients.
-    clients: usize,
-    /// Completed queries per wall-clock second.
-    qps: f64,
-    /// Median end-to-end latency (submit → outcome), milliseconds.
-    p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    p95_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    p99_ms: f64,
-    /// Requests that produced a ranking.
-    completed: usize,
-    /// Requests rejected at admission (queue full under this load).
-    rejected: usize,
-    /// Completed-but-degraded responses (none here: no deadline is set).
-    degraded: usize,
-}
-
-/// One concurrency level of the network sweep: the same workload shape as
-/// [`ServeSample`], but through the TCP front-end over a real loopback
-/// socket — so the snapshot separates the wire's cost (framing, JSON,
-/// syscalls, connection handling) from the in-process serving numbers.
-#[derive(Debug, Serialize)]
-struct NetSample {
-    /// Concurrent closed-loop clients (one connection each).
-    clients: usize,
-    /// Completed queries per wall-clock second.
-    qps: f64,
-    /// Median end-to-end latency (including the wire), milliseconds.
-    p50_ms: f64,
-    /// 95th-percentile latency, milliseconds.
-    p95_ms: f64,
-    /// 99th-percentile latency, milliseconds.
-    p99_ms: f64,
-    /// Requests that produced a ranking.
-    completed: usize,
-    /// Requests refused with a terminal status.
-    rejected: usize,
-    /// Wire attempts beyond the first (0 on a clean loopback run).
-    retries: u64,
-    /// Requests whose outcome arrived on a retry attempt.
-    retry_successes: u64,
-    /// Requests that exhausted every attempt — must be 0 on a healthy
-    /// bench (no fault plan attached).
-    give_ups: u64,
-}
-
 /// One serial measurement of the coarse stage at a candidate cut: how many
 /// videos reach the fine stage, what the stage costs, and what the cut buys.
 #[derive(Debug, Serialize)]
@@ -139,20 +86,6 @@ struct CoarseSample {
     speedup_vs_exact: f64,
 }
 
-/// Crash-safe persistence counters from one save+load round trip of the
-/// bench catalog, so `BENCH_retrieval.json` tracks the storage path's
-/// health alongside retrieval.
-#[derive(Debug, Serialize)]
-struct PersistenceSample {
-    /// Atomic-writer transient-error retries (0 on a healthy filesystem).
-    atomic_write_retries: u64,
-    /// `.bak`-generation load fallbacks (nonzero means the freshly written
-    /// primary was unreadable — a red flag, not a perf number).
-    bak_fallbacks: u64,
-    /// Wall clock of the save+load round trip, seconds.
-    seconds: f64,
-}
-
 /// The whole report.
 #[derive(Debug, Serialize)]
 struct Report {
@@ -161,20 +94,13 @@ struct Report {
     query: &'static str,
     /// Retrieval mode: content-driven ("similarity-bound") traversal.
     regime: &'static str,
-    /// Cores the host reported (the serve and net sweeps share them
-    /// among 4 server workers and the clients).
+    /// Cores the host reported.
     host_cpus: usize,
     repeats: u32,
     /// The default query: exact, with the top-k prune.
     sample: Sample,
-    /// Crash-safe persistence round trip of the bench catalog.
-    persistence: PersistenceSample,
     /// The CSR row-max refresh micro-bench.
     kernel: Vec<KernelSample>,
-    /// QueryServer throughput/tail-latency sweep across client counts.
-    serve: Vec<ServeSample>,
-    /// The same sweep through the TCP front-end over loopback.
-    net: Vec<NetSample>,
     /// Serial coarse-stage measurements: exact, then a 16-video cut.
     coarse: Vec<CoarseSample>,
 }
@@ -268,30 +194,6 @@ fn main() {
     let exact_metrics = time(RetrievalConfig::content_only());
     let exact_secs = best_seconds(&exact_metrics);
 
-    // One observed save+load round trip through the crash-safe path: the
-    // retry/fallback counters belong in the snapshot so a flaky disk or a
-    // storage regression shows up next to the retrieval numbers.
-    let persistence = {
-        let rec = InMemoryRecorder::shared();
-        let opts = hmmm_storage::PersistOptions {
-            recorder: rec.handle(),
-            ..hmmm_storage::PersistOptions::default()
-        };
-        let dir = hmmm_storage::TestDir::new("hmmm_bench_persist");
-        let path = dir.file("catalog.bin");
-        let start = std::time::Instant::now();
-        hmmm_storage::save_binary_with(&catalog, &path, &opts).expect("save catalog");
-        let back = hmmm_storage::load_binary_with(&path, &opts).expect("load catalog");
-        let seconds = start.elapsed().as_secs_f64();
-        assert_eq!(back, catalog, "persistence round trip changed the catalog");
-        let metrics = rec.report();
-        PersistenceSample {
-            atomic_write_retries: metrics.counter(m::CTR_ATOMIC_WRITE_RETRIES),
-            bak_fallbacks: metrics.counter(m::CTR_BAK_FALLBACKS),
-            seconds,
-        }
-    };
-
     // Coarse-stage rows: the exact run above, and the same query
     // with the fine stage cut to the 16 highest-bound candidates.
     let coarse_row = |cut: Option<usize>, metrics: &MetricsReport| {
@@ -320,8 +222,6 @@ fn main() {
     ];
 
     let kernel = kernel_microbench(&model);
-    let serve = serve_sweep(&model, &catalog);
-    let net = net_sweep(&model, &catalog);
     let report = Report {
         videos,
         shots: total_shots,
@@ -330,10 +230,7 @@ fn main() {
         host_cpus,
         repeats: REPEATS,
         sample: sample(&exact_metrics),
-        persistence,
         kernel,
-        serve,
-        net,
         coarse,
     };
 
@@ -353,21 +250,6 @@ fn main() {
             k.units_per_sec
         );
     }
-    for s in &report.serve {
-        println!(
-            "serve {:>2} clients: {:>8.1} qps, p50 {:>7.3} ms, p95 {:>7.3} ms, \
-             p99 {:>7.3} ms ({} completed, {} rejected)",
-            s.clients, s.qps, s.p50_ms, s.p95_ms, s.p99_ms, s.completed, s.rejected,
-        );
-    }
-    for s in &report.net {
-        println!(
-            "net   {:>2} clients: {:>8.1} qps, p50 {:>7.3} ms, p95 {:>7.3} ms, \
-             p99 {:>7.3} ms ({} completed, {} rejected, {} retries, {} give-ups)",
-            s.clients, s.qps, s.p50_ms, s.p95_ms, s.p99_ms, s.completed, s.rejected, s.retries,
-            s.give_ups,
-        );
-    }
     for s in &report.coarse {
         let cut = s.candidate_cut.map_or("exact".to_string(), |c| format!("cut {c}"));
         println!(
@@ -380,125 +262,11 @@ fn main() {
             s.speedup_vs_exact,
         );
     }
-    println!(
-        "persistence round trip: {:.2} ms, {} retries, {} bak fallbacks",
-        report.persistence.seconds * 1e3,
-        report.persistence.atomic_write_retries,
-        report.persistence.bak_fallbacks,
-    );
     println!("host cpus: {host_cpus}");
 
     let json = serde_json::to_string_pretty(&report).expect("serializable");
     std::fs::write(&out, json + "\n").expect("write report");
     println!("wrote {out}");
-}
-
-/// Serving throughput sweep: the same model behind an in-process
-/// `QueryServer` (4 workers, bounded queue), loaded by 1/2/4/8 closed-loop
-/// clients running the seeded Zipf workload with zero think time and no
-/// feedback — pure read throughput, so QPS and the latency tail are
-/// attributable to the serving layer and host parallelism alone.
-fn serve_sweep(model: &hmmm_core::Hmmm, catalog: &hmmm_storage::Catalog) -> Vec<ServeSample> {
-    use hmmm_serve::{ModelSnapshot, QueryServer, ServerConfig, WorkloadConfig};
-    const REQUESTS_PER_CLIENT: usize = 24;
-    let mut out = Vec::new();
-    for clients in [1usize, 2, 4, 8] {
-        eprintln!("serving sweep: {clients} clients…");
-        let snapshot = ModelSnapshot::from_model(model.clone(), catalog.clone())
-            .expect("bench model audits clean");
-        let server = QueryServer::start(
-            snapshot,
-            ServerConfig {
-                workers: 4,
-                queue_capacity: 128,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("valid server config");
-        let report = hmmm_serve::run_workload(
-            &server,
-            &WorkloadConfig {
-                clients,
-                requests_per_client: REQUESTS_PER_CLIENT,
-                mean_interarrival: std::time::Duration::ZERO,
-                feedback_probability: 0.0,
-                seed: 0xBE7C,
-                ..WorkloadConfig::default()
-            },
-        )
-        .expect("workload runs");
-        server.join();
-        let rejected: usize = report.rejections.values().sum();
-        out.push(ServeSample {
-            clients,
-            qps: report.qps,
-            p50_ms: report.p50_ms,
-            p95_ms: report.p95_ms,
-            p99_ms: report.p99_ms,
-            completed: report.completed,
-            rejected,
-            degraded: report.degraded,
-        });
-    }
-    out
-}
-
-/// The serving sweep again, but through the TCP front-end on a loopback
-/// socket: same model, same Zipf workload, real framing + JSON + syscalls
-/// in the path. Retries and give-ups must stay 0 — no fault plan is
-/// attached, so any nonzero value flags a front-end bug, not load.
-fn net_sweep(model: &hmmm_core::Hmmm, catalog: &hmmm_storage::Catalog) -> Vec<NetSample> {
-    use hmmm_serve::{
-        ModelSnapshot, NetConfig, NetServer, NetWorkloadConfig, QueryServer, ServerConfig,
-    };
-    const REQUESTS_PER_CLIENT: usize = 24;
-    let mut out = Vec::new();
-    for clients in [1usize, 4] {
-        eprintln!("network sweep: {clients} clients…");
-        let snapshot = ModelSnapshot::from_model(model.clone(), catalog.clone())
-            .expect("bench model audits clean");
-        let server = QueryServer::start(
-            snapshot,
-            ServerConfig {
-                workers: 4,
-                queue_capacity: 128,
-                ..ServerConfig::default()
-            },
-        )
-        .expect("valid server config");
-        let net = NetServer::start(
-            std::sync::Arc::new(server),
-            "127.0.0.1:0",
-            NetConfig::default(),
-        )
-        .expect("front-end binds loopback");
-        let report = hmmm_serve::run_net_workload(
-            net.local_addr(),
-            &NetWorkloadConfig {
-                clients,
-                requests_per_client: REQUESTS_PER_CLIENT,
-                mean_interarrival: std::time::Duration::ZERO,
-                seed: 0xBE7C,
-                ..NetWorkloadConfig::default()
-            },
-        )
-        .expect("network workload runs");
-        net.shutdown();
-        let rejected: usize = report.rejections.values().sum();
-        out.push(NetSample {
-            clients,
-            qps: report.qps,
-            p50_ms: report.p50_ms,
-            p95_ms: report.p95_ms,
-            p99_ms: report.p99_ms,
-            completed: report.completed,
-            rejected,
-            retries: report.retries,
-            retry_successes: report.retry_successes,
-            give_ups: report.give_ups,
-        });
-    }
-    out
 }
 
 /// Times the forward row-max refresh over every video's CSR `A_1`,

@@ -1,6 +1,7 @@
-//! E8 — the Figure-1 pipeline end-to-end, with per-stage timings and
-//! accuracies: synthesize → detect shot boundaries from pixels → extract
-//! features → mine events with the decision tree → build HMMM → query.
+//! E8 — the Figure-1 pipeline end-to-end, with per-stage accuracies:
+//! synthesize → detect shot boundaries from pixels → extract features →
+//! mine events with the decision tree → build HMMM → query. The per-shot
+//! time of each stage is bench_e2e `ingest`'s (`ingest.*_ms_per_shot`).
 
 use hmmm_annotate::evaluate::micro_f1;
 use hmmm_annotate::{evaluate_annotations, AnnotatorConfig, EventAnnotator};
@@ -13,10 +14,9 @@ use hmmm_media::{
 use hmmm_query::QueryTranslator;
 use hmmm_shot::{evaluate_cuts, segment_frames, ShotBoundaryDetector, ShotDetectorConfig};
 use hmmm_storage::Catalog;
-use std::time::Instant;
 
 fn main() {
-    println!("E8 / Figure 1 — full pipeline, stage timings and accuracy\n");
+    println!("E8 / Figure 1 — full pipeline, stage accuracy\n");
     let archive = SyntheticArchive::generate(ArchiveConfig {
         videos: 8,
         shots_per_video: 60,
@@ -26,10 +26,9 @@ fn main() {
         seed: 0xE8,
     });
 
-    let mut stage_table = Table::new(&["stage", "time", "accuracy"]);
+    let mut stage_table = Table::new(&["stage", "accuracy"]);
 
     // Stage 1: shot-boundary detection.
-    let t = Instant::now();
     let mut f1_sum = 0.0;
     let mut videos: Vec<Vec<(Vec<EventKind>, FeatureVector)>> = Vec::new();
     let extractor = ExtractorConfig::default();
@@ -59,15 +58,12 @@ fn main() {
         }
         videos.push(shots);
     }
-    let detect_time = t.elapsed();
     stage_table.row_owned(vec![
         "shot detection + features".into(),
-        format!("{detect_time:.2?}"),
         format!("cut F1 {:.3}", f1_sum / archive.video_count() as f64),
     ]);
 
     // Stage 2: decision-tree event mining (train half, test half).
-    let t = Instant::now();
     let half = archive.video_count() / 2;
     let train: Vec<(FeatureVector, Vec<EventKind>)> = videos[..half]
         .iter()
@@ -86,12 +82,10 @@ fn main() {
     let mining_f1 = micro_f1(&evaluate_annotations(&predicted, &truth));
     stage_table.row_owned(vec![
         "event mining (train+test)".into(),
-        format!("{:.2?}", t.elapsed()),
         format!("micro-F1 {mining_f1:.3}"),
     ]);
 
     // Stage 3: catalog + HMMM (mined annotations on the held-out half).
-    let t = Instant::now();
     let mut catalog = Catalog::new();
     for (vi, shots) in videos.into_iter().enumerate() {
         let shots = if vi < half {
@@ -108,7 +102,6 @@ fn main() {
     let model = build_hmmm(&catalog, &BuildConfig::default()).expect("non-empty");
     stage_table.row_owned(vec![
         "catalog + HMMM build".into(),
-        format!("{:.2?}", t.elapsed()),
         format!("{} shots modeled", model.shot_count()),
     ]);
 
@@ -117,12 +110,10 @@ fn main() {
     let pattern = translator.compile("free_kick -> goal").expect("valid");
     let retriever =
         Retriever::new(&model, &catalog, RetrievalConfig::default()).expect("consistent");
-    let t = Instant::now();
     let (results, _) = retriever.retrieve(&pattern, 8).expect("valid");
     let p = precision_at_k(&catalog, &pattern, &results, 8).unwrap_or(0.0);
     stage_table.row_owned(vec![
         "query 'free_kick -> goal'".into(),
-        format!("{:.2?}", t.elapsed()),
         format!("{} candidates, p@8 {p:.2} (vs catalog annotations)", results.len()),
     ]);
 

@@ -151,8 +151,7 @@ impl CoarseIndex {
     /// similarity maxima feed the [`VideoBounds`] completion chain
     /// (Eq. 13's per-hop ceiling), and the whole-video bound folds the
     /// Eq.-12 start summaries `max_e [start_max + chain_0 · start_joint]`
-    /// over the first step's alternatives. The coarse counters charge
-    /// [`CoarseIndex::bound_lookups`] table reads for it.
+    /// over the first step's alternatives.
     pub fn video_bounds(
         &self,
         video: usize,
@@ -212,16 +211,6 @@ impl CoarseIndex {
             .fold(0.0, f64::max)
     }
 
-    /// The summary-table reads the coarse counters charge per eligible
-    /// video for `pattern` (the Step-2-to-fine admission cost): one
-    /// `sim_max` read per step alternative plus the two start summaries
-    /// per first-step alternative. The charge is fixed per video, whether
-    /// or not [`CoarseIndex::candidates`] goes on to build its chain.
-    pub fn bound_lookups(pattern: &CompiledPattern) -> u64 {
-        let step_reads: usize = pattern.steps.iter().map(|s| s.alternatives.len()).sum();
-        (step_reads + 2 * pattern.steps[0].alternatives.len()) as u64
-    }
-
     /// The coarse stage of every retrieval: the Step-2 candidate videos,
     /// each with its admissible [`VideoBounds`], in fine-stage visit order.
     ///
@@ -273,10 +262,17 @@ impl CoarseIndex {
             stats.videos_skipped += before - videos.len();
         }
 
-        let lookups = Self::bound_lookups(pattern);
+        // Summary reads per fold: one `sim_max` per alternative of steps
+        // ≥ 1 (the chain never reads step 0's maximum), plus the two start
+        // summaries per first-step alternative in the whole-video bound.
+        let chain_reads: usize = pattern.steps[1..]
+            .iter()
+            .map(|s| s.alternatives.len())
+            .sum();
+        let start_reads = 2 * pattern.steps[0].alternatives.len();
         let mut candidates: Vec<(VideoId, VideoBounds)> = Vec::with_capacity(videos.len());
         for v in videos {
-            stats.coarse_bound_lookups += lookups;
+            stats.coarse_bound_lookups += (chain_reads + start_reads) as u64;
             let bounds = self.whole_video_bound(v, &model.locals()[v], pattern);
             if bounds.video_ub() <= 0.0 {
                 stats.coarse_skipped_zero_ub += 1;
@@ -294,6 +290,7 @@ impl CoarseIndex {
             }
         }
         for (video, bounds) in &mut candidates {
+            stats.coarse_bound_lookups += chain_reads as u64;
             let v = video.index();
             self.link_chain(bounds, v, &model.locals()[v], pattern);
         }
@@ -415,9 +412,27 @@ mod tests {
     }
 
     #[test]
-    fn bound_lookups_counts_table_reads() {
-        let pattern = translator().compile("free_kick|corner_kick -> goal").unwrap();
-        // 2 + 1 step reads, plus 2 × 2 start reads on the first step.
-        assert_eq!(CoarseIndex::bound_lookups(&pattern), 7);
+    fn bound_lookups_count_the_summary_reads() {
+        let c = catalog();
+        let m = build_hmmm(&c, &BuildConfig::default()).unwrap();
+        let pattern = translator()
+            .compile("free_kick|corner_kick -> goal")
+            .unwrap();
+        let lookups = |candidate_cut| {
+            let config = crate::RetrievalConfig {
+                candidate_cut,
+                ..crate::RetrievalConfig::content_only()
+            };
+            let r = crate::Retriever::new(&m, &c, config).unwrap();
+            let (_, stats) = r.retrieve(&pattern, 10).unwrap();
+            (stats.coarse_candidates, stats.coarse_bound_lookups)
+        };
+        // Content-only: both videos are eligible and keep a nonzero bound.
+        // The whole-video fold reads 1 `sim_max` (step 1's goal; step 0's
+        // maximum is never read) + 2 × 2 start summaries = 5 per video,
+        // and each kept candidate's chain reads step 1's goal once more:
+        // 2 × 5 + 2 exact, 2 × 5 + 1 with one candidate kept.
+        assert_eq!(lookups(None), (2, 12));
+        assert_eq!(lookups(Some(1)), (1, 11));
     }
 }

@@ -228,7 +228,7 @@ impl FaultState {
 }
 
 /// Snapshot of the network-plane injection tallies, for metrics export
-/// (`net.torn_frames_injected` and friends in `bench_report` / loadgen).
+/// (`net.torn_frames_injected` and friends).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetFaultStats {
     /// Connections wrapped so far (faulted or not).

@@ -131,9 +131,6 @@ pub const CTR_SERVE_REJECTED_SHUTDOWN: &str = "serve.rejected_shutdown";
 pub const CTR_SERVE_SNAPSHOT_INSTALLS: &str = "serve.snapshot_installs";
 /// Candidate snapshots refused by the pre-install `deep_audit` gate.
 pub const CTR_SERVE_AUDIT_REJECTIONS: &str = "serve.snapshot_audit_rejections";
-/// `validate_against` runs on the serving path: one per (worker, epoch)
-/// pair that executed a job, not one per request.
-pub const CTR_SERVE_SNAPSHOT_VALIDATIONS: &str = "serve.snapshot_validations";
 /// Admission-queue depth after the most recent submit/dequeue.
 pub const GAUGE_SERVE_QUEUE_DEPTH: &str = "serve.queue_depth";
 /// Worker threads the server was started with.
@@ -144,8 +141,8 @@ pub const GAUGE_SERVE_WORKERS: &str = "serve.workers";
 // The network layer records through the same registry: server-side
 // connection QoS counters (`net.accepted` …), fault-injection tallies
 // surfaced from the core `FaultPlan` network plane, and the built-in
-// client's retry/backoff accounting — so loadgen's network report rows and
-// `bench_report`'s net sweep key off one vocabulary.
+// client's retry/backoff accounting — so loadgen's network report rows key
+// off the same vocabulary as every other layer.
 
 /// One served connection, accept through close (label = connection id).
 pub const SPAN_NET_CONN: &str = "net/conn";

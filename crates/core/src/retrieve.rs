@@ -77,7 +77,7 @@ use crate::bounds::VideoBounds;
 use crate::error::CoreError;
 use crate::fault::FaultHandle;
 use crate::metrics as m;
-use crate::model::{Hmmm, Validated};
+use crate::model::Hmmm;
 use crate::topk::TopKThreshold;
 use hmmm_media::EventKind;
 use hmmm_obs::RecorderHandle;
@@ -598,11 +598,10 @@ pub struct Retriever<'a> {
 }
 
 impl<'a> Retriever<'a> {
-    /// Validates model/catalog consistency ([`Hmmm::validate_against`]),
-    /// then builds the retriever from the proof
-    /// ([`Retriever::from_validated`]). This pays for the check on every
-    /// call; code that answers many queries against one model should
-    /// validate once and keep the proof, as the server's workers do.
+    /// Checks that the model was built from `catalog` or one of equal
+    /// shape ([`Hmmm::validate_against`], a shape comparison) and builds
+    /// the retriever. The retriever borrows both, so neither can change
+    /// while it lives.
     ///
     /// # Errors
     ///
@@ -613,20 +612,12 @@ impl<'a> Retriever<'a> {
         catalog: &'a Catalog,
         config: RetrievalConfig,
     ) -> Result<Self, CoreError> {
-        let proof = model.validate_against(catalog)?;
-        Ok(Self::from_validated(proof, config))
-    }
-
-    /// Builds a retriever from a [`Validated`] proof, with no further
-    /// checking. The proof borrows the model and catalog, so they cannot
-    /// have changed since [`Hmmm::validate_against`] checked them; this
-    /// costs a config move, nothing more.
-    pub fn from_validated(proof: Validated<'a>, config: RetrievalConfig) -> Self {
-        Retriever {
-            model: proof.model(),
-            catalog: proof.catalog(),
+        model.validate_against(catalog)?;
+        Ok(Retriever {
+            model,
+            catalog,
             config,
-        }
+        })
     }
 
     /// Runs the nine-step retrieval for `pattern`, returning the top

@@ -54,12 +54,6 @@ impl NormalizationParams {
     pub fn max(&self, col: usize) -> f64 {
         self.maxs[col]
     }
-
-    /// `true` if a column is degenerate (max == min), i.e. carried no
-    /// information in the training corpus.
-    pub fn is_degenerate(&self, col: usize) -> bool {
-        self.maxs[col] <= self.mins[col]
-    }
 }
 
 /// Applies fitted [`NormalizationParams`] to feature vectors.
@@ -145,7 +139,8 @@ mod tests {
             vec_with(&[(FeatureId::SfMean, 3.0)]),
         ];
         let n = Normalizer::fit(&corpus).unwrap();
-        assert!(n.params().is_degenerate(FeatureId::SfMean.index()));
+        let col = FeatureId::SfMean.index();
+        assert_eq!(n.params().min(col), n.params().max(col));
         assert_eq!(n.normalize(&corpus[0])[FeatureId::SfMean], 0.0);
     }
 

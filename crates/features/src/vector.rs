@@ -42,12 +42,6 @@ impl FeatureVector {
         &self.0
     }
 
-    /// Mutable raw values.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.0
-    }
-
     /// Iterates `(feature, value)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (FeatureId, f64)> + '_ {
         FeatureId::ALL.iter().map(move |&f| (f, self.0[f.index()]))
@@ -56,16 +50,6 @@ impl FeatureVector {
     /// `true` if every entry is finite.
     pub fn is_finite(&self) -> bool {
         self.0.iter().all(|v| v.is_finite())
-    }
-
-    /// Euclidean distance to another vector.
-    pub fn euclidean_distance(&self, other: &FeatureVector) -> f64 {
-        self.0
-            .iter()
-            .zip(other.0.iter())
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum::<f64>()
-            .sqrt()
     }
 
     /// Element-wise mean of a set of vectors (the paper's Eq. 11 — the
@@ -169,16 +153,6 @@ mod tests {
         let pairs: Vec<(FeatureId, f64)> = v.iter().collect();
         assert_eq!(pairs.len(), 20);
         assert_eq!(pairs[3], (FeatureId::BackgroundVar, 3.0));
-    }
-
-    #[test]
-    fn euclidean_distance_basics() {
-        let a = FeatureVector::zeros();
-        let mut b = FeatureVector::zeros();
-        b[FeatureId::GrassRatio] = 3.0;
-        b[FeatureId::SfRange] = 4.0;
-        assert!((a.euclidean_distance(&b) - 5.0).abs() < 1e-12);
-        assert_eq!(a.euclidean_distance(&a), 0.0);
     }
 
     #[test]

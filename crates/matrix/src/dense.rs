@@ -176,42 +176,10 @@ impl Matrix {
         &mut self.data[start..start + self.cols]
     }
 
-    /// Iterator over row slices.
-    pub fn rows_iter(&self) -> impl Iterator<Item = &[f64]> {
-        self.data.chunks_exact(self.cols.max(1))
-    }
-
     /// Sum of a row.
     #[inline]
     pub fn row_sum(&self, row: usize) -> f64 {
         self.row(row).iter().sum()
-    }
-
-    /// Extracts a column as a freshly allocated vector.
-    pub fn col_vec(&self, col: usize) -> Vec<f64> {
-        (0..self.rows).map(|r| self[(r, col)]).collect()
-    }
-
-    /// Index of the maximum entry in a row, with its value.
-    ///
-    /// Ties resolve to the smallest index; returns `None` for an empty row.
-    pub fn row_argmax(&self, row: usize) -> Option<(usize, f64)> {
-        let r = self.row(row);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, &v) in r.iter().enumerate() {
-            match best {
-                Some((_, bv)) if v <= bv => {}
-                _ => best = Some((i, v)),
-            }
-        }
-        best
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_in_place<F: FnMut(f64) -> f64>(&mut self, mut f: F) {
-        for v in &mut self.data {
-            *v = f(*v);
-        }
     }
 
     /// Element-wise addition of `other` scaled by `alpha` (`self += alpha * other`).
@@ -313,11 +281,6 @@ impl Matrix {
     #[inline]
     pub fn as_slice(&self) -> &[f64] {
         &self.data
-    }
-
-    /// Consumes the matrix and returns the row-major buffer.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
     }
 }
 
@@ -445,16 +408,6 @@ mod tests {
         let m = Matrix::from_rows(&[vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0]]).unwrap();
         assert_eq!(m.row(1), &[4.0, 5.0, 6.0]);
         assert_eq!(m.row_sum(0), 6.0);
-        assert_eq!(m.col_vec(2), vec![3.0, 6.0]);
-        let rows: Vec<&[f64]> = m.rows_iter().collect();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], &[1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn row_argmax_ties_prefer_smallest_index() {
-        let m = Matrix::from_rows(&[vec![1.0, 3.0, 3.0, 0.0]]).unwrap();
-        assert_eq!(m.row_argmax(0), Some((1, 3.0)));
     }
 
     #[test]
@@ -516,13 +469,6 @@ mod tests {
         let d = a.frobenius_distance(&b).unwrap();
         assert!((d - 2.0).abs() < 1e-12);
         assert!(a.frobenius_distance(&Matrix::zeros(1, 1)).is_err());
-    }
-
-    #[test]
-    fn map_in_place_applies() {
-        let mut m = Matrix::filled(2, 2, 3.0);
-        m.map_in_place(|v| v * v);
-        assert_eq!(m[(0, 0)], 9.0);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Validated row-stochastic matrices (the `A_n` and `P_{n,n+1}` families).
+//! Row-stochastic matrices, checked on construction (the `A_n` and
+//! `P_{n,n+1}` families).
 
 use crate::dense::{Matrix, ZeroRowPolicy};
 use crate::{MatrixError, STOCHASTIC_TOLERANCE};
@@ -141,11 +142,6 @@ impl StochasticMatrix {
     #[inline]
     pub fn as_matrix(&self) -> &Matrix {
         &self.0
-    }
-
-    /// Consume into the underlying dense matrix.
-    pub fn into_matrix(self) -> Matrix {
-        self.0
     }
 }
 

@@ -58,11 +58,6 @@ impl AudioBuf {
         self.samples.is_empty()
     }
 
-    /// Duration in seconds.
-    pub fn duration_secs(&self) -> f64 {
-        self.samples.len() as f64 / self.sample_rate as f64
-    }
-
     /// Hard-clips all samples into `[-1, 1]` (after mixing layers).
     pub fn clamp(&mut self) {
         for s in &mut self.samples {
@@ -89,11 +84,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn construction_and_duration() {
+    fn construction() {
         let a = AudioBuf::silence(8000, 16000);
         assert_eq!(a.sample_rate(), 8000);
         assert_eq!(a.len(), 16000);
-        assert!((a.duration_secs() - 2.0).abs() < 1e-12);
         assert!(!a.is_empty());
     }
 

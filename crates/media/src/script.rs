@@ -144,18 +144,6 @@ impl EventScript {
         self.shots.iter().filter(|s| s.is_annotated()).count()
     }
 
-    /// Count of each event kind, indexed by [`EventKind::index`]. This is
-    /// one row of the paper's `B_2` event-number matrix.
-    pub fn event_histogram(&self) -> [usize; EventKind::COUNT] {
-        let mut counts = [0usize; EventKind::COUNT];
-        for shot in &self.shots {
-            for &e in &shot.events {
-                counts[e.index()] += 1;
-            }
-        }
-        counts
-    }
-
     /// Ground-truth occurrences of a temporal pattern: ordered shot-index
     /// sequences `i_1 ≤ i_2 ≤ … ≤ i_C` where shot `i_j` carries event
     /// `pattern[j]`, consecutive steps are at most `max_gap` shots apart,
@@ -358,15 +346,13 @@ mod tests {
     }
 
     #[test]
-    fn event_histogram_sums_to_event_count() {
+    fn event_count_covers_annotated_shots() {
         let cfg = ScriptConfig {
             shots: 2000,
             event_rate: 0.2,
             ..ScriptConfig::default()
         };
         let script = EventScript::generate(&cfg);
-        let hist = script.event_histogram();
-        assert_eq!(hist.iter().sum::<usize>(), script.event_count());
         assert!(script.event_count() >= script.annotated_shot_count());
     }
 

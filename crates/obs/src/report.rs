@@ -42,13 +42,6 @@ pub struct StageSummary {
     pub max_ns: u64,
 }
 
-impl StageSummary {
-    /// Mean span duration in nanoseconds (0 when no spans).
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
 /// One raw span: an instrumented region's timing, with enough context to
 /// reconstruct the trace (`hmmm query --trace` renders these as a tree).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

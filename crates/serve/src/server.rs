@@ -23,18 +23,18 @@
 //!
 //! Workers are plain threads in a pool. Each owns a cached
 //! `Arc<ModelSnapshot>` (checked by one atomic epoch load per request —
-//! see [`SnapshotCell`]), the [`hmmm_core::Validated`] proof for it, and a
-//! reusable [`hmmm_core::QueryScratch`]. A worker validates a snapshot once,
-//! on the first job it executes there, and builds every later request's
-//! `Retriever` from that proof; the per-query steady state neither
-//! re-validates the model nor allocates beams and scoring rows. Each query
-//! runs on its worker's thread, so the cores are spent across queries.
+//! see [`SnapshotCell`]) and a reusable [`hmmm_core::QueryScratch`], so the
+//! per-query steady state allocates no beams or scoring rows. Every request
+//! builds its `Retriever` from the snapshot's model and catalog; the
+//! pairing check in `Retriever::new` is a shape comparison, well under a
+//! microsecond. Each query runs on its worker's thread, so the cores are
+//! spent across queries.
 
 use crate::snapshot::{ModelSnapshot, SnapshotCell};
 use hmmm_core::metrics as m;
 use hmmm_core::{
     CoreError, FeedbackConfig, FeedbackLog, Hmmm, QueryScratch, RankedPattern, RetrievalConfig,
-    RetrievalStats, Retriever, UpdateReport, Validated,
+    RetrievalStats, Retriever, UpdateReport,
 };
 use hmmm_obs::RecorderHandle;
 use hmmm_query::CompiledPattern;
@@ -548,29 +548,17 @@ impl Drop for QueryServer {
     }
 }
 
-/// A worker's validation of its current snapshot: `None` until the first
-/// job on that snapshot executes, then the proof or the rendered error.
-type EpochProof<'s> = Option<Result<Validated<'s>, String>>;
-
-/// One worker: dequeue → epoch check (one atomic load; on a new epoch,
-/// forget the old proof and refresh the snapshot) → admission deadline
-/// check → validate if this is the epoch's first executed job → execute
-/// with the remaining budget → fulfill.
+/// One worker: dequeue → refresh the snapshot (one atomic epoch load
+/// unless an install moved it) → admission deadline check → execute with
+/// the remaining budget → fulfill. The refresh follows the dequeue, so a
+/// request submitted after an install returned runs on that install's
+/// generation or a later one.
 fn worker_loop(shared: &ServerShared) {
     let mut snapshot = shared.cell.load();
     let mut scratch = QueryScratch::new();
-    let mut pending = dequeue(shared);
-    while pending.is_some() {
+    while let Some(job) = dequeue(shared) {
         shared.cell.refresh(&mut snapshot);
-        let mut proof: EpochProof<'_> = None;
-        while let Some(job) = pending.take() {
-            if shared.cell.epoch() != snapshot.epoch {
-                pending = Some(job); // carried over to the new generation
-                break;
-            }
-            serve_one(shared, &snapshot, &mut proof, &mut scratch, job);
-            pending = dequeue(shared);
-        }
+        serve_one(shared, &snapshot, &mut scratch, job);
     }
 }
 
@@ -594,12 +582,10 @@ fn dequeue(shared: &ServerShared) -> Option<Job> {
     }
 }
 
-/// Executes one dequeued job against the worker's snapshot, validating the
-/// snapshot first if no earlier job on it has.
-fn serve_one<'s>(
+/// Executes one dequeued job against the worker's snapshot.
+fn serve_one(
     shared: &ServerShared,
-    snapshot: &'s ModelSnapshot,
-    proof: &mut EpochProof<'s>,
+    snapshot: &ModelSnapshot,
     scratch: &mut QueryScratch,
     job: Job,
 ) {
@@ -632,19 +618,9 @@ fn serve_one<'s>(
 
     let execute_span = obs.span_labeled(m::SPAN_SERVE_EXECUTE, job.id);
     let execute_started = Instant::now();
-    let proof = proof.get_or_insert_with(|| {
-        obs.counter(m::CTR_SERVE_SNAPSHOT_VALIDATIONS, 1);
-        snapshot
-            .model
-            .validate_against(&snapshot.catalog)
-            .map_err(|e| e.to_string())
-    });
-    let executed = match proof {
-        Ok(proof) => Retriever::from_validated(*proof, config)
-            .retrieve_with_scratch(&job.request.pattern, job.request.limit, scratch)
-            .map_err(|e| e.to_string()),
-        Err(e) => Err(e.clone()),
-    };
+    let executed = Retriever::new(&snapshot.model, &snapshot.catalog, config)
+        .and_then(|r| r.retrieve_with_scratch(&job.request.pattern, job.request.limit, scratch))
+        .map_err(|e| e.to_string());
     let service_ns = execute_started.elapsed().as_nanos() as u64;
     drop(execute_span);
 

@@ -171,10 +171,8 @@ impl SnapshotCell {
 
     /// Refreshes a worker's cached handle only if a newer generation was
     /// published; returns `true` when `cached` was replaced. The
-    /// steady-state cost is one atomic load. The server's workers check
-    /// [`SnapshotCell::epoch`] per dequeued request and call this only
-    /// when it moved, after dropping the validation proof that borrows
-    /// `cached`.
+    /// steady-state cost is one atomic load. The server's workers call it
+    /// once per dequeued request, before executing it.
     pub fn refresh(&self, cached: &mut Arc<ModelSnapshot>) -> bool {
         if self.epoch() == cached.epoch {
             return false;

@@ -26,7 +26,6 @@ use hmmm_obs::RecorderHandle;
 use hmmm_query::{CompiledPattern, QueryTranslator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -177,9 +176,9 @@ impl Default for WorkloadConfig {
     }
 }
 
-/// Aggregate result of one load run ([`run_workload`]); serialized into
-/// `BENCH_retrieval.json` by `bench_report` and printed by `hmmm loadgen`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// Aggregate result of one load run ([`run_workload`]), as `hmmm loadgen`
+/// prints it.
+#[derive(Debug, Clone)]
 pub struct LoadReport {
     /// Client count the run used.
     pub clients: usize,
@@ -604,7 +603,7 @@ impl Default for NetWorkloadConfig {
 }
 
 /// Aggregate result of one network load run ([`run_net_workload`]).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NetLoadReport {
     /// Client count the run used.
     pub clients: usize,

@@ -74,11 +74,6 @@ impl ShotBoundaryDetector {
         }
     }
 
-    /// Number of frames consumed so far.
-    pub fn frames_seen(&self) -> usize {
-        self.frame_index
-    }
-
     /// Pushes the next frame of the stream.
     pub fn push(&mut self, frame: &PixelBuf) {
         let hist = normalized_lum_hist(frame, self.config.bins);

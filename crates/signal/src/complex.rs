@@ -49,15 +49,6 @@ impl Complex {
     pub fn norm_sqr(self) -> f64 {
         self.re * self.re + self.im * self.im
     }
-
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex {
-            re: self.re,
-            im: -self.im,
-        }
-    }
 }
 
 impl Add for Complex {
@@ -131,9 +122,8 @@ mod tests {
         let z = Complex::new(3.0, 4.0);
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.norm_sqr(), 25.0);
-        assert_eq!(z.conj(), Complex::new(3.0, -4.0));
         // z * conj(z) = |z|²
-        let p = z * z.conj();
+        let p = z * Complex::new(3.0, -4.0);
         assert!((p.re - 25.0).abs() < 1e-12);
         assert!(p.im.abs() < 1e-12);
     }

@@ -54,12 +54,6 @@ impl Histogram {
         self.total += 1.0;
     }
 
-    /// Number of bins.
-    #[inline]
-    pub fn bin_count(&self) -> usize {
-        self.bins.len()
-    }
-
     /// Total sample mass.
     #[inline]
     pub fn total(&self) -> f64 {

@@ -83,20 +83,6 @@ impl Stats {
         self.population_variance().sqrt()
     }
 
-    /// Sample variance (divisor `n − 1`); `0.0` when fewer than two samples.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / (self.count - 1) as f64
-        }
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest observation; `0.0` when empty.
     pub fn min(&self) -> f64 {
         if self.count == 0 {
@@ -209,7 +195,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert_eq!(s.mean(), 5.0);
         assert!((s.population_std() - 2.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
     }
 
     #[test]

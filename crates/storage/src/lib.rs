@@ -16,8 +16,6 @@
 //!   generation fallback on corrupt loads.
 //! * [`atomic`] — the crash-safe write-tempfile-fsync-rename primitive
 //!   (with bounded retry/backoff) that every persistence path uses.
-//! * [`shared`] — a [`parking_lot::RwLock`]-backed handle for concurrent
-//!   readers (retrieval) with exclusive writers (feedback updates).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,7 +24,6 @@ pub mod atomic;
 pub mod catalog;
 pub mod ids;
 pub mod persist;
-pub mod shared;
 
 pub use atomic::{atomic_write, bak_path, AtomicWriteOptions, AtomicWriteReport, IoFault, TestDir};
 pub use catalog::{Catalog, CatalogError, ShotRecord, VideoRecord};
@@ -37,4 +34,3 @@ pub use persist::{
     save_json_observed, save_json_with, PersistError, PersistOptions, CTR_ATOMIC_WRITE_RETRIES,
     CTR_BAK_FALLBACKS,
 };
-pub use shared::SharedCatalog;
